@@ -1,0 +1,67 @@
+"""User-centric cell-free massive MIMO mobility simulator.
+
+Library layout, one module per concern:
+
+* ``geometry``: deployment generation, torus distances/angles, UE motion
+* ``channel``: AR(1) shadow fading, path loss, one-ring covariances, sampling
+* ``pilots``: pilot assignment, decorrelated observations, MMSE estimation
+* ``combining``: local MMSE combiners, effective-gain statistics, second-stage
+  weights, SINR/SE, two-stage fusion
+* ``clustering``: serving-cluster strategies and handover
+* ``signaling``: control/data-plane cost accounting
+* ``simulate``: episode and campaign drivers
+* ``cli``: command-line front end (run / sweep / validate / selftest)
+"""
+
+from .channel import (
+    ChannelStatistics,
+    ShadowFading,
+    SpatialCovariance,
+    jakes_autocorrelation,
+    one_ring_covariance,
+    path_loss_db,
+    refresh_statistics,
+    sample_channel,
+)
+from .clustering import (
+    ClusterState,
+    HandoverConfig,
+    HandoverEvent,
+    NeighborTable,
+    baseline_assign,
+    cellular_handover_step,
+    fixed_cluster,
+    fixed_handover_step,
+    initial_clusters,
+    measurement_cluster,
+    opportunistic_init,
+    opportunistic_track,
+    select_primary,
+)
+from .combining import (
+    EffectiveGainStats,
+    GainMoments,
+    effective_gain_stats,
+    fuse_estimates,
+    lp_mmse_combiner,
+    lsfd_weights,
+    simulate_gain_moments,
+    stats_for_ue,
+    uplink_sinr,
+)
+from .config import SimConfig, default_config, from_file
+from .errors import ConfigurationError, NumericalError, SimulationError
+from .geometry import (
+    DeploymentConfig,
+    Topology,
+    UEState,
+    generate_deployment,
+    step_ue,
+    wrap_angle,
+    wrap_distance,
+)
+from .pilots import ChannelEstimate, PilotConfig, assign_pilots, mmse_estimate, observe_pilots
+from .signaling import FrameConfig, LedgerDelta, SignalingLedger, account_control_plane, account_data_plane
+from .simulate import AggregateResult, EpisodeResult, episode_seed, run_campaign, run_episode
+
+__version__ = "0.1.0"

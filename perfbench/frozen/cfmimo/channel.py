@@ -1,0 +1,276 @@
+"""Temporally evolving channel statistics and correlated Rayleigh realizations.
+
+Large-scale terms carry the temporal correlation: log-normal shadowing follows a
+first-order autoregression whose coefficient depends on the distance moved per
+sample, and path loss tracks the wrap-around distance. Spatial structure comes
+from a one-ring scatterer model around each UE, evaluated per step and per
+(O-RU, UE) pair. Small-scale vectors are drawn i.i.d. across coherence blocks:
+at these sampling times the classical Jakes coefficient is already near zero
+(see `jakes_autocorrelation`), so per-sample small-scale correlation is not
+worth modeling.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.special import j0
+
+from . import geometry
+from .errors import NumericalError
+
+SPEED_OF_LIGHT = 299_792_458.0
+
+# Path-loss constants in dB for distance in meters.
+PATH_LOSS_INTERCEPT_DB = -34.0
+PATH_LOSS_SLOPE_DB = 38.0
+
+DEFAULT_MIN_DISTANCE_M = 1.0
+QUADRATURE_NODES = 64
+QUADRATURE_TOL = 1e-9
+PSD_CLIP_REL_TOL = 1e-9
+
+
+def jakes_autocorrelation(fc_hz: float, speed_mps: float, ts_s: float) -> float:
+    """Classical small-scale correlation J0(pi * D_s * T_s) with Doppler spread D_s = 2 f_c v / c.
+
+    Kept as a documented reference: for sub-6GHz carriers and sampling periods of
+    hundreds of milliseconds the argument is far into the Bessel tail, so
+    consecutive small-scale realizations are effectively uncorrelated.
+    """
+    doppler_spread = 2.0 * fc_hz * speed_mps / SPEED_OF_LIGHT
+    return float(j0(np.pi * doppler_spread * ts_s))
+
+
+@dataclass
+class ShadowFading:
+    """Per-(O-RU, UE) shadow fading in dB with AR(1) temporal evolution.
+
+    The autoregression coefficient for a UE moving distance v*T_s between samples
+    is exp(-alpha * v * T_s), with alpha the reciprocal decorrelation distance.
+    The stationary distribution of every entry is N(0, sigma_db^2).
+    """
+
+    values_db: np.ndarray  # (L, K)
+    sigma_db: float
+    alpha_per_m: float
+
+    @classmethod
+    def initial(
+        cls, num_orus: int, num_ues: int, sigma_db: float, alpha_per_m: float, rng: np.random.Generator
+    ) -> "ShadowFading":
+        values = sigma_db * rng.standard_normal((num_orus, num_ues))
+        return cls(values, sigma_db, alpha_per_m)
+
+    def evolve(self, speeds_mps: np.ndarray, ts_s: float, rng: np.random.Generator) -> "ShadowFading":
+        """One AR(1) step: F <- rho F + sqrt(1 - rho^2) * N(0, sigma^2), rho per UE."""
+        rho = np.exp(-self.alpha_per_m * np.asarray(speeds_mps) * ts_s)[None, :]
+        innovation = self.sigma_db * rng.standard_normal(self.values_db.shape)
+        new_values = rho * self.values_db + np.sqrt(1.0 - rho**2) * innovation
+        return replace(self, values_db=new_values)
+
+
+def shadow_correlation(alpha_per_m: float, speed_mps: float, ts_s: float) -> float:
+    """AR(1) coefficient exp(-alpha * v * T_s) for one sampling interval."""
+    return float(np.exp(-alpha_per_m * speed_mps * ts_s))
+
+
+def path_loss_db(distance_m, shadow_db=0.0, min_distance_m: float = DEFAULT_MIN_DISTANCE_M):
+    """Large-scale gain in dB: -34 - 38 log10(d) + F, with d clamped below at min_distance_m."""
+    d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
+    return PATH_LOSS_INTERCEPT_DB - PATH_LOSS_SLOPE_DB * np.log10(d) + shadow_db
+
+
+def db_to_linear(value_db):
+    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
+
+
+def linear_to_db(value_lin):
+    return 10.0 * np.log10(np.asarray(value_lin, dtype=float))
+
+
+@dataclass
+class SpatialCovariance:
+    """One spatial covariance: Hermitian PSD matrix plus the angles that built it."""
+
+    matrix: np.ndarray  # (N, N) complex
+    aoa_rad: float
+    spread_rad: float
+    spacing_wl: float
+
+
+def _ring_lag_coefficients(
+    phi: np.ndarray, spread_rad: float, num_antennas: int, spacing_wl: float, nodes: int
+) -> np.ndarray:
+    """Normalized lag coefficients c_d = mean over the ring of exp(2 pi j d_H d sin(angle)).
+
+    Gauss-Legendre quadrature over [phi - spread, phi + spread]; `phi` may be any
+    shape, output has one extra trailing axis of length num_antennas (lags 0..N-1).
+    """
+    phi = np.asarray(phi, dtype=float)
+    lags = np.arange(num_antennas)
+    if spread_rad == 0.0:
+        return np.exp(2j * np.pi * spacing_wl * lags * np.sin(phi)[..., None])
+    x, w = leggauss(nodes)
+    angles = phi[..., None] + spread_rad * x  # (..., nodes)
+    phase = np.exp(
+        2j * np.pi * spacing_wl * lags[(None,) * phi.ndim + (slice(None), None)] * np.sin(angles)[..., None, :]
+    )  # (..., N, nodes)
+    coeff = 0.5 * phase @ w  # uniform density: (1 / 2 xi) * integral
+    coeff[..., 0] = 1.0  # lag-0 integrand is identically 1; pin the analytic value
+    return coeff
+
+
+def _toeplitz_from_lags(coeff: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrices from lag coefficients; trailing axis N -> (N, N)."""
+    n = coeff.shape[-1]
+    full = np.concatenate([coeff[..., :0:-1].conj(), coeff], axis=-1)  # lags -(N-1)..(N-1)
+    idx = np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)  # [m, n] -> n - m
+    return full[..., idx]
+
+
+def one_ring_covariance(
+    beta_lin: float,
+    aoa_rad: float,
+    spread_rad: float,
+    num_antennas: int,
+    spacing_wl: float,
+    nodes: int = QUADRATURE_NODES,
+    check: bool = True,
+) -> SpatialCovariance:
+    """Spatial covariance of a ULA facing a uniform ring of scatterers.
+
+    Entry (m, n) is beta times the average of exp(2 pi j d_H (n - m) sin(angle))
+    over angles uniform in [aoa - spread, aoa + spread], evaluated with fixed
+    Gauss-Legendre quadrature so results are deterministic.
+
+    Raises NumericalError if doubling the node count moves any entry by more
+    than QUADRATURE_TOL (non-converged quadrature).
+    """
+    matrix = beta_lin * _toeplitz_from_lags(
+        _checked_lags(np.asarray(aoa_rad), spread_rad, num_antennas, spacing_wl, nodes, check)
+    )
+    return SpatialCovariance(matrix, float(aoa_rad), spread_rad, spacing_wl)
+
+
+def _checked_lags(phi, spread_rad, num_antennas, spacing_wl, nodes, check):
+    coeff = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, nodes)
+    if check and spread_rad != 0.0:
+        refined = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, 2 * nodes)
+        worst = float(np.abs(coeff - refined).max())
+        if worst > QUADRATURE_TOL:
+            raise NumericalError(
+                f"one-ring quadrature not converged: doubling nodes moved an entry by {worst:.3e}"
+            )
+    return coeff
+
+
+def one_ring_covariance_batch(
+    beta_lin: np.ndarray,
+    aoa_rad: np.ndarray,
+    spread_rad: float,
+    num_antennas: int,
+    spacing_wl: float,
+    nodes: int = QUADRATURE_NODES,
+    check: bool = True,
+) -> np.ndarray:
+    """Covariances for every (O-RU, UE) pair: (L, K) inputs -> (L, K, N, N)."""
+    coeff = _checked_lags(np.asarray(aoa_rad), spread_rad, num_antennas, spacing_wl, nodes, check)
+    return np.asarray(beta_lin)[..., None, None] * _toeplitz_from_lags(coeff)
+
+
+def covariance_factor(cov: np.ndarray, clip_rel_tol: float = PSD_CLIP_REL_TOL) -> np.ndarray:
+    """Factor A with A A^H = R for stacked Hermitian PSD matrices.
+
+    Tries batched Cholesky; on failure (rank-deficient or near-singular R) falls
+    back to an eigendecomposition, clipping eigenvalues in [-tol*trace, 0) to 0
+    and rejecting anything more negative.
+    """
+    cov = np.asarray(cov)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
+    w, v = np.linalg.eigh(cov)
+    trace = np.trace(cov, axis1=-2, axis2=-1).real
+    floor = -clip_rel_tol * np.maximum(trace, np.finfo(float).tiny)
+    if np.any(w < floor[..., None]):
+        worst = float((w / np.maximum(trace[..., None], np.finfo(float).tiny)).min())
+        raise NumericalError(f"covariance has negative eigenvalue beyond tolerance (min rel {worst:.3e})")
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def sample_channel(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One zero-mean circularly-symmetric Gaussian vector with covariance ``cov``."""
+    factor = covariance_factor(cov)
+    n = cov.shape[-1]
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    return factor @ z
+
+
+def sample_channels(factor: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Stacked draws h = A z for factors (L, K, N, N) -> realizations (n_draws, L, K, N)."""
+    shape = (n_draws,) + factor.shape[:-1]
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return np.einsum("lkmn,dlkn->dlkm", factor, z)
+
+
+@dataclass
+class ChannelStatistics:
+    """Per-step second-order state: gains, angles, covariances and their factors."""
+
+    beta_db: np.ndarray  # (L, K)
+    beta_lin: np.ndarray  # (L, K)
+    aoa_rad: np.ndarray  # (L, K)
+    covariance: np.ndarray  # (L, K, N, N)
+    factor: np.ndarray  # (L, K, N, N), factor @ factor^H = covariance
+
+
+def refresh_statistics(
+    topology: geometry.Topology,
+    ue_positions: np.ndarray,
+    shadow: ShadowFading,
+    spread_rad: float,
+    num_antennas: int,
+    spacing_wl: float,
+    min_distance_m: float = DEFAULT_MIN_DISTANCE_M,
+    check_quadrature: bool = True,
+) -> ChannelStatistics:
+    """Rebuild beta and the spatial covariances for every (O-RU, UE) pair.
+
+    Distances and angles use the nearest torus image of each UE; covariances are
+    regenerated from scratch (angles move with the UE every step).
+    """
+    dist = geometry.wrap_distance_matrix(topology.oru_positions, ue_positions, topology.grid_side_m)
+    aoa = geometry.wrap_angle_matrix(
+        topology.oru_positions, topology.orientation, ue_positions, topology.grid_side_m
+    )
+    beta_db = path_loss_db(dist, shadow.values_db, min_distance_m)
+    beta_lin = db_to_linear(beta_db)
+    cov = one_ring_covariance_batch(
+        beta_lin, aoa, spread_rad, num_antennas, spacing_wl, check=check_quadrature
+    )
+    factor = covariance_factor(cov)
+    return ChannelStatistics(beta_db, beta_lin, aoa, cov, factor)
+
+
+def dump_covariances(path, cov: np.ndarray) -> None:
+    """Debug dump: 16-byte header (magic, L, K, N as little-endian uint32) then
+    row-major complex128 entries for all (L, K) matrices."""
+    cov = np.ascontiguousarray(cov, dtype=np.complex128)
+    header = np.array([0x43464D4F, *cov.shape[:3]], dtype="<u4")
+    with open(path, "wb") as fh:
+        fh.write(header.tobytes())
+        fh.write(cov.tobytes())
+
+
+def load_covariances(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        header = np.frombuffer(fh.read(16), dtype="<u4")
+        if header[0] != 0x43464D4F:
+            raise NumericalError("bad covariance dump header")
+        l, k, n = (int(x) for x in header[1:])
+        data = np.frombuffer(fh.read(), dtype=np.complex128)
+    return data.reshape(l, k, n, n).copy()

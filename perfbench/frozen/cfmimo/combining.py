@@ -1,0 +1,262 @@
+"""Two-stage uplink combining: local per-O-RU MMSE combiners plus a statistics-only
+second stage that weights the local estimates at the UE's primary O-DU.
+
+The second-stage weights need only expected effective gains, estimated here by
+Monte Carlo over joint draws of (true channel, channel estimate). Entries for
+O-RUs outside a UE's serving cluster are exactly zero throughout: a combiner is
+only computed where the UE is served, and everything downstream inherits that
+support.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import pilots as pilots_mod
+from .channel import ChannelStatistics, sample_channels
+from .errors import NumericalError
+
+
+def lp_mmse_combiner(estimates, powers_mw, sigma2_mw: float, k: int) -> np.ndarray:
+    """Local MMSE combiner for UE ``k`` at one O-RU.
+
+    Parameters
+    ----------
+    estimates : mapping UE index -> (h_hat, error_cov) for every UE served by
+        this O-RU. If ``k`` is not among them the zero vector is returned.
+    powers_mw : mapping (or array indexable by UE) of transmit powers.
+    sigma2_mw : receiver noise power.
+
+    Returns p_k * (sum_i p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k.
+    """
+    if not estimates:
+        raise NumericalError("estimates must contain at least one served UE")
+    if k not in estimates:
+        some = next(iter(estimates.values()))
+        return np.zeros_like(some[0])
+    n = estimates[k][0].shape[0]
+    gram = sigma2_mw * np.eye(n, dtype=complex)
+    for i, (h_hat, err_cov) in estimates.items():
+        gram = gram + powers_mw[i] * (np.outer(h_hat, h_hat.conj()) + err_cov)
+    return powers_mw[k] * np.linalg.solve(gram, estimates[k][0])
+
+
+@dataclass
+class GainMoments:
+    """Monte-Carlo effective-gain moments for every UE at once.
+
+    mean_gain[k, l]      = E[v_{l,k}^H h_{l,k}]
+    second_moment[k, i]  = E[g_{ki} g_{ki}^H]  (L x L, rows/cols zero off-support)
+    noise_diag[k, l]     = sigma2 * E[||v_{l,k}||^2]
+    share[k, i]          = True when UEs k and i share at least one serving O-RU
+    """
+
+    mean_gain: np.ndarray  # (K, L) complex
+    second_moment: np.ndarray  # (K, K, L, L) complex
+    noise_diag: np.ndarray  # (K, L) real
+    share: np.ndarray  # (K, K) bool
+    serving: np.ndarray  # (L, K) bool
+    n_mc: int
+    mean_abs2: np.ndarray  # (K, L) real, E[|g_kk_l|^2] for standard-error reporting
+
+
+def simulate_gain_moments(
+    serving: np.ndarray,
+    stats: ChannelStatistics,
+    pilots: pilots_mod.PilotConfig,
+    sigma2_mw: float,
+    n_mc: int,
+    rng: np.random.Generator,
+) -> GainMoments:
+    """Joint Monte Carlo of channels, estimates, combiners, and effective gains.
+
+    Each draw regenerates the full estimation chain: true channels from the
+    current covariances, decorrelated pilot observations (shared noise per pilot
+    slot), MMSE estimates, and per-O-RU local combiners over the served sets.
+    """
+    if n_mc < 1:
+        raise NumericalError("n_mc must be >= 1")
+    serving = np.asarray(serving, dtype=bool)
+    l_num, k_num = serving.shape
+    powers = pilots.power_mw
+
+    filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw)
+    h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
+    y = pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng)
+    h_hat = pilots_mod.apply_filters(filters, y)
+
+    # Per-O-RU combiner Gram matrix over its served UEs, shared by all of them.
+    weights = serving * powers[None, :]  # (L, K)
+    gram = np.einsum("lk,dlkm,dlkn->dlmn", weights, h_hat, h_hat.conj())
+    gram += np.einsum("lk,lkmn->lmn", weights, error_covs)[None, ...]
+    gram += sigma2_mw * np.eye(h.shape[-1])
+
+    rhs = (h_hat * powers[None, None, :, None]).swapaxes(-1, -2)  # (d, L, N, K)
+    combiners = np.linalg.solve(gram, rhs).swapaxes(-1, -2)  # (d, L, K, N)
+    combiners *= serving[None, :, :, None]
+
+    g = np.einsum("dlkn,dlin->dlki", combiners.conj(), h)  # g[d, l, k, i]
+    mean_gain = np.einsum("dlkk->kl", g) / n_mc
+    second_moment = np.einsum("dlki,dmki->kilm", g, g.conj()) / n_mc
+    noise_diag = sigma2_mw * np.einsum("dlkn,dlkn->kl", combiners, combiners.conj()).real / n_mc
+    mean_abs2 = np.einsum("dlkk,dlkk->kl", g, g.conj()).real / n_mc
+    share = (serving.T.astype(int) @ serving.astype(int)) > 0
+    return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc, mean_abs2)
+
+
+@dataclass
+class EffectiveGainStats:
+    """Effective-gain statistics for one UE, restricted to its interferer set."""
+
+    ue: int
+    support: np.ndarray  # serving O-RU indices, ascending
+    mean_gain: np.ndarray  # (L,) complex, E[g_kk]
+    second_moments: dict  # interferer UE -> (L, L) E[g_ki g_ki^H]
+    noise_diag: np.ndarray  # (L,) real, diagonal of F_k
+    interferers: np.ndarray  # UE indices sharing a serving O-RU (self included)
+
+
+def stats_for_ue(
+    moments: GainMoments, k: int, warn_rel_se: bool = False, all_interferers: bool = False
+) -> EffectiveGainStats:
+    """Extract one UE's view from bulk moments; optionally flag noisy estimates.
+
+    By default the interferer set is the UEs sharing a serving O-RU with ``k``
+    (the statistics a primary O-DU can collect scalably, used for the weight
+    solve). With ``all_interferers=True`` every UE is included, which is what an
+    achievable-rate evaluation must charge for.
+    """
+    support = np.flatnonzero(moments.serving[:, k])
+    if all_interferers:
+        interferers = np.arange(moments.share.shape[0])
+    else:
+        interferers = np.flatnonzero(moments.share[k])
+    second = {int(i): moments.second_moment[k, i] for i in interferers}
+    if warn_rel_se:
+        mean = moments.mean_gain[k, support]
+        var = np.maximum(moments.mean_abs2[k, support] - np.abs(mean) ** 2, 0.0)
+        rel_se = np.sqrt(var / moments.n_mc) / np.maximum(np.abs(mean), np.finfo(float).tiny)
+        if np.any(rel_se > 0.05):
+            warnings.warn(
+                f"n_mc={moments.n_mc} too small for UE {k}: relative standard error "
+                f"of a mean effective gain reaches {rel_se.max():.1%}",
+                stacklevel=2,
+            )
+    return EffectiveGainStats(
+        ue=k,
+        support=support,
+        mean_gain=moments.mean_gain[k],
+        second_moments=second,
+        noise_diag=moments.noise_diag[k],
+        interferers=interferers,
+    )
+
+
+def effective_gain_stats(
+    serving: np.ndarray,
+    stats: ChannelStatistics,
+    pilots: pilots_mod.PilotConfig,
+    sigma2_mw: float,
+    n_mc: int,
+    rng: np.random.Generator,
+    k: int,
+    combiner: str = "lp-mmse",
+    warn_rel_se: bool = True,
+) -> EffectiveGainStats:
+    """Monte-Carlo effective-gain statistics for UE ``k`` (see GainMoments)."""
+    if combiner != "lp-mmse":
+        raise NumericalError(f"unsupported combiner rule: {combiner!r}")
+    moments = simulate_gain_moments(serving, stats, pilots, sigma2_mw, n_mc, rng)
+    return stats_for_ue(moments, k, warn_rel_se=warn_rel_se)
+
+
+def lsfd_weights(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray:
+    """Second-stage weights maximizing the combined-SINR ratio for one UE.
+
+    Solves p_k (sum_{i in interferers} p_i E[g_ki g_ki^H] + F_k)^{-1} E[g_kk]
+    on the serving support and embeds the result into L dimensions (zeros
+    elsewhere).
+    """
+    support = stats.support
+    if support.size == 0:
+        return np.zeros_like(stats.mean_gain)
+    idx = np.ix_(support, support)
+    denom = np.diag(stats.noise_diag[support]).astype(complex)
+    for i, moment in stats.second_moments.items():
+        denom = denom + powers_mw[i] * moment[idx]
+    rhs = stats.mean_gain[support]
+    try:
+        solution = np.linalg.solve(denom, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular weight system on O-RU support {support.tolist()}") from exc
+    weights = np.zeros_like(stats.mean_gain)
+    weights[support] = powers_mw[stats.ue] * solution
+    return weights
+
+
+def uplink_sinr(weights: np.ndarray, stats: EffectiveGainStats, powers_mw: np.ndarray):
+    """Effective uplink SINR and spectral efficiency for one UE.
+
+    gamma = p_k |a^H E[g_kk]|^2 /
+            a^H (sum_i p_i E[g_ki g_ki^H] - p_k E[g_kk] E[g_kk]^H + F_k) a
+    and se = log2(1 + gamma). A non-positive or non-finite denominator marks the
+    sample invalid: (nan, nan) is returned.
+    """
+    support = stats.support
+    a = weights[support]
+    mean = stats.mean_gain[support]
+    idx = np.ix_(support, support)
+    denom_mat = np.diag(stats.noise_diag[support]).astype(complex)
+    for i, moment in stats.second_moments.items():
+        denom_mat = denom_mat + powers_mw[i] * moment[idx]
+    p_k = powers_mw[stats.ue]
+    denom_mat = denom_mat - p_k * np.outer(mean, mean.conj())
+    signal = p_k * np.abs(a.conj() @ mean) ** 2
+    interference = (a.conj() @ denom_mat @ a).real
+    if not np.isfinite(interference) or interference <= 0.0:
+        return float("nan"), float("nan")
+    gamma = float(signal / interference)
+    return gamma, float(np.log2(1.0 + gamma))
+
+
+def fuse_estimates(
+    local_estimates: np.ndarray,
+    weights: np.ndarray,
+    odu_of_oru: np.ndarray,
+    primary_odu: int,
+    ledger=None,
+    frame=None,
+    step: int = 0,
+):
+    """Two-stage fusion of local symbol estimates.
+
+    Each O-DU sums conj(a_l) * s_l over its own serving O-RUs (ascending O-RU
+    index); the primary O-DU then adds the per-O-DU partial sums in ascending
+    O-DU index. That fixed order is the canonical reduction: a flat sum following
+    the same association is bit-identical. Returns (fused, partials by O-DU).
+
+    When a ledger and frame config are given, the inter-O-DU sample transfers
+    implied by the non-primary partials are recorded on the ledger.
+    """
+    support = np.flatnonzero(weights != 0)
+    partials: dict[int, complex] = {}
+    for c in sorted({int(odu_of_oru[l]) for l in support}):
+        total = 0.0 + 0.0j
+        for l in support[odu_of_oru[support] == c]:
+            total += np.conj(weights[l]) * local_estimates[l]
+        partials[c] = total
+    fused = 0.0 + 0.0j
+    for c in sorted(partials):
+        fused += partials[c]
+    if ledger is not None and frame is not None:
+        from .signaling import LedgerDelta
+
+        delta = LedgerDelta.zeros(len(odu_of_oru), int(np.max(odu_of_oru)) + 1)
+        for c in partials:
+            if c != primary_odu:
+                delta.inter_odu[c, primary_odu] += frame.tau_u * frame.blocks_per_step
+        ledger.record(step, delta)
+    return fused, partials

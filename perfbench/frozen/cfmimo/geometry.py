@@ -1,0 +1,190 @@
+"""Deployment geometry, wrap-around (torus) metrics, and straight-line UE mobility.
+
+The service area is a square of side ``grid_side_m`` treated as a torus: every
+distance/angle is evaluated against the nearest of the nine tile images of the
+target point (3 x 3 replication of the grid).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .errors import ConfigurationError
+
+# Tile offsets in units of the grid side, fixed order so argmin tie-breaks are
+# deterministic. Offset (0, 0) comes first: exact ties resolve to the direct image.
+TILE_OFFSETS = np.array(
+    [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]],
+    dtype=float,
+)
+
+
+@dataclass
+class DeploymentConfig:
+    """Static deployment sizes: grid side, radio/processing unit counts, UE count."""
+
+    grid_side_m: float
+    num_orus: int
+    num_odus: int
+    antennas_per_oru: int
+    num_ues: int
+
+    def validate(self) -> None:
+        if self.grid_side_m <= 0:
+            raise ConfigurationError("grid_side_m must be > 0")
+        for name in ("num_orus", "num_odus", "antennas_per_oru", "num_ues"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if self.num_orus % self.num_odus != 0:
+            raise ConfigurationError("num_orus must be divisible by num_odus")
+        root = math.isqrt(self.num_odus)
+        if root * root != self.num_odus:
+            raise ConfigurationError("num_odus must be a perfect square (square subgrid tiling)")
+
+
+@dataclass
+class Topology:
+    """Generated O-RU layout: positions, owning O-DU per O-RU, array orientations."""
+
+    oru_positions: np.ndarray  # (L, 2) meters
+    odu_of_oru: np.ndarray  # (L,) int, O-RU index -> owning O-DU
+    orientation: np.ndarray  # (L,) radians, ULA axis direction per O-RU
+    grid_side_m: float
+
+    @property
+    def num_orus(self) -> int:
+        return self.oru_positions.shape[0]
+
+    @property
+    def num_odus(self) -> int:
+        return int(self.odu_of_oru.max()) + 1
+
+    def orus_of_odu(self, c: int) -> np.ndarray:
+        return np.flatnonzero(self.odu_of_oru == c)
+
+    def to_table(self) -> str:
+        """Plain-text snapshot table: one `oru x y odu` row per O-RU."""
+        lines = ["oru x_m y_m odu"]
+        for l in range(self.num_orus):
+            x, y = self.oru_positions[l]
+            lines.append(f"{l} {x:.6f} {y:.6f} {int(self.odu_of_oru[l])}")
+        return "\n".join(lines) + "\n"
+
+
+@dataclass
+class UEState:
+    """One UE: torus-folded position, constant speed, constant heading."""
+
+    position: np.ndarray  # (2,) meters, folded into [0, grid_side)^2
+    speed_mps: float
+    heading_rad: float
+
+
+def generate_deployment(config: DeploymentConfig, rng: np.random.Generator) -> Topology:
+    """Place L O-RUs uniformly inside their O-DU subsquares.
+
+    The grid is split into ``num_odus`` equal subsquares (row-major O-DU order);
+    each receives L/C O-RUs drawn uniformly. Deterministic for a given rng state.
+    """
+    config.validate()
+    root = math.isqrt(config.num_odus)
+    per_odu = config.num_orus // config.num_odus
+    sub = config.grid_side_m / root
+    offsets = rng.uniform(0.0, sub, size=(config.num_odus, per_odu, 2))
+    origins = np.array([[ (c % root) * sub, (c // root) * sub] for c in range(config.num_odus)])
+    positions = (origins[:, None, :] + offsets).reshape(config.num_orus, 2)
+    odu_of_oru = np.repeat(np.arange(config.num_odus), per_odu)
+    # All arrays ULAs along the x-axis; the field exists for later generalization.
+    orientation = np.zeros(config.num_orus)
+    return Topology(positions, odu_of_oru, orientation, config.grid_side_m)
+
+
+def fold(points: np.ndarray, grid_side: float) -> np.ndarray:
+    """Fold coordinates onto the torus [0, grid_side)^2."""
+    return np.mod(points, grid_side)
+
+
+def wrap_distance(a, b, grid_side: float) -> float:
+    """Torus distance: minimum Euclidean distance over the 9 tile images of ``b``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    diff = b + TILE_OFFSETS * grid_side - a
+    return float(np.sqrt((diff**2).sum(axis=1)).min())
+
+
+def wrap_distance_matrix(a: np.ndarray, b: np.ndarray, grid_side: float) -> np.ndarray:
+    """Pairwise torus distances between point sets ``a`` (n, 2) and ``b`` (m, 2)."""
+    images = b[None, :, :] + TILE_OFFSETS[:, None, :] * grid_side  # (9, m, 2)
+    d2 = ((images[:, None, :, :] - a[None, :, None, :]) ** 2).sum(axis=-1)  # (9, n, m)
+    return np.sqrt(d2.min(axis=0))
+
+
+def _nearest_image_displacement(oru_pos: np.ndarray, ue_pos: np.ndarray, grid_side: float) -> np.ndarray:
+    """Displacement O-RU -> nearest tile image of each UE. Shapes (L,2),(K,2) -> (L,K,2)."""
+    cand = ue_pos[None, None, :, :] + TILE_OFFSETS[:, None, None, :] * grid_side - oru_pos[None, :, None, :]
+    d2 = (cand**2).sum(axis=-1)  # (9, L, K)
+    best = d2.argmin(axis=0)  # first minimum wins; offset order fixes the tie rule
+    return np.take_along_axis(cand, best[None, :, :, None], axis=0)[0]
+
+
+def wrap_angle(oru_pos, orientation: float, ue_pos, grid_side: float) -> float:
+    """Azimuth of the nearest UE image, measured from the O-RU array broadside.
+
+    The array axis points along ``orientation``; broadside is the perpendicular.
+    A UE dead ahead of the array face gives 0, a UE along the array axis +/- pi/2.
+    Coincident points return 0 by convention.
+    """
+    phi = wrap_angle_matrix(
+        np.asarray(oru_pos, dtype=float)[None, :],
+        np.asarray([orientation], dtype=float),
+        np.asarray(ue_pos, dtype=float)[None, :],
+        grid_side,
+    )
+    return float(phi[0, 0])
+
+
+def wrap_angle_matrix(
+    oru_pos: np.ndarray, orientation: np.ndarray, ue_pos: np.ndarray, grid_side: float
+) -> np.ndarray:
+    """Broadside azimuths for all (O-RU, UE) pairs; shapes (L,2),(L,),(K,2) -> (L,K)."""
+    disp = _nearest_image_displacement(oru_pos, ue_pos, grid_side)
+    cos_t = np.cos(orientation)[:, None]
+    sin_t = np.sin(orientation)[:, None]
+    # Rotate into the array frame: x' along the array axis, y' along broadside.
+    dx = cos_t * disp[:, :, 0] + sin_t * disp[:, :, 1]
+    dy = -sin_t * disp[:, :, 0] + cos_t * disp[:, :, 1]
+    phi = np.arctan2(dx, dy)
+    phi[(dx == 0.0) & (dy == 0.0)] = 0.0
+    return phi
+
+
+def step_ue(state: UEState, ts_s: float) -> UEState:
+    """Advance one UE by speed*ts along its heading, folding onto the torus."""
+    if ts_s <= 0:
+        raise ConfigurationError("ts_s must be > 0")
+    delta = state.speed_mps * ts_s
+    new_pos = state.position + delta * np.array(
+        [math.cos(state.heading_rad), math.sin(state.heading_rad)]
+    )
+    return replace(state, position=new_pos)
+
+
+def advance_positions(
+    positions: np.ndarray, speeds: np.ndarray, headings: np.ndarray, ts_s: float, grid_side: float
+) -> np.ndarray:
+    """Vectorized `step_ue` over all UEs, result folded onto the torus."""
+    if ts_s <= 0:
+        raise ConfigurationError("ts_s must be > 0")
+    step = (speeds * ts_s)[:, None] * np.stack([np.cos(headings), np.sin(headings)], axis=1)
+    return fold(positions + step, grid_side)
+
+
+def uniform_positions(n: int, grid_side: float, rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(0.0, grid_side, size=(n, 2))
+
+
+def uniform_headings(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(0.0, 2.0 * np.pi, size=n)

@@ -1,0 +1,142 @@
+"""Pilot assignment, uplink pilot observation, and MMSE channel estimation.
+
+The simulator works directly on the decorrelated per-UE pilot observation
+y = sum_{i sharing the pilot} sqrt(tau_p p_i) h_i + noise, which is a sufficient
+statistic for the tau_p-symbol pilot block; the full received pilot matrix is
+only ever built in test oracles.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ConfigurationError, NumericalError
+
+
+def assign_pilots(num_ues: int, tau_p: int) -> np.ndarray:
+    """Pilot index per UE: distinct while K <= tau_p, round-robin reuse beyond."""
+    if num_ues < 1 or tau_p < 1:
+        raise ConfigurationError("num_ues and tau_p must be >= 1")
+    return np.arange(num_ues) % tau_p
+
+
+@dataclass
+class PilotConfig:
+    """Pilot block length, per-UE pilot index, and per-UE transmit power (mW)."""
+
+    tau_p: int
+    pilot_index: np.ndarray  # (K,) int in [0, tau_p)
+    power_mw: np.ndarray  # (K,) > 0
+
+    @classmethod
+    def uniform(cls, num_ues: int, tau_p: int, power_mw: float) -> "PilotConfig":
+        return cls(tau_p, assign_pilots(num_ues, tau_p), np.full(num_ues, float(power_mw)))
+
+    def validate(self) -> None:
+        if self.tau_p < 1:
+            raise ConfigurationError("tau_p must be >= 1")
+        if np.any(self.pilot_index < 0) or np.any(self.pilot_index >= self.tau_p):
+            raise ConfigurationError("pilot_index entries must lie in [0, tau_p)")
+        if np.any(self.power_mw <= 0):
+            raise ConfigurationError("power_mw entries must be > 0")
+
+    def sharers(self, k: int) -> np.ndarray:
+        """UEs transmitting the same pilot as UE k (k included)."""
+        return np.flatnonzero(self.pilot_index == self.pilot_index[k])
+
+
+def observe_pilots(
+    channels: np.ndarray, pilots: PilotConfig, sigma2_mw: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Decorrelated pilot observations for every (O-RU, UE) pair.
+
+    ``channels`` has shape (..., L, K, N); the result matches it. UEs sharing a
+    pilot see the same superposed signal and the same projected noise vector,
+    drawn once per (O-RU, pilot slot) with covariance sigma2 * I.
+    """
+    channels = np.asarray(channels)
+    k = channels.shape[-2]
+    slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
+    scale = np.sqrt(pilots.tau_p * pilots.power_mw)  # (K,)
+    onehot = np.zeros((k, slots.size))
+    onehot[np.arange(k), slot_of_ue] = 1.0
+    superposed = np.einsum("...lkn,k,ku->...lun", channels, scale, onehot)
+    noise_shape = channels.shape[:-2] + (slots.size, channels.shape[-1])
+    noise = np.sqrt(sigma2_mw / 2.0) * (rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape))
+    return (superposed + noise)[..., slot_of_ue, :]
+
+
+@dataclass
+class ChannelEstimate:
+    """MMSE estimate of one channel vector and its error covariance."""
+
+    h_hat: np.ndarray  # (N,)
+    error_cov: np.ndarray  # (N, N), Hermitian PSD, error_cov <= R in the PSD order
+
+
+def mmse_estimate(
+    cov: np.ndarray,
+    sharer_covs,
+    observation: np.ndarray,
+    tau_p: int,
+    powers_mw,
+    k_local: int,
+    sigma2_mw: float,
+) -> ChannelEstimate:
+    """MMSE channel estimate from a decorrelated pilot observation.
+
+    Parameters
+    ----------
+    cov : (N, N) covariance of the target channel.
+    sharer_covs : sequence of (N, N) covariances for every UE sharing the pilot
+        (the target included), in a fixed order.
+    observation : (N,) decorrelated observation.
+    tau_p, powers_mw, k_local : pilot length, per-sharer powers aligned with
+        ``sharer_covs``, and the target's position in that sequence.
+    sigma2_mw : receiver noise power.
+
+    The estimate is sqrt(tau_p p_k) R Psi^{-1} y with
+    Psi = sum_i tau_p p_i R_i + sigma2 I, and the error covariance is
+    R - tau_p p_k R Psi^{-1} R.
+    """
+    if not np.all(np.isfinite(observation)):
+        raise NumericalError("pilot observation contains non-finite entries")
+    n = cov.shape[0]
+    powers_mw = np.asarray(powers_mw, dtype=float)
+    gram = sigma2_mw * np.eye(n, dtype=complex)
+    for p_i, cov_i in zip(powers_mw, sharer_covs):
+        gram = gram + tau_p * p_i * cov_i
+    p_k = powers_mw[k_local]
+    filt = np.sqrt(tau_p * p_k) * np.linalg.solve(gram, cov).conj().T
+    h_hat = filt @ observation
+    error_cov = cov - np.sqrt(tau_p * p_k) * filt @ cov
+    error_cov = 0.5 * (error_cov + error_cov.conj().T)
+    return ChannelEstimate(h_hat, error_cov)
+
+
+def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):
+    """Precompute per-(O-RU, UE) MMSE filters and error covariances.
+
+    ``cov`` is the (L, K, N, N) covariance stack. Returns (filters, error_covs)
+    of the same shape: h_hat = filters[l, k] @ y[l, k]. The regularized pilot
+    Gram matrix is shared by all UEs on one pilot slot, so it is built per slot.
+    """
+    l_num, k_num, n, _ = cov.shape
+    slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
+    tau_p = pilots.tau_p
+    gram = np.zeros((l_num, slots.size, n, n), dtype=complex)
+    for k in range(k_num):
+        gram[:, slot_of_ue[k]] += tau_p * pilots.power_mw[k] * cov[:, k]
+    gram += sigma2_mw * np.eye(n)
+    solved = np.linalg.solve(gram[:, slot_of_ue], cov)  # Psi^{-1} R per (l, k)
+    filters = np.sqrt(tau_p * pilots.power_mw)[None, :, None, None] * solved.conj().swapaxes(-1, -2)
+    error_covs = cov - np.sqrt(tau_p * pilots.power_mw)[None, :, None, None] * filters @ cov
+    error_covs = 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))
+    return filters, error_covs
+
+
+def apply_filters(filters: np.ndarray, observations: np.ndarray) -> np.ndarray:
+    """Batched h_hat = W y over leading draw axes: (L,K,N,N) x (...,L,K,N)."""
+    return np.einsum("lkmn,dlkn->dlkm", filters, observations)

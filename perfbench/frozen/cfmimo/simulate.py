@@ -1,0 +1,327 @@
+"""Episode and campaign drivers.
+
+An episode advances one deployment through ``sim_time / T_s`` steps: move UEs,
+evolve shadow fading, rebuild channel statistics, run the strategy's cluster
+update, estimate effective-gain statistics by Monte Carlo, solve the
+second-stage weights, and score per-UE spectral efficiency, while the signaling
+ledger collects data- and control-plane costs. A campaign sweeps
+(strategy, threshold, speed) cells with ``n_setups`` independent episodes each.
+
+Seeds are derived per (cell, setup) from a hash of the cell identity, so adding
+sweep cells never changes the random streams of existing ones, and episodes are
+bit-reproducible regardless of execution order or parallelism.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from . import clustering, geometry, signaling
+from .channel import ShadowFading, refresh_statistics
+from .combining import lsfd_weights, simulate_gain_moments, stats_for_ue, uplink_sinr
+from .config import SimConfig
+from .errors import ConfigurationError, NumericalError, SimulationError
+from .pilots import PilotConfig
+
+KMH_TO_MPS = 1.0 / 3.6
+
+
+def episode_seed(campaign_seed: int, setup: int) -> np.random.SeedSequence:
+    """Stable per-setup seed, independent of the sweep cell.
+
+    All (strategy, threshold, speed) cells replay the same setups: identical
+    deployments, placements, and noise streams (common random numbers), so
+    cross-cell comparisons are paired and adding sweep cells never perturbs the
+    random streams of existing ones.
+    """
+    key = f"setup|{int(setup)}"
+    digest = hashlib.blake2s(key.encode(), digest_size=16).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.random.SeedSequence([int(campaign_seed) & 0xFFFFFFFFFFFFFFFF, *words])
+
+
+@dataclass
+class EpisodeResult:
+    """Per-step per-UE spectral efficiency plus the episode's events and ledger."""
+
+    strategy: str
+    threshold_db: float
+    speed_kmh: float
+    sim_time_s: float
+    se: np.ndarray  # (n_steps, K) bits/s/Hz, NaN marks invalid samples
+    events: list
+    ledger: signaling.SignalingLedger
+    invalid_samples: int = 0
+
+    @property
+    def mean_se(self) -> float:
+        if np.all(np.isnan(self.se)):
+            return float("nan")
+        return float(np.nanmean(self.se))
+
+    def handover_frequency(self) -> np.ndarray:
+        """Handovers per second for every UE, under the strategy's own definition."""
+        kind = clustering.HANDOVER_KINDS[self.strategy]
+        num_ues = self.se.shape[1]
+        counts = np.zeros(num_ues)
+        if kind is not None:
+            for event in self.events:
+                if event.kind == kind:
+                    counts[event.ue] += 1
+        return counts / self.sim_time_s
+
+    @property
+    def mean_handover_frequency(self) -> float:
+        return float(self.handover_frequency().mean())
+
+
+def _active_threshold(cfg: SimConfig, strategy: str, threshold_db) -> float:
+    """The dB margin reported for a sweep cell (0 for the ubiquitous baseline)."""
+    if strategy in (clustering.FIXED, clustering.OPPORTUNISTIC):
+        return float(cfg.handover.threshold_db if threshold_db is None else threshold_db)
+    if strategy == clustering.CELLULAR:
+        return float(cfg.handover.cellular_hysteresis_db if threshold_db is None else threshold_db)
+    return 0.0
+
+
+def run_episode(
+    config: SimConfig,
+    setup: int = 0,
+    strategy: str | None = None,
+    threshold_db: float | None = None,
+    speed_kmh: float | None = None,
+) -> EpisodeResult:
+    """Run one episode; cell parameters default to the configuration's values."""
+    cfg = config.resolve()
+    strategy = cfg.handover.strategy if strategy is None else strategy
+    speed = cfg.speeds_kmh[0] if speed_kmh is None else float(speed_kmh)
+    threshold = _active_threshold(cfg, strategy, threshold_db)
+    handover_cfg = replace(cfg.handover, strategy=strategy)
+    if strategy == clustering.CELLULAR:
+        handover_cfg = replace(handover_cfg, cellular_hysteresis_db=threshold)
+    else:
+        handover_cfg = replace(handover_cfg, threshold_db=threshold)
+    seed_seq = episode_seed(cfg.seed, setup)
+    return _run_episode(cfg, handover_cfg, speed, seed_seq)
+
+
+def _run_episode(
+    cfg: SimConfig,
+    handover_cfg: clustering.HandoverConfig,
+    speed_kmh: float,
+    seed_seq: np.random.SeedSequence,
+) -> EpisodeResult:
+    rng = np.random.default_rng(seed_seq)
+    dep = cfg.deployment
+    n_antennas = dep.antennas_per_oru
+    sigma2 = cfg.sigma2_mw
+
+    topology = geometry.generate_deployment(dep, rng)
+    neighbors = clustering.NeighborTable(topology)
+    positions = geometry.uniform_positions(dep.num_ues, dep.grid_side_m, rng)
+    headings = geometry.uniform_headings(dep.num_ues, rng)
+    speeds = np.full(dep.num_ues, speed_kmh * KMH_TO_MPS)
+    shadow = ShadowFading.initial(dep.num_orus, dep.num_ues, cfg.sigma_sf_db, cfg.shadow_alpha_per_m, rng)
+    pilot_cfg = PilotConfig.uniform(dep.num_ues, cfg.tau_p, cfg.power_mw)
+
+    stats = refresh_statistics(
+        topology, positions, shadow, cfg.angle_spread_rad, n_antennas,
+        cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature,
+    )
+    state = clustering.initial_clusters(stats.beta_lin, topology, handover_cfg, n_antennas, neighbors)
+
+    ledger = signaling.SignalingLedger(dep.num_orus, dep.num_odus)
+    se = np.zeros((cfg.n_steps, dep.num_ues))
+    events: list = []
+    invalid = 0
+    for step in range(1, cfg.n_steps + 1):
+        try:
+            positions = geometry.advance_positions(positions, speeds, headings, cfg.ts_s, dep.grid_side_m)
+            shadow = shadow.evolve(speeds, cfg.ts_s, rng)
+            stats = refresh_statistics(
+                topology, positions, shadow, cfg.angle_spread_rad, n_antennas,
+                cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature,
+            )
+            state, step_events = clustering.strategy_step(
+                state, stats.beta_db, stats.beta_lin, topology, neighbors, handover_cfg, n_antennas, step
+            )
+            moments = simulate_gain_moments(state.serving, stats, pilot_cfg, sigma2, cfg.n_mc, rng)
+            for k in range(dep.num_ues):
+                # Weights use the statistics a primary O-DU can collect (UEs
+                # sharing a serving O-RU); the achievable SE is charged with
+                # interference from every UE.
+                weights = lsfd_weights(stats_for_ue(moments, k), pilot_cfg.power_mw)
+                eval_stats = stats_for_ue(moments, k, all_interferers=True)
+                _, se_k = uplink_sinr(weights, eval_stats, pilot_cfg.power_mw)
+                se[step - 1, k] = cfg.prelog * se_k
+                if np.isnan(se_k):
+                    invalid += 1
+        except NumericalError as exc:
+            raise SimulationError(
+                f"episode aborted at step {step} "
+                f"(strategy={handover_cfg.strategy}, speed={speed_kmh:g} km/h): {exc}"
+            ) from exc
+        delta = (
+            signaling.account_data_plane(state, cfg.frame, topology.odu_of_oru)
+            + signaling.account_control_plane(step_events, state, topology.odu_of_oru)
+            + signaling.account_statistics_exchange(state, topology.odu_of_oru)
+        )
+        ledger.record(step, delta)
+        events.extend(step_events)
+    threshold = (
+        handover_cfg.cellular_hysteresis_db
+        if handover_cfg.strategy == clustering.CELLULAR
+        else handover_cfg.threshold_db
+    )
+    if handover_cfg.strategy == clustering.UBIQUITOUS:
+        threshold = 0.0
+    return EpisodeResult(
+        handover_cfg.strategy, threshold, speed_kmh, cfg.sim_time_s, se, events, ledger, invalid
+    )
+
+
+@dataclass
+class CellAggregate:
+    """Mean and standard error over setups for one (strategy, threshold, speed) cell."""
+
+    strategy: str
+    threshold_db: float
+    speed_kmh: float
+    mean_se: float
+    se_stderr: float
+    ho_freq: float
+    ho_stderr: float
+    ric_msgs: float
+    inter_odu_samples: float
+    n_setups: int
+
+
+@dataclass
+class AggregateResult:
+    rows: list
+
+    CSV_HEADER = "strategy,threshold_db,speed_kmh,mean_se,se_stderr,ho_freq,ho_stderr,ric_msgs,inter_odu_samples"
+
+    def to_csv(self) -> str:
+        lines = [self.CSV_HEADER]
+        for r in self.rows:
+            lines.append(
+                f"{r.strategy},{r.threshold_db:.17g},{r.speed_kmh:.17g},{r.mean_se:.17g},"
+                f"{r.se_stderr:.17g},{r.ho_freq:.17g},{r.ho_stderr:.17g},"
+                f"{r.ric_msgs:.17g},{r.inter_odu_samples:.17g}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def row(self, strategy: str, threshold_db: float | None = None, speed_kmh: float | None = None):
+        for r in self.rows:
+            if r.strategy != strategy:
+                continue
+            if threshold_db is not None and abs(r.threshold_db - threshold_db) > 1e-9:
+                continue
+            if speed_kmh is not None and abs(r.speed_kmh - speed_kmh) > 1e-9:
+                continue
+            return r
+        raise KeyError(f"no aggregate row for ({strategy}, {threshold_db}, {speed_kmh})")
+
+
+def campaign_cells(config: SimConfig, strategies, thresholds, speeds):
+    """Cartesian sweep cells; baselines ignore the threshold axis."""
+    cells = []
+    for strategy in strategies:
+        if strategy in (clustering.FIXED, clustering.OPPORTUNISTIC):
+            cell_thresholds = list(thresholds)
+        elif strategy == clustering.CELLULAR:
+            cell_thresholds = [config.handover.cellular_hysteresis_db]
+        else:
+            cell_thresholds = [0.0]
+        for threshold in cell_thresholds:
+            for speed in speeds:
+                cells.append((strategy, float(threshold), float(speed)))
+    return cells
+
+
+def _episode_job(args):
+    config, strategy, threshold, speed, setup = args
+    result = run_episode(config, setup, strategy=strategy, threshold_db=threshold, speed_kmh=speed)
+    return (
+        result.mean_se,
+        result.mean_handover_frequency,
+        float(result.ledger.total_ric),
+        float(result.ledger.total_inter_odu),
+    )
+
+
+def _stderr(values: np.ndarray) -> float:
+    if values.size < 2:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(values.size))
+
+
+def run_campaign(
+    config: SimConfig,
+    strategies=None,
+    thresholds=None,
+    speeds=None,
+    parallelism: int = 1,
+) -> AggregateResult:
+    """Sweep cells x setups and aggregate in a fixed reduction order.
+
+    Episodes are fully determined by their derived seed, so results are
+    bit-identical for any parallelism level; aggregation always reduces setups
+    in ascending order.
+    """
+    cfg = config.resolve()
+    strategies = list(strategies) if strategies is not None else [cfg.handover.strategy]
+    thresholds = list(thresholds) if thresholds is not None else [cfg.handover.threshold_db]
+    speeds = list(speeds) if speeds is not None else list(cfg.speeds_kmh)
+    for strategy in strategies:
+        if strategy not in clustering.STRATEGIES:
+            raise ConfigurationError(f"unknown strategy in sweep: {strategy!r}")
+    cells = campaign_cells(cfg, strategies, thresholds, speeds)
+    jobs = [
+        (cfg, strategy, threshold, speed, setup)
+        for (strategy, threshold, speed) in cells
+        for setup in range(cfg.n_setups)
+    ]
+    if parallelism > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            outcomes = list(pool.map(_episode_job, jobs, chunksize=1))
+    else:
+        outcomes = [_episode_job(job) for job in jobs]
+    rows = []
+    for idx, (strategy, threshold, speed) in enumerate(cells):
+        block = outcomes[idx * cfg.n_setups : (idx + 1) * cfg.n_setups]
+        se_values = np.array([b[0] for b in block])
+        ho_values = np.array([b[1] for b in block])
+        ric_values = np.array([b[2] for b in block])
+        inter_values = np.array([b[3] for b in block])
+        rows.append(
+            CellAggregate(
+                strategy,
+                threshold,
+                speed,
+                float(se_values.mean()),
+                _stderr(se_values),
+                float(ho_values.mean()),
+                _stderr(ho_values),
+                float(ric_values.mean()),
+                float(inter_values.mean()),
+                cfg.n_setups,
+            )
+        )
+    return AggregateResult(rows)
+
+
+def episodes_to_csv(results) -> str:
+    """Long-format per-step per-UE spectral efficiency for one or more episodes."""
+    lines = ["setup,step,ue,se_bits_per_hz"]
+    for setup, result in enumerate(results):
+        n_steps, num_ues = result.se.shape
+        for step in range(n_steps):
+            for k in range(num_ues):
+                lines.append(f"{setup},{step + 1},{k},{result.se[step, k]:.17g}")
+    return "\n".join(lines) + "\n"
