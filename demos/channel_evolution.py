@@ -44,7 +44,7 @@ def main():
         beta = float(path_loss_db(distance, shadow.values_db[0, 0]))
         cov = one_ring_covariance(10 ** (beta / 10.0), aoa, np.deg2rad(10.0), ANTENNAS, 0.5)
         # off-diagonal coherence shows how the covariance turns with the UE
-        coherence = abs(cov.matrix[0, 1]) / cov.matrix[0, 0].real
+        coherence = abs(cov[0, 1]) / cov[0, 0].real
         rows.append((t * SAMPLE_TIME_S, distance, aoa, shadow.values_db[0, 0], beta, coherence))
         shadow = shadow.evolve(np.array([speed]), SAMPLE_TIME_S, rng)
 

@@ -6,22 +6,23 @@ Library layout, one module per concern:
 * ``channel``: AR(1) shadow fading, path loss, one-ring covariances, sampling
 * ``pilots``: pilot assignment, decorrelated observations, MMSE estimation
 * ``combining``: local MMSE combiners, effective-gain statistics, second-stage
-  weights, SINR/SE, two-stage fusion
+  weights, SINR/SE
 * ``clustering``: serving-cluster strategies and handover
 * ``signaling``: control/data-plane cost accounting
 * ``simulate``: episode and campaign drivers
 * ``cli``: command-line front end (run / sweep / validate / selftest)
+
+Each concept has one batched implementation here. The scalar reference
+oracles that the tests compare it against live in ``tests/oracles.py``.
 """
 
 from .channel import (
     ChannelStatistics,
     ShadowFading,
-    SpatialCovariance,
     jakes_autocorrelation,
     one_ring_covariance,
     path_loss_db,
     refresh_statistics,
-    sample_channel,
 )
 from .clustering import (
     ClusterState,
@@ -33,7 +34,6 @@ from .clustering import (
     fixed_cluster,
     fixed_handover_step,
     initial_clusters,
-    measurement_cluster,
     opportunistic_init,
     opportunistic_track,
     select_primary,
@@ -41,9 +41,6 @@ from .clustering import (
 from .combining import (
     EffectiveGainStats,
     GainMoments,
-    effective_gain_stats,
-    fuse_estimates,
-    lp_mmse_combiner,
     lsfd_weights,
     simulate_gain_moments,
     stats_for_ue,
@@ -51,16 +48,8 @@ from .combining import (
 )
 from .config import SimConfig, default_config, from_file
 from .errors import ConfigurationError, NumericalError, SimulationError
-from .geometry import (
-    DeploymentConfig,
-    Topology,
-    UEState,
-    generate_deployment,
-    step_ue,
-    wrap_angle,
-    wrap_distance,
-)
-from .pilots import ChannelEstimate, PilotConfig, assign_pilots, mmse_estimate, observe_pilots
+from .geometry import DeploymentConfig, Topology, generate_deployment
+from .pilots import PilotConfig, assign_pilots, observe_pilots
 from .signaling import FrameConfig, LedgerDelta, SignalingLedger, account_control_plane, account_data_plane
 from .simulate import AggregateResult, EpisodeResult, episode_seed, run_campaign, run_episode
 

@@ -91,16 +91,6 @@ def linear_to_db(value_lin):
     return 10.0 * np.log10(np.asarray(value_lin, dtype=float))
 
 
-@dataclass
-class SpatialCovariance:
-    """One spatial covariance: Hermitian PSD matrix plus the angles that built it."""
-
-    matrix: np.ndarray  # (N, N) complex
-    aoa_rad: float
-    spread_rad: float
-    spacing_wl: float
-
-
 def _ring_lag_coefficients(
     phi: np.ndarray, spread_rad: float, num_antennas: int, spacing_wl: float, nodes: int
 ) -> np.ndarray:
@@ -132,30 +122,26 @@ def _toeplitz_from_lags(coeff: np.ndarray) -> np.ndarray:
 
 
 def one_ring_covariance(
-    beta_lin: float,
-    aoa_rad: float,
+    beta_lin,
+    aoa_rad,
     spread_rad: float,
     num_antennas: int,
     spacing_wl: float,
     nodes: int = QUADRATURE_NODES,
     check: bool = True,
-) -> SpatialCovariance:
-    """Spatial covariance of a ULA facing a uniform ring of scatterers.
+) -> np.ndarray:
+    """Spatial covariances of a ULA facing a uniform ring of scatterers.
 
-    Entry (m, n) is beta times the average of exp(2 pi j d_H (n - m) sin(angle))
-    over angles uniform in [aoa - spread, aoa + spread], evaluated with fixed
+    ``beta_lin`` and ``aoa_rad`` share any shape (scalars, or (L, K) for every
+    (O-RU, UE) pair); the result appends two antenna axes: (..., N, N). Entry
+    (m, n) is beta times the average of exp(2 pi j d_H (n - m) sin(angle)) over
+    angles uniform in [aoa - spread, aoa + spread], evaluated with fixed
     Gauss-Legendre quadrature so results are deterministic.
 
     Raises NumericalError if doubling the node count moves any entry by more
     than QUADRATURE_TOL (non-converged quadrature).
     """
-    matrix = beta_lin * _toeplitz_from_lags(
-        _checked_lags(np.asarray(aoa_rad), spread_rad, num_antennas, spacing_wl, nodes, check)
-    )
-    return SpatialCovariance(matrix, float(aoa_rad), spread_rad, spacing_wl)
-
-
-def _checked_lags(phi, spread_rad, num_antennas, spacing_wl, nodes, check):
+    phi = np.asarray(aoa_rad)
     coeff = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, nodes)
     if check and spread_rad != 0.0:
         refined = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, 2 * nodes)
@@ -164,20 +150,6 @@ def _checked_lags(phi, spread_rad, num_antennas, spacing_wl, nodes, check):
             raise NumericalError(
                 f"one-ring quadrature not converged: doubling nodes moved an entry by {worst:.3e}"
             )
-    return coeff
-
-
-def one_ring_covariance_batch(
-    beta_lin: np.ndarray,
-    aoa_rad: np.ndarray,
-    spread_rad: float,
-    num_antennas: int,
-    spacing_wl: float,
-    nodes: int = QUADRATURE_NODES,
-    check: bool = True,
-) -> np.ndarray:
-    """Covariances for every (O-RU, UE) pair: (L, K) inputs -> (L, K, N, N)."""
-    coeff = _checked_lags(np.asarray(aoa_rad), spread_rad, num_antennas, spacing_wl, nodes, check)
     return np.asarray(beta_lin)[..., None, None] * _toeplitz_from_lags(coeff)
 
 
@@ -200,14 +172,6 @@ def covariance_factor(cov: np.ndarray, clip_rel_tol: float = PSD_CLIP_REL_TOL) -
         worst = float((w / np.maximum(trace[..., None], np.finfo(float).tiny)).min())
         raise NumericalError(f"covariance has negative eigenvalue beyond tolerance (min rel {worst:.3e})")
     return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-
-
-def sample_channel(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean circularly-symmetric Gaussian vector with covariance ``cov``."""
-    factor = covariance_factor(cov)
-    n = cov.shape[-1]
-    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return factor @ z
 
 
 def sample_channels(factor: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -243,34 +207,11 @@ def refresh_statistics(
     Distances and angles use the nearest torus image of each UE; covariances are
     regenerated from scratch (angles move with the UE every step).
     """
-    dist = geometry.wrap_distance_matrix(topology.oru_positions, ue_positions, topology.grid_side_m)
-    aoa = geometry.wrap_angle_matrix(
+    dist, aoa = geometry.wrap_distance_and_angle(
         topology.oru_positions, topology.orientation, ue_positions, topology.grid_side_m
     )
     beta_db = path_loss_db(dist, shadow.values_db, min_distance_m)
     beta_lin = db_to_linear(beta_db)
-    cov = one_ring_covariance_batch(
-        beta_lin, aoa, spread_rad, num_antennas, spacing_wl, check=check_quadrature
-    )
+    cov = one_ring_covariance(beta_lin, aoa, spread_rad, num_antennas, spacing_wl, check=check_quadrature)
     factor = covariance_factor(cov)
     return ChannelStatistics(beta_db, beta_lin, aoa, cov, factor)
-
-
-def dump_covariances(path, cov: np.ndarray) -> None:
-    """Debug dump: 16-byte header (magic, L, K, N as little-endian uint32) then
-    row-major complex128 entries for all (L, K) matrices."""
-    cov = np.ascontiguousarray(cov, dtype=np.complex128)
-    header = np.array([0x43464D4F, *cov.shape[:3]], dtype="<u4")
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(cov.tobytes())
-
-
-def load_covariances(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(16), dtype="<u4")
-        if header[0] != 0x43464D4F:
-            raise NumericalError("bad covariance dump header")
-        l, k, n = (int(x) for x in header[1:])
-        data = np.frombuffer(fh.read(), dtype=np.complex128)
-    return data.reshape(l, k, n, n).copy()

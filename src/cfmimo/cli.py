@@ -14,6 +14,7 @@ import sys
 
 from . import config as config_mod
 from . import simulate
+from .clustering import events_to_csv
 from .errors import ConfigurationError, SimulationError
 
 
@@ -75,6 +76,17 @@ def _parse_list(text, parser=float):
     return [parser(v) for v in str(text).split(",") if str(v).strip() != ""]
 
 
+def _with_setup_column(tables) -> str:
+    """Concatenate per-setup CSV tables sharing one header, prefixing a setup column."""
+    lines = []
+    for setup, table in enumerate(tables):
+        header, *rows = table.splitlines()
+        if setup == 0:
+            lines.append("setup," + header)
+        lines += [f"{setup},{row}" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args).resolve()
     results = [
@@ -87,20 +99,11 @@ def _cmd_run(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(simulate.episodes_to_csv(results))
     if args.events_out:
-        lines = ["setup,t,ue,kind,old,new"]
-        for setup, res in enumerate(results):
-            lines += [f"{setup},{e.t},{e.ue},{e.kind},{e.old},{e.new}" for e in res.events]
         with open(args.events_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_with_setup_column(events_to_csv(r.events) for r in results))
     if args.ledger_out:
-        chunks = []
-        for setup, res in enumerate(results):
-            body = res.ledger.to_csv().splitlines()
-            if setup == 0:
-                chunks.append("setup," + body[0])
-            chunks += [f"{setup},{line}" for line in body[1:]]
         with open(args.ledger_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(chunks) + "\n")
+            fh.write(_with_setup_column(r.ledger.to_csv() for r in results))
     mean_se = sum(r.mean_se for r in results) / len(results)
     mean_ho = sum(r.mean_handover_frequency for r in results) / len(results)
     print(f"{len(results)} episode(s): mean SE {mean_se:.4f} bit/s/Hz, "

@@ -137,9 +137,6 @@ class ClusterState:
     def num_ues(self) -> int:
         return self.serving.shape[1]
 
-    def served_ues(self, l: int) -> np.ndarray:
-        return np.flatnonzero(self.serving[l])
-
     def serving_cluster(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.serving[:, k])
 
@@ -169,13 +166,6 @@ def select_primary(gains_k: np.ndarray) -> int:
     if len(gains_k) == 0:
         raise ConfigurationError("need at least one O-RU")
     return int(np.argmax(gains_k))
-
-
-def measurement_cluster(topology: geometry.Topology, primary: int, size: int) -> np.ndarray:
-    """The ``size`` O-RUs nearest the primary (primary included, ties by index)."""
-    if size > topology.num_orus:
-        raise ConfigurationError("measurement size exceeds the number of O-RUs")
-    return NeighborTable(topology).measurement_set(primary, size)
 
 
 def fixed_cluster(beta_lin_k: np.ndarray, measurement_idx: np.ndarray, serving_size: int):
@@ -465,11 +455,3 @@ def strategy_step(
     if state.strategy == CELLULAR:
         return cellular_handover_step(state, beta_lin, topology, cfg.cellular_hysteresis_db, t)
     return state, []
-
-
-def count_handovers(events, strategy: str) -> int:
-    """Number of handover events under the strategy's own definition."""
-    kind = HANDOVER_KINDS[strategy]
-    if kind is None:
-        return 0
-    return sum(1 for e in events if e.kind == kind)

@@ -20,28 +20,26 @@ from .channel import ChannelStatistics, sample_channels
 from .errors import NumericalError
 
 
-def lp_mmse_combiner(estimates, powers_mw, sigma2_mw: float, k: int) -> np.ndarray:
-    """Local MMSE combiner for UE ``k`` at one O-RU.
+def local_mmse_combiners(
+    serving: np.ndarray, h_hat: np.ndarray, error_covs: np.ndarray, powers_mw: np.ndarray, sigma2_mw: float
+) -> np.ndarray:
+    """Local MMSE combiners of every served (O-RU, UE) pair, per draw.
 
-    Parameters
-    ----------
-    estimates : mapping UE index -> (h_hat, error_cov) for every UE served by
-        this O-RU. If ``k`` is not among them the zero vector is returned.
-    powers_mw : mapping (or array indexable by UE) of transmit powers.
-    sigma2_mw : receiver noise power.
-
-    Returns p_k * (sum_i p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k.
+    ``h_hat`` holds estimates (d, L, K, N) and ``error_covs`` their error
+    covariances (L, K, N, N). The combiner of UE k at O-RU l is
+    p_k (sum_{i in D_l} p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k,
+    with D_l the UEs O-RU l serves; it is zero where l does not serve k.
     """
-    if not estimates:
-        raise NumericalError("estimates must contain at least one served UE")
-    if k not in estimates:
-        some = next(iter(estimates.values()))
-        return np.zeros_like(some[0])
-    n = estimates[k][0].shape[0]
-    gram = sigma2_mw * np.eye(n, dtype=complex)
-    for i, (h_hat, err_cov) in estimates.items():
-        gram = gram + powers_mw[i] * (np.outer(h_hat, h_hat.conj()) + err_cov)
-    return powers_mw[k] * np.linalg.solve(gram, estimates[k][0])
+    # Per-O-RU combiner Gram matrix over its served UEs, shared by all of them.
+    weights = serving * powers_mw[None, :]  # (L, K)
+    gram = np.einsum("lk,dlkm,dlkn->dlmn", weights, h_hat, h_hat.conj())
+    gram += np.einsum("lk,lkmn->lmn", weights, error_covs)[None, ...]
+    gram += sigma2_mw * np.eye(h_hat.shape[-1])
+
+    rhs = (h_hat * powers_mw[None, None, :, None]).swapaxes(-1, -2)  # (d, L, N, K)
+    combiners = np.linalg.solve(gram, rhs).swapaxes(-1, -2)  # (d, L, K, N)
+    combiners *= serving[None, :, :, None]
+    return combiners
 
 
 @dataclass
@@ -88,15 +86,7 @@ def simulate_gain_moments(
     y = pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng)
     h_hat = pilots_mod.apply_filters(filters, y)
 
-    # Per-O-RU combiner Gram matrix over its served UEs, shared by all of them.
-    weights = serving * powers[None, :]  # (L, K)
-    gram = np.einsum("lk,dlkm,dlkn->dlmn", weights, h_hat, h_hat.conj())
-    gram += np.einsum("lk,lkmn->lmn", weights, error_covs)[None, ...]
-    gram += sigma2_mw * np.eye(h.shape[-1])
-
-    rhs = (h_hat * powers[None, None, :, None]).swapaxes(-1, -2)  # (d, L, N, K)
-    combiners = np.linalg.solve(gram, rhs).swapaxes(-1, -2)  # (d, L, K, N)
-    combiners *= serving[None, :, :, None]
+    combiners = local_mmse_combiners(serving, h_hat, error_covs, powers, sigma2_mw)
 
     g = np.einsum("dlkn,dlin->dlki", combiners.conj(), h)  # g[d, l, k, i]
     mean_gain = np.einsum("dlkk->kl", g) / n_mc
@@ -155,22 +145,13 @@ def stats_for_ue(
     )
 
 
-def effective_gain_stats(
-    serving: np.ndarray,
-    stats: ChannelStatistics,
-    pilots: pilots_mod.PilotConfig,
-    sigma2_mw: float,
-    n_mc: int,
-    rng: np.random.Generator,
-    k: int,
-    combiner: str = "lp-mmse",
-    warn_rel_se: bool = True,
-) -> EffectiveGainStats:
-    """Monte-Carlo effective-gain statistics for UE ``k`` (see GainMoments)."""
-    if combiner != "lp-mmse":
-        raise NumericalError(f"unsupported combiner rule: {combiner!r}")
-    moments = simulate_gain_moments(serving, stats, pilots, sigma2_mw, n_mc, rng)
-    return stats_for_ue(moments, k, warn_rel_se=warn_rel_se)
+def _denominator(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray:
+    """F_k + sum_{i in interferers} p_i E[g_ki g_ki^H], restricted to the serving support."""
+    idx = np.ix_(stats.support, stats.support)
+    denom = np.diag(stats.noise_diag[stats.support]).astype(complex)
+    for i, moment in stats.second_moments.items():
+        denom = denom + powers_mw[i] * moment[idx]
+    return denom
 
 
 def lsfd_weights(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray:
@@ -183,13 +164,9 @@ def lsfd_weights(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray
     support = stats.support
     if support.size == 0:
         return np.zeros_like(stats.mean_gain)
-    idx = np.ix_(support, support)
-    denom = np.diag(stats.noise_diag[support]).astype(complex)
-    for i, moment in stats.second_moments.items():
-        denom = denom + powers_mw[i] * moment[idx]
     rhs = stats.mean_gain[support]
     try:
-        solution = np.linalg.solve(denom, rhs)
+        solution = np.linalg.solve(_denominator(stats, powers_mw), rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular weight system on O-RU support {support.tolist()}") from exc
     weights = np.zeros_like(stats.mean_gain)
@@ -205,58 +182,13 @@ def uplink_sinr(weights: np.ndarray, stats: EffectiveGainStats, powers_mw: np.nd
     and se = log2(1 + gamma). A non-positive or non-finite denominator marks the
     sample invalid: (nan, nan) is returned.
     """
-    support = stats.support
-    a = weights[support]
-    mean = stats.mean_gain[support]
-    idx = np.ix_(support, support)
-    denom_mat = np.diag(stats.noise_diag[support]).astype(complex)
-    for i, moment in stats.second_moments.items():
-        denom_mat = denom_mat + powers_mw[i] * moment[idx]
+    a = weights[stats.support]
+    mean = stats.mean_gain[stats.support]
     p_k = powers_mw[stats.ue]
-    denom_mat = denom_mat - p_k * np.outer(mean, mean.conj())
+    denom_mat = _denominator(stats, powers_mw) - p_k * np.outer(mean, mean.conj())
     signal = p_k * np.abs(a.conj() @ mean) ** 2
     interference = (a.conj() @ denom_mat @ a).real
     if not np.isfinite(interference) or interference <= 0.0:
         return float("nan"), float("nan")
     gamma = float(signal / interference)
     return gamma, float(np.log2(1.0 + gamma))
-
-
-def fuse_estimates(
-    local_estimates: np.ndarray,
-    weights: np.ndarray,
-    odu_of_oru: np.ndarray,
-    primary_odu: int,
-    ledger=None,
-    frame=None,
-    step: int = 0,
-):
-    """Two-stage fusion of local symbol estimates.
-
-    Each O-DU sums conj(a_l) * s_l over its own serving O-RUs (ascending O-RU
-    index); the primary O-DU then adds the per-O-DU partial sums in ascending
-    O-DU index. That fixed order is the canonical reduction: a flat sum following
-    the same association is bit-identical. Returns (fused, partials by O-DU).
-
-    When a ledger and frame config are given, the inter-O-DU sample transfers
-    implied by the non-primary partials are recorded on the ledger.
-    """
-    support = np.flatnonzero(weights != 0)
-    partials: dict[int, complex] = {}
-    for c in sorted({int(odu_of_oru[l]) for l in support}):
-        total = 0.0 + 0.0j
-        for l in support[odu_of_oru[support] == c]:
-            total += np.conj(weights[l]) * local_estimates[l]
-        partials[c] = total
-    fused = 0.0 + 0.0j
-    for c in sorted(partials):
-        fused += partials[c]
-    if ledger is not None and frame is not None:
-        from .signaling import LedgerDelta
-
-        delta = LedgerDelta.zeros(len(odu_of_oru), int(np.max(odu_of_oru)) + 1)
-        for c in partials:
-            if c != primary_odu:
-                delta.inter_odu[c, primary_odu] += frame.tau_u * frame.blocks_per_step
-        ledger.record(step, delta)
-    return fused, partials

@@ -42,7 +42,6 @@ class SimConfig:
     shadow_alpha_per_m: float = 0.05
     angle_spread_deg: float = 10.0
     antenna_spacing_wl: float = 0.5
-    carrier_hz: float = 3.5e9
     min_distance_m: float = 1.0
     se_prelog: bool = False
     check_quadrature: bool = True
@@ -145,7 +144,6 @@ _FIELDS = {
     "shadow_alpha_per_m": (None, "shadow_alpha_per_m", float),
     "angle_spread_deg": (None, "angle_spread_deg", float),
     "antenna_spacing_wl": (None, "antenna_spacing_wl", float),
-    "carrier_hz": (None, "carrier_hz", float),
     "min_distance_m": (None, "min_distance_m", float),
     "se_prelog": (None, "se_prelog", _parse_bool),
     "check_quadrature": (None, "check_quadrature", _parse_bool),
@@ -195,35 +193,10 @@ def default_config() -> SimConfig:
 
 def to_text(config: SimConfig) -> str:
     """Render the resolved configuration in the flat file format."""
-    values = {
-        "grid_side_m": config.deployment.grid_side_m,
-        "num_orus": config.deployment.num_orus,
-        "num_odus": config.deployment.num_odus,
-        "antennas_per_oru": config.deployment.antennas_per_oru,
-        "num_ues": config.deployment.num_ues,
-        "strategy": config.handover.strategy,
-        "threshold_db": config.handover.threshold_db,
-        "serving_cluster_size": config.handover.serving_size,
-        "measurement_cluster_size": config.handover.measurement_size,
-        "cellular_hysteresis_db": config.handover.cellular_hysteresis_db,
-        "tau_u": config.frame.tau_u,
-        "blocks_per_step": config.frame.blocks_per_step,
-        "sample_time_s": config.ts_s,
-        "sim_time_s": config.sim_time_s,
-        "speeds_kmh": ",".join(f"{v:g}" for v in config.speeds_kmh),
-        "n_setups": config.n_setups,
-        "n_mc": config.n_mc,
-        "seed": config.seed,
-        "tau_p": config.tau_p,
-        "power_mw": config.power_mw,
-        "noise_dbm": config.sigma2_ul_dbm,
-        "sigma_sf_db": config.sigma_sf_db,
-        "shadow_alpha_per_m": config.shadow_alpha_per_m,
-        "angle_spread_deg": config.angle_spread_deg,
-        "antenna_spacing_wl": config.antenna_spacing_wl,
-        "carrier_hz": config.carrier_hz,
-        "min_distance_m": config.min_distance_m,
-        "se_prelog": config.se_prelog,
-        "check_quadrature": config.check_quadrature,
-    }
-    return "\n".join(f"{key} = {value}" for key, value in values.items()) + "\n"
+    lines = []
+    for key, (section, attr, _) in _FIELDS.items():
+        value = getattr(config if section is None else getattr(config, section), attr)
+        if key == "speeds_kmh":
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"

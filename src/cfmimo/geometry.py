@@ -8,7 +8,7 @@ target point (3 x 3 replication of the grid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +58,6 @@ class Topology:
     def num_orus(self) -> int:
         return self.oru_positions.shape[0]
 
-    @property
-    def num_odus(self) -> int:
-        return int(self.odu_of_oru.max()) + 1
-
-    def orus_of_odu(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.odu_of_oru == c)
-
     def to_table(self) -> str:
         """Plain-text snapshot table: one `oru x y odu` row per O-RU."""
         lines = ["oru x_m y_m odu"]
@@ -72,15 +65,6 @@ class Topology:
             x, y = self.oru_positions[l]
             lines.append(f"{l} {x:.6f} {y:.6f} {int(self.odu_of_oru[l])}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class UEState:
-    """One UE: torus-folded position, constant speed, constant heading."""
-
-    position: np.ndarray  # (2,) meters, folded into [0, grid_side)^2
-    speed_mps: float
-    heading_rad: float
 
 
 def generate_deployment(config: DeploymentConfig, rng: np.random.Generator) -> Topology:
@@ -107,14 +91,6 @@ def fold(points: np.ndarray, grid_side: float) -> np.ndarray:
     return np.mod(points, grid_side)
 
 
-def wrap_distance(a, b, grid_side: float) -> float:
-    """Torus distance: minimum Euclidean distance over the 9 tile images of ``b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = b + TILE_OFFSETS * grid_side - a
-    return float(np.sqrt((diff**2).sum(axis=1)).min())
-
-
 def wrap_distance_matrix(a: np.ndarray, b: np.ndarray, grid_side: float) -> np.ndarray:
     """Pairwise torus distances between point sets ``a`` (n, 2) and ``b`` (m, 2)."""
     images = b[None, :, :] + TILE_OFFSETS[:, None, :] * grid_side  # (9, m, 2)
@@ -122,35 +98,22 @@ def wrap_distance_matrix(a: np.ndarray, b: np.ndarray, grid_side: float) -> np.n
     return np.sqrt(d2.min(axis=0))
 
 
-def _nearest_image_displacement(oru_pos: np.ndarray, ue_pos: np.ndarray, grid_side: float) -> np.ndarray:
-    """Displacement O-RU -> nearest tile image of each UE. Shapes (L,2),(K,2) -> (L,K,2)."""
+def wrap_distance_and_angle(
+    oru_pos: np.ndarray, orientation: np.ndarray, ue_pos: np.ndarray, grid_side: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Torus distances and broadside azimuths for all (O-RU, UE) pairs.
+
+    Shapes (L,2),(L,),(K,2) -> two (L,K) arrays, both taken from the UE's nearest
+    torus image; the distances equal `wrap_distance_matrix` bit for bit. Angles
+    are measured from the broadside of an array whose axis points along
+    ``orientation``: a UE dead ahead of the array face gives 0, a UE along the
+    array axis +/- pi/2. Coincident points give 0 by convention.
+    """
     cand = ue_pos[None, None, :, :] + TILE_OFFSETS[:, None, None, :] * grid_side - oru_pos[None, :, None, :]
     d2 = (cand**2).sum(axis=-1)  # (9, L, K)
-    best = d2.argmin(axis=0)  # first minimum wins; offset order fixes the tie rule
-    return np.take_along_axis(cand, best[None, :, :, None], axis=0)[0]
-
-
-def wrap_angle(oru_pos, orientation: float, ue_pos, grid_side: float) -> float:
-    """Azimuth of the nearest UE image, measured from the O-RU array broadside.
-
-    The array axis points along ``orientation``; broadside is the perpendicular.
-    A UE dead ahead of the array face gives 0, a UE along the array axis +/- pi/2.
-    Coincident points return 0 by convention.
-    """
-    phi = wrap_angle_matrix(
-        np.asarray(oru_pos, dtype=float)[None, :],
-        np.asarray([orientation], dtype=float),
-        np.asarray(ue_pos, dtype=float)[None, :],
-        grid_side,
-    )
-    return float(phi[0, 0])
-
-
-def wrap_angle_matrix(
-    oru_pos: np.ndarray, orientation: np.ndarray, ue_pos: np.ndarray, grid_side: float
-) -> np.ndarray:
-    """Broadside azimuths for all (O-RU, UE) pairs; shapes (L,2),(L,),(K,2) -> (L,K)."""
-    disp = _nearest_image_displacement(oru_pos, ue_pos, grid_side)
+    best = d2.argmin(axis=0)[None]  # first minimum wins; offset order fixes the tie rule
+    dist = np.sqrt(np.take_along_axis(d2, best, axis=0)[0])
+    disp = np.take_along_axis(cand, best[..., None], axis=0)[0]
     cos_t = np.cos(orientation)[:, None]
     sin_t = np.sin(orientation)[:, None]
     # Rotate into the array frame: x' along the array axis, y' along broadside.
@@ -158,24 +121,13 @@ def wrap_angle_matrix(
     dy = -sin_t * disp[:, :, 0] + cos_t * disp[:, :, 1]
     phi = np.arctan2(dx, dy)
     phi[(dx == 0.0) & (dy == 0.0)] = 0.0
-    return phi
-
-
-def step_ue(state: UEState, ts_s: float) -> UEState:
-    """Advance one UE by speed*ts along its heading, folding onto the torus."""
-    if ts_s <= 0:
-        raise ConfigurationError("ts_s must be > 0")
-    delta = state.speed_mps * ts_s
-    new_pos = state.position + delta * np.array(
-        [math.cos(state.heading_rad), math.sin(state.heading_rad)]
-    )
-    return replace(state, position=new_pos)
+    return dist, phi
 
 
 def advance_positions(
     positions: np.ndarray, speeds: np.ndarray, headings: np.ndarray, ts_s: float, grid_side: float
 ) -> np.ndarray:
-    """Vectorized `step_ue` over all UEs, result folded onto the torus."""
+    """Advance every UE by speed * ts_s along its heading, folded onto the torus."""
     if ts_s <= 0:
         raise ConfigurationError("ts_s must be > 0")
     step = (speeds * ts_s)[:, None] * np.stack([np.cos(headings), np.sin(headings)], axis=1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 
 def assign_pilots(num_ues: int, tau_p: int) -> np.ndarray:
@@ -68,60 +68,16 @@ def observe_pilots(
     return (superposed + noise)[..., slot_of_ue, :]
 
 
-@dataclass
-class ChannelEstimate:
-    """MMSE estimate of one channel vector and its error covariance."""
-
-    h_hat: np.ndarray  # (N,)
-    error_cov: np.ndarray  # (N, N), Hermitian PSD, error_cov <= R in the PSD order
-
-
-def mmse_estimate(
-    cov: np.ndarray,
-    sharer_covs,
-    observation: np.ndarray,
-    tau_p: int,
-    powers_mw,
-    k_local: int,
-    sigma2_mw: float,
-) -> ChannelEstimate:
-    """MMSE channel estimate from a decorrelated pilot observation.
-
-    Parameters
-    ----------
-    cov : (N, N) covariance of the target channel.
-    sharer_covs : sequence of (N, N) covariances for every UE sharing the pilot
-        (the target included), in a fixed order.
-    observation : (N,) decorrelated observation.
-    tau_p, powers_mw, k_local : pilot length, per-sharer powers aligned with
-        ``sharer_covs``, and the target's position in that sequence.
-    sigma2_mw : receiver noise power.
-
-    The estimate is sqrt(tau_p p_k) R Psi^{-1} y with
-    Psi = sum_i tau_p p_i R_i + sigma2 I, and the error covariance is
-    R - tau_p p_k R Psi^{-1} R.
-    """
-    if not np.all(np.isfinite(observation)):
-        raise NumericalError("pilot observation contains non-finite entries")
-    n = cov.shape[0]
-    powers_mw = np.asarray(powers_mw, dtype=float)
-    gram = sigma2_mw * np.eye(n, dtype=complex)
-    for p_i, cov_i in zip(powers_mw, sharer_covs):
-        gram = gram + tau_p * p_i * cov_i
-    p_k = powers_mw[k_local]
-    filt = np.sqrt(tau_p * p_k) * np.linalg.solve(gram, cov).conj().T
-    h_hat = filt @ observation
-    error_cov = cov - np.sqrt(tau_p * p_k) * filt @ cov
-    error_cov = 0.5 * (error_cov + error_cov.conj().T)
-    return ChannelEstimate(h_hat, error_cov)
-
-
 def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):
     """Precompute per-(O-RU, UE) MMSE filters and error covariances.
 
     ``cov`` is the (L, K, N, N) covariance stack. Returns (filters, error_covs)
     of the same shape: h_hat = filters[l, k] @ y[l, k]. The regularized pilot
     Gram matrix is shared by all UEs on one pilot slot, so it is built per slot.
+
+    The estimate is sqrt(tau_p p_k) R Psi^{-1} y with
+    Psi = sum_i tau_p p_i R_i + sigma2 I over the UEs sharing k's pilot, and
+    the error covariance is R - tau_p p_k R Psi^{-1} R.
     """
     l_num, k_num, n, _ = cov.shape
     slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)

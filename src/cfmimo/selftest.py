@@ -12,15 +12,16 @@ import numpy as np
 
 from . import clustering, geometry, signaling
 from .channel import (
+    covariance_factor,
     jakes_autocorrelation,
     one_ring_covariance,
     path_loss_db,
-    sample_channel,
+    sample_channels,
     shadow_correlation,
 )
 from .combining import lsfd_weights, uplink_sinr
 from .config import SimConfig
-from .pilots import mmse_estimate
+from .pilots import PilotConfig, mmse_filters
 from .simulate import run_episode
 
 _CHECKS = []
@@ -38,14 +39,17 @@ def _check(name):
 def _torus_distance():
     rng = np.random.default_rng(11)
     side = 750.0
-    for _ in range(200):
-        a, b = rng.uniform(0, side, size=(2, 2))
-        brute = min(
-            float(np.hypot(b[0] + i * side - a[0], b[1] + j * side - a[1]))
-            for i in (-1, 0, 1)
-            for j in (-1, 0, 1)
-        )
-        assert abs(geometry.wrap_distance(a, b, side) - brute) < 1e-9
+    a = rng.uniform(0, side, size=(20, 2))
+    b = rng.uniform(0, side, size=(10, 2))
+    dist = geometry.wrap_distance_matrix(a, b, side)
+    for i in range(20):
+        for j in range(10):
+            brute = min(
+                float(np.hypot(b[j, 0] + x * side - a[i, 0], b[j, 1] + y * side - a[i, 1]))
+                for x in (-1, 0, 1)
+                for y in (-1, 0, 1)
+            )
+            assert abs(dist[i, j] - brute) < 1e-9
 
 
 @_check("path loss and shadow correlation scalars")
@@ -61,7 +65,7 @@ def _scalars():
 def _one_ring():
     rng = np.random.default_rng(3)
     beta, phi, xi, n, d_h = 0.7, np.pi / 4, np.deg2rad(10.0), 4, 0.5
-    cov = one_ring_covariance(beta, phi, xi, n, d_h).matrix
+    cov = one_ring_covariance(beta, phi, xi, n, d_h)
     delta = xi * (2.0 * rng.random(200_000) - 1.0)
     delta = np.concatenate([delta, -delta])
     lags = np.arange(n)
@@ -75,8 +79,8 @@ def _one_ring():
 @_check("channel sampler reproduces its covariance")
 def _sampler():
     rng = np.random.default_rng(4)
-    cov = one_ring_covariance(1.0, 0.3, np.deg2rad(10.0), 3, 0.5).matrix
-    draws = np.stack([sample_channel(cov, rng) for _ in range(20_000)])
+    cov = one_ring_covariance(1.0, 0.3, np.deg2rad(10.0), 3, 0.5)
+    draws = sample_channels(covariance_factor(cov)[None, None], 20_000, rng)[:, 0, 0]
     empirical = (draws[:, :, None] * draws.conj()[:, None, :]).mean(axis=0)
     rel = np.linalg.norm(empirical - cov) / np.linalg.norm(cov)
     assert rel < 0.05
@@ -85,10 +89,11 @@ def _sampler():
 @_check("scalar MMSE estimate matches closed form")
 def _mmse_scalar():
     tau_p, p, beta, sigma2, y = 10, 0.2, 0.5, 0.3, np.array([1.0 - 0.5j])
-    est = mmse_estimate(np.array([[beta]]), [np.array([[beta]])], y, tau_p, [p], 0, sigma2)
+    pilots = PilotConfig(tau_p, np.array([0]), np.array([p]))
+    filters, error_covs = mmse_filters(np.full((1, 1, 1, 1), beta + 0j), pilots, sigma2)
     expected = np.sqrt(tau_p * p) * beta / (tau_p * p * beta + sigma2) * y
-    assert np.abs(est.h_hat - expected).max() < 1e-12
-    assert abs(est.error_cov[0, 0] - beta * sigma2 / (tau_p * p * beta + sigma2)) < 1e-12
+    assert np.abs(filters[0, 0] @ y - expected).max() < 1e-12
+    assert abs(error_covs[0, 0, 0, 0] - beta * sigma2 / (tau_p * p * beta + sigma2)) < 1e-12
 
 
 @_check("second-stage weights maximize the combined SINR")

@@ -114,6 +114,19 @@ class SignalingLedger:
         return "\n".join(lines) + "\n"
 
 
+def _remote_serving_counts(state: clustering.ClusterState, odu_of_oru: np.ndarray) -> np.ndarray:
+    """(C, C) count of UEs per (serving O-DU, primary O-DU) pair of distinct O-DUs.
+
+    Entry [c, p] is the number of UEs whose primary O-RU sits under O-DU p and
+    whose serving cluster holds at least one O-RU under O-DU c != p.
+    """
+    odus = np.arange(int(np.max(odu_of_oru)) + 1)
+    oru_in_odu = (odu_of_oru[:, None] == odus).astype(np.int64)  # (L, C)
+    primary = odu_of_oru[state.primary][:, None] == odus  # (K, C)
+    serves = (state.serving.T.astype(np.int64) @ oru_in_odu) > 0  # (K, C)
+    return (serves & ~primary).T.astype(np.int64) @ primary.astype(np.int64)
+
+
 def account_data_plane(
     state: clustering.ClusterState, frame: FrameConfig, odu_of_oru: np.ndarray
 ) -> LedgerDelta:
@@ -123,15 +136,11 @@ def account_data_plane(
     each unique serving O-DU other than the primary O-DU forwards tau_u combined
     samples to the primary O-DU.
     """
-    num_odus = int(np.max(odu_of_oru)) + 1
-    delta = LedgerDelta.zeros(state.num_orus, num_odus)
+    remote = _remote_serving_counts(state, odu_of_oru)
+    delta = LedgerDelta.zeros(state.num_orus, remote.shape[0])
     samples = frame.tau_u * frame.blocks_per_step
     delta.fronthaul += samples * state.serving.sum(axis=1)
-    for k in range(state.num_ues):
-        primary_odu = int(odu_of_oru[state.primary[k]])
-        for c in np.unique(odu_of_oru[state.serving[:, k]]):
-            if int(c) != primary_odu:
-                delta.inter_odu[int(c), primary_odu] += samples
+    delta.inter_odu += samples * remote
     return delta
 
 
@@ -161,11 +170,7 @@ def account_statistics_exchange(
     state: clustering.ClusterState, odu_of_oru: np.ndarray
 ) -> LedgerDelta:
     """One expected-gain message per (non-primary serving O-DU, UE) per epoch."""
-    num_odus = int(np.max(odu_of_oru)) + 1
-    delta = LedgerDelta.zeros(state.num_orus, num_odus)
-    for k in range(state.num_ues):
-        primary_odu = int(odu_of_oru[state.primary[k]])
-        for c in np.unique(odu_of_oru[state.serving[:, k]]):
-            if int(c) != primary_odu:
-                delta.stats_msgs[int(c), primary_odu] += 1
+    remote = _remote_serving_counts(state, odu_of_oru)
+    delta = LedgerDelta.zeros(state.num_orus, remote.shape[0])
+    delta.stats_msgs += remote
     return delta

@@ -15,6 +15,7 @@ bit-reproducible regardless of execution order or parallelism.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -79,13 +80,27 @@ class EpisodeResult:
         return float(self.handover_frequency().mean())
 
 
-def _active_threshold(cfg: SimConfig, strategy: str, threshold_db) -> float:
-    """The dB margin reported for a sweep cell (0 for the ubiquitous baseline)."""
-    if strategy in (clustering.FIXED, clustering.OPPORTUNISTIC):
-        return float(cfg.handover.threshold_db if threshold_db is None else threshold_db)
-    if strategy == clustering.CELLULAR:
-        return float(cfg.handover.cellular_hysteresis_db if threshold_db is None else threshold_db)
-    return 0.0
+def resolve_cell(config: SimConfig, strategy=None, threshold_db=None, speed_kmh=None):
+    """Validated (handover config, reported threshold, speed) of one sweep cell.
+
+    Unset values take the configuration's. The threshold is the handover margin
+    of fixed and opportunistic, the hysteresis of cellular, and 0 for the
+    ubiquitous baseline, which has no handover.
+    """
+    strategy = config.handover.strategy if strategy is None else strategy
+    if strategy not in clustering.STRATEGIES:
+        raise ConfigurationError(f"unknown strategy {strategy!r}; expected one of {clustering.STRATEGIES}")
+    speed = float(config.speeds_kmh[0] if speed_kmh is None else speed_kmh)
+    if not speed >= 0:
+        raise ConfigurationError(f"speed must be >= 0 km/h, got {speed:g}")
+    key = "cellular_hysteresis_db" if strategy == clustering.CELLULAR else "threshold_db"
+    if strategy == clustering.UBIQUITOUS:
+        threshold = 0.0
+    else:
+        threshold = float(getattr(config.handover, key) if threshold_db is None else threshold_db)
+    if not threshold >= 0:
+        raise ConfigurationError(f"threshold must be >= 0 dB, got {threshold:g}")
+    return replace(config.handover, strategy=strategy, **{key: threshold}), threshold, speed
 
 
 def run_episode(
@@ -97,21 +112,14 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one episode; cell parameters default to the configuration's values."""
     cfg = config.resolve()
-    strategy = cfg.handover.strategy if strategy is None else strategy
-    speed = cfg.speeds_kmh[0] if speed_kmh is None else float(speed_kmh)
-    threshold = _active_threshold(cfg, strategy, threshold_db)
-    handover_cfg = replace(cfg.handover, strategy=strategy)
-    if strategy == clustering.CELLULAR:
-        handover_cfg = replace(handover_cfg, cellular_hysteresis_db=threshold)
-    else:
-        handover_cfg = replace(handover_cfg, threshold_db=threshold)
-    seed_seq = episode_seed(cfg.seed, setup)
-    return _run_episode(cfg, handover_cfg, speed, seed_seq)
+    handover_cfg, threshold, speed = resolve_cell(cfg, strategy, threshold_db, speed_kmh)
+    return _run_episode(cfg, handover_cfg, threshold, speed, episode_seed(cfg.seed, setup))
 
 
 def _run_episode(
     cfg: SimConfig,
     handover_cfg: clustering.HandoverConfig,
+    threshold_db: float,
     speed_kmh: float,
     seed_seq: np.random.SeedSequence,
 ) -> EpisodeResult:
@@ -127,25 +135,22 @@ def _run_episode(
     speeds = np.full(dep.num_ues, speed_kmh * KMH_TO_MPS)
     shadow = ShadowFading.initial(dep.num_orus, dep.num_ues, cfg.sigma_sf_db, cfg.shadow_alpha_per_m, rng)
     pilot_cfg = PilotConfig.uniform(dep.num_ues, cfg.tau_p, cfg.power_mw)
-
-    stats = refresh_statistics(
-        topology, positions, shadow, cfg.angle_spread_rad, n_antennas,
-        cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature,
+    channel_args = (
+        cfg.angle_spread_rad, n_antennas, cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature
     )
-    state = clustering.initial_clusters(stats.beta_lin, topology, handover_cfg, n_antennas, neighbors)
 
     ledger = signaling.SignalingLedger(dep.num_orus, dep.num_odus)
     se = np.zeros((cfg.n_steps, dep.num_ues))
     events: list = []
     invalid = 0
-    for step in range(1, cfg.n_steps + 1):
-        try:
+    step = 0  # set-up failures are reported as step 0
+    try:
+        stats = refresh_statistics(topology, positions, shadow, *channel_args)
+        state = clustering.initial_clusters(stats.beta_lin, topology, handover_cfg, n_antennas, neighbors)
+        for step in range(1, cfg.n_steps + 1):
             positions = geometry.advance_positions(positions, speeds, headings, cfg.ts_s, dep.grid_side_m)
             shadow = shadow.evolve(speeds, cfg.ts_s, rng)
-            stats = refresh_statistics(
-                topology, positions, shadow, cfg.angle_spread_rad, n_antennas,
-                cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature,
-            )
+            stats = refresh_statistics(topology, positions, shadow, *channel_args)
             state, step_events = clustering.strategy_step(
                 state, stats.beta_db, stats.beta_lin, topology, neighbors, handover_cfg, n_antennas, step
             )
@@ -160,27 +165,20 @@ def _run_episode(
                 se[step - 1, k] = cfg.prelog * se_k
                 if np.isnan(se_k):
                     invalid += 1
-        except NumericalError as exc:
-            raise SimulationError(
-                f"episode aborted at step {step} "
-                f"(strategy={handover_cfg.strategy}, speed={speed_kmh:g} km/h): {exc}"
-            ) from exc
-        delta = (
-            signaling.account_data_plane(state, cfg.frame, topology.odu_of_oru)
-            + signaling.account_control_plane(step_events, state, topology.odu_of_oru)
-            + signaling.account_statistics_exchange(state, topology.odu_of_oru)
-        )
-        ledger.record(step, delta)
-        events.extend(step_events)
-    threshold = (
-        handover_cfg.cellular_hysteresis_db
-        if handover_cfg.strategy == clustering.CELLULAR
-        else handover_cfg.threshold_db
-    )
-    if handover_cfg.strategy == clustering.UBIQUITOUS:
-        threshold = 0.0
+            delta = (
+                signaling.account_data_plane(state, cfg.frame, topology.odu_of_oru)
+                + signaling.account_control_plane(step_events, state, topology.odu_of_oru)
+                + signaling.account_statistics_exchange(state, topology.odu_of_oru)
+            )
+            ledger.record(step, delta)
+            events.extend(step_events)
+    except NumericalError as exc:
+        raise SimulationError(
+            f"episode aborted at step {step} "
+            f"(strategy={handover_cfg.strategy}, speed={speed_kmh:g} km/h): {exc}"
+        ) from exc
     return EpisodeResult(
-        handover_cfg.strategy, threshold, speed_kmh, cfg.sim_time_s, se, events, ledger, invalid
+        handover_cfg.strategy, threshold_db, speed_kmh, cfg.sim_time_s, se, events, ledger, invalid
     )
 
 
@@ -229,19 +227,22 @@ class AggregateResult:
 
 
 def campaign_cells(config: SimConfig, strategies, thresholds, speeds):
-    """Cartesian sweep cells; baselines ignore the threshold axis."""
+    """Cartesian sweep cells (strategy, threshold, speed); baselines ignore the threshold axis."""
     cells = []
     for strategy in strategies:
-        if strategy in (clustering.FIXED, clustering.OPPORTUNISTIC):
-            cell_thresholds = list(thresholds)
-        elif strategy == clustering.CELLULAR:
-            cell_thresholds = [config.handover.cellular_hysteresis_db]
-        else:
-            cell_thresholds = [0.0]
-        for threshold in cell_thresholds:
+        handover = strategy in (clustering.FIXED, clustering.OPPORTUNISTIC)
+        for threshold in thresholds if handover else [None]:
             for speed in speeds:
-                cells.append((strategy, float(threshold), float(speed)))
+                _, cell_threshold, cell_speed = resolve_cell(config, strategy, threshold, speed)
+                cells.append((strategy, cell_threshold, cell_speed))
     return cells
+
+
+def pool_size(parallelism: int, num_jobs: int) -> int:
+    """Worker processes for a campaign: at most one per job and one per core."""
+    if parallelism < 1:
+        raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
+    return min(parallelism, num_jobs, os.cpu_count() or 1)
 
 
 def _episode_job(args):
@@ -278,17 +279,15 @@ def run_campaign(
     strategies = list(strategies) if strategies is not None else [cfg.handover.strategy]
     thresholds = list(thresholds) if thresholds is not None else [cfg.handover.threshold_db]
     speeds = list(speeds) if speeds is not None else list(cfg.speeds_kmh)
-    for strategy in strategies:
-        if strategy not in clustering.STRATEGIES:
-            raise ConfigurationError(f"unknown strategy in sweep: {strategy!r}")
     cells = campaign_cells(cfg, strategies, thresholds, speeds)
     jobs = [
         (cfg, strategy, threshold, speed, setup)
         for (strategy, threshold, speed) in cells
         for setup in range(cfg.n_setups)
     ]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = pool_size(parallelism, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_episode_job, jobs, chunksize=1))
     else:
         outcomes = [_episode_job(job) for job in jobs]

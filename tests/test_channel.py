@@ -10,15 +10,11 @@ from cfmimo.channel import (
     ChannelStatistics,
     ShadowFading,
     covariance_factor,
-    dump_covariances,
     jakes_autocorrelation,
     linear_to_db,
-    load_covariances,
     one_ring_covariance,
-    one_ring_covariance_batch,
     path_loss_db,
     refresh_statistics,
-    sample_channel,
     sample_channels,
     shadow_correlation,
 )
@@ -84,11 +80,11 @@ class TestPathLoss:
 
 class TestOneRing:
     def test_diagonal_is_exactly_beta(self):
-        cov = one_ring_covariance(0.37, 1.1, np.deg2rad(10.0), 4, 0.5).matrix
+        cov = one_ring_covariance(0.37, 1.1, np.deg2rad(10.0), 4, 0.5)
         assert np.allclose(np.diag(cov), 0.37, rtol=0, atol=1e-15)
 
     def test_zero_spread_rank_one(self):
-        cov = one_ring_covariance(2.0, 0.0, 0.0, 2, 0.5).matrix
+        cov = one_ring_covariance(2.0, 0.0, 0.0, 2, 0.5)
         assert np.allclose(cov, 2.0 * np.ones((2, 2)))
         eig = np.linalg.eigvalsh(cov)
         assert eig[0] == pytest.approx(0.0, abs=1e-12)
@@ -101,7 +97,7 @@ class TestOneRing:
         delta = np.concatenate([half, -half])
         lags = np.arange(n)
         oracle_lags = beta * np.exp(2j * np.pi * d_h * lags[:, None] * np.sin(phi + delta)).mean(axis=1)
-        cov = one_ring_covariance(beta, phi, xi, n, d_h).matrix
+        cov = one_ring_covariance(beta, phi, xi, n, d_h)
         for m in range(n):
             for c in range(n):
                 lag = c - m
@@ -112,7 +108,7 @@ class TestOneRing:
         rng = np.random.default_rng(3)
         beta = rng.uniform(1e-12, 1e-6, size=(5, 4))
         phi = rng.uniform(-np.pi, np.pi, size=(5, 4))
-        cov = one_ring_covariance_batch(beta, phi, np.deg2rad(10.0), 4, 0.5)
+        cov = one_ring_covariance(beta, phi, np.deg2rad(10.0), 4, 0.5)
         herm = np.abs(cov - cov.conj().swapaxes(-1, -2)).max()
         assert herm < 1e-12
         traces = np.trace(cov, axis1=-2, axis2=-1).real
@@ -120,6 +116,8 @@ class TestOneRing:
         for idx in np.ndindex(5, 4):
             eig = np.linalg.eigvalsh(cov[idx])
             assert eig.min() > -1e-9 * traces[idx]
+            single = one_ring_covariance(beta[idx], phi[idx], np.deg2rad(10.0), 4, 0.5)
+            assert np.allclose(single, cov[idx], rtol=1e-12, atol=0)
 
     def test_nonconverged_quadrature_raises(self):
         with pytest.raises(NumericalError):
@@ -128,11 +126,13 @@ class TestOneRing:
 
 class TestSampling:
     def test_zero_covariance_gives_zero(self):
-        h = sample_channel(np.zeros((3, 3), dtype=complex), np.random.default_rng(0))
+        factor = covariance_factor(np.zeros((1, 1, 3, 3), dtype=complex))
+        h = sample_channels(factor, 5, np.random.default_rng(0))
+        assert h.shape == (5, 1, 1, 3)
         assert np.all(h == 0)
 
     def test_sample_covariance_consistency(self):
-        cov = one_ring_covariance(1.0, 0.6, np.deg2rad(10.0), 4, 0.5).matrix
+        cov = one_ring_covariance(1.0, 0.6, np.deg2rad(10.0), 4, 0.5)
         factor = covariance_factor(cov)
         draws = sample_channels(factor[None, None], 100_000, np.random.default_rng(8))[:, 0, 0]
         empirical = np.einsum("dm,dn->mn", draws, draws.conj()) / draws.shape[0]
@@ -140,11 +140,10 @@ class TestSampling:
         assert rel < 0.02
 
     def test_rank_one_draws_parallel_to_steering(self):
-        cov = one_ring_covariance(1.0, 0.4, 0.0, 4, 0.5).matrix
-        rng = np.random.default_rng(9)
+        cov = one_ring_covariance(1.0, 0.4, 0.0, 4, 0.5)
+        draws = sample_channels(covariance_factor(cov)[None, None], 20, np.random.default_rng(9))[:, 0, 0]
         steering = cov[:, 0] / np.linalg.norm(cov[:, 0])
-        for _ in range(20):
-            h = sample_channel(cov, rng)
+        for h in draws:
             residual = h - steering * (steering.conj() @ h)
             # sqrt of clipped ~1e-16 eigenvalues leaves ~1e-8 relative residual
             assert np.linalg.norm(residual) < 1e-6 * max(np.linalg.norm(h), 1.0)
@@ -204,12 +203,3 @@ class TestRefresh:
         topo, shadow, positions = self._setup(sigma_sf=4.0)
         stats = refresh_statistics(topo, positions, shadow, np.deg2rad(10.0), 2, 0.5)
         assert np.allclose(linear_to_db(stats.beta_lin), stats.beta_db)
-
-
-def test_covariance_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    cov = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
-    path = tmp_path / "cov.bin"
-    dump_covariances(path, cov)
-    loaded = load_covariances(path)
-    assert np.array_equal(loaded, cov.astype(np.complex128))

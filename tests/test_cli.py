@@ -1,7 +1,14 @@
 """Command-line interface: subcommands, exit codes, output schemas."""
 
+from dataclasses import replace
+
+import pytest
+
 from cfmimo import cli
+from cfmimo.clustering import events_to_csv
+from cfmimo.config import SimConfig, apply_setting
 from cfmimo.errors import SimulationError
+from cfmimo.simulate import run_episode
 
 TINY = [
     "--set", "num_orus=8", "--set", "num_odus=4", "--set", "antennas_per_oru=2",
@@ -67,9 +74,37 @@ class TestRun:
         assert cli.main(args) == 0
         events = (tmp_path / "events.csv").read_text().strip().splitlines()
         assert events[0] == "setup,t,ue,kind,old,new"
+        cfg = SimConfig()
+        for item in TINY[1::2]:
+            cfg = apply_setting(cfg, *item.split("="))
+        result = run_episode(replace(cfg, seed=3), 0, strategy="opportunistic", threshold_db=0.5, speed_kmh=120)
+        expected = [f"0,{row}" for row in events_to_csv(result.events).splitlines()[1:]]
+        assert expected and events[1:] == expected
         ledger = (tmp_path / "ledger.csv").read_text().strip().splitlines()
         assert ledger[0] == "setup,step,counter,source,destination,amount"
         assert len(ledger) > 1
+
+    @pytest.mark.parametrize(
+        "cell,named",
+        [
+            (["--speed-kmh", "-30"], "-30"),
+            (["--strategy", "mesh"], "mesh"),
+            (["--strategy", "cellular", "--threshold-db", "-3"], "-3"),
+        ],
+    )
+    def test_bad_cell_exits_2(self, tmp_path, capsys, cell, named):
+        args = ["run", *TINY, "--setups", "1", *cell, "--out", str(tmp_path / "se.csv")]
+        assert cli.main(args) == 2
+        assert named in capsys.readouterr().err
+
+    def test_setup_failure_exits_3(self, tmp_path, capsys):
+        # Far-spaced antennas under a wide spread defeat the t=0 quadrature check.
+        args = [
+            "run", *TINY, "--setups", "1", "--set", "antenna_spacing_wl=40", "--set", "angle_spread_deg=80",
+            "--out", str(tmp_path / "se.csv"),
+        ]
+        assert cli.main(args) == 3
+        assert "episode aborted at step 0" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -96,6 +131,14 @@ class TestSweep:
         args = ["sweep", *TINY, "--strategy", "mesh", "--out", str(tmp_path / "s.csv")]
         assert cli.main(args) == 2
         assert "mesh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,named", [("--speeds=-30", "-30"), ("--parallelism=0", "parallelism must be >= 1")]
+    )
+    def test_bad_speed_or_parallelism_exits_2(self, tmp_path, capsys, flag, named):
+        args = ["sweep", *TINY, flag, "--out", str(tmp_path / "s.csv")]
+        assert cli.main(args) == 2
+        assert named in capsys.readouterr().err
 
     def test_runtime_error_exits_3(self, monkeypatch, tmp_path, capsys):
         def boom(*args, **kwargs):

@@ -17,13 +17,13 @@ from cfmimo.clustering import (
     fixed_cluster,
     fixed_handover_step,
     initial_clusters,
-    measurement_cluster,
     opportunistic_init,
     opportunistic_track,
     select_primary,
 )
 from cfmimo.errors import ConfigurationError
-from cfmimo.geometry import DeploymentConfig, Topology, generate_deployment, wrap_distance
+from cfmimo.geometry import DeploymentConfig, Topology, generate_deployment
+from oracles import wrap_distance
 
 
 def grid_topology(l_num=16, odus=4, side=1000.0, seed=0):
@@ -49,14 +49,15 @@ class TestSelectPrimary:
 
 class TestMeasurementCluster:
     def test_full_and_singleton(self):
-        topo = grid_topology()
-        assert sorted(measurement_cluster(topo, 3, 16).tolist()) == list(range(16))
-        assert measurement_cluster(topo, 5, 1).tolist() == [5]
+        neighbors = NeighborTable(grid_topology())
+        assert sorted(neighbors.measurement_set(3, 16).tolist()) == list(range(16))
+        assert neighbors.measurement_set(5, 1).tolist() == [5]
 
     def test_brute_force_nearest(self):
         topo = grid_topology(seed=3)
+        neighbors = NeighborTable(topo)
         for primary in range(topo.num_orus):
-            got = set(measurement_cluster(topo, primary, 5).tolist())
+            got = set(neighbors.measurement_set(primary, 5).tolist())
             dist = [
                 (wrap_distance(topo.oru_positions[primary], topo.oru_positions[l], topo.grid_side_m), l)
                 for l in range(topo.num_orus)
@@ -70,12 +71,14 @@ class TestMeasurementCluster:
         xs = np.arange(4) * 100.0 + 50.0
         positions = np.array([[x, y] for y in xs for x in xs])
         topo = Topology(positions, np.repeat(np.arange(4), 4), np.zeros(16), side)
-        got = set(measurement_cluster(topo, 0, 5).tolist())
+        got = set(NeighborTable(topo).measurement_set(0, 5).tolist())
         assert got == {0, 1, 3, 4, 12}
 
     def test_oversized_rejected(self):
-        with pytest.raises(ConfigurationError):
-            measurement_cluster(grid_topology(), 0, 17)
+        topo = grid_topology()
+        cfg = HandoverConfig("fixed", 2.0, 4, 17)
+        with pytest.raises(ConfigurationError, match="measurement_size"):
+            initial_clusters(np.ones((16, 1)), topo, cfg, 4, NeighborTable(topo))
 
 
 class TestFixedCluster:

@@ -1,4 +1,4 @@
-"""Local combiners, effective-gain statistics, second-stage weights, SINR, fusion."""
+"""Local combiners, effective-gain statistics, second-stage weights, SINR."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from cfmimo.channel import ChannelStatistics, covariance_factor, linear_to_db, one_ring_covariance
 from cfmimo.combining import (
     EffectiveGainStats,
-    effective_gain_stats,
-    fuse_estimates,
-    lp_mmse_combiner,
+    local_mmse_combiners,
     lsfd_weights,
     simulate_gain_moments,
     stats_for_ue,
@@ -16,7 +14,6 @@ from cfmimo.combining import (
 )
 from cfmimo.errors import NumericalError
 from cfmimo.pilots import PilotConfig
-from cfmimo.signaling import FrameConfig, SignalingLedger
 
 
 def make_stats(covs: np.ndarray) -> ChannelStatistics:
@@ -38,22 +35,31 @@ def ring_stack(rng, l_num, k_num, n_ant, beta_scale=1.0):
             covs[l, k] = one_ring_covariance(
                 beta_scale * rng.uniform(0.2, 2.0), rng.uniform(-np.pi, np.pi),
                 np.deg2rad(10.0), n_ant, 0.5,
-            ).matrix
+            )
     return covs
+
+
+def one_oru_combiners(h_hat, error_covs, powers, sigma2, serving=None):
+    """Combiners of one O-RU and one draw: (K, N) estimates -> (K, N) combiners."""
+    serving = np.ones((1, h_hat.shape[0]), dtype=bool) if serving is None else np.asarray([serving])
+    return local_mmse_combiners(serving, h_hat[None, None], error_covs[None], np.asarray(powers), sigma2)[0, 0]
 
 
 class TestLpMmse:
     def test_single_ue_closed_form(self):
         beta, p, sigma2 = 0.8, 0.5, 0.3
-        h_hat = np.array([np.sqrt(beta), 0.0, 0.0], dtype=complex)
-        v = lp_mmse_combiner({2: (h_hat, np.zeros((3, 3)))}, {2: p}, sigma2, 2)
+        h_hat = np.array([[np.sqrt(beta), 0.0, 0.0]], dtype=complex)
+        v = one_oru_combiners(h_hat, np.zeros((1, 3, 3)), [p], sigma2)[0]
         expected = p * np.sqrt(beta) / (p * beta + sigma2)
         assert np.allclose(v, [expected, 0.0, 0.0], rtol=1e-12)
 
     def test_unserved_ue_gets_zero(self):
-        h_hat = np.ones(2, dtype=complex)
-        v = lp_mmse_combiner({0: (h_hat, np.eye(2) * 0.1)}, {0: 1.0, 5: 1.0}, 0.2, 5)
-        assert np.all(v == 0)
+        h_hat = np.ones((2, 2), dtype=complex)
+        error_covs = np.stack([np.eye(2) * 0.1] * 2)
+        v = one_oru_combiners(h_hat, error_covs, [1.0, 1.0], 0.2, serving=[True, False])
+        assert np.all(v[1] == 0)
+        # The unserved UE stays out of the served UE's Gram matrix.
+        assert np.allclose(v[0], one_oru_combiners(h_hat[:1], error_covs[:1], [1.0], 0.2)[0], rtol=1e-12)
 
     def test_two_ue_scalar_brute_force(self):
         p = {0: 0.7, 1: 1.3}
@@ -65,8 +71,8 @@ class TestLpMmse:
             + p[1] * (abs(h[1][0]) ** 2 + c[1][0, 0])
             + sigma2
         )
-        v = lp_mmse_combiner({0: (h[0], c[0]), 1: (h[1], c[1])}, p, sigma2, 1)
-        assert abs(v[0] - p[1] * h[1][0] / denominator) < 1e-12
+        v = one_oru_combiners(np.stack([h[0], h[1]]), np.stack([c[0], c[1]]), [p[0], p[1]], sigma2)
+        assert abs(v[1, 0] - p[1] * h[1][0] / denominator) < 1e-12
 
 
 class TestEffectiveGainStats:
@@ -76,10 +82,10 @@ class TestEffectiveGainStats:
         sigma2 = 0.5
         covs = np.ones((1, 1, 1, 1), dtype=complex)
         cfg = PilotConfig(1_000_000, np.array([0]), np.array([1.0]))
-        stats = effective_gain_stats(
-            np.ones((1, 1), dtype=bool), make_stats(covs), cfg, sigma2, 20_000,
-            np.random.default_rng(0), 0, warn_rel_se=False,
+        moments = simulate_gain_moments(
+            np.ones((1, 1), dtype=bool), make_stats(covs), cfg, sigma2, 20_000, np.random.default_rng(0)
         )
+        stats = stats_for_ue(moments, 0)
         x = np.random.default_rng(1).exponential(size=1_000_000)
         oracle = (x / (x + sigma2)).mean()
         assert abs(stats.mean_gain[0].imag) < 5e-3
@@ -91,7 +97,7 @@ class TestEffectiveGainStats:
         covs = ring_stack(rng, 2, 2, 2)
         serving = np.array([[True, False], [False, True]])
         cfg = PilotConfig.uniform(2, 4, 1.0)
-        stats = effective_gain_stats(serving, make_stats(covs), cfg, 0.3, 50, rng, 0, warn_rel_se=False)
+        stats = stats_for_ue(simulate_gain_moments(serving, make_stats(covs), cfg, 0.3, 50, rng), 0)
         assert 1 not in stats.second_moments
         assert np.array_equal(stats.interferers, [0])
         assert np.array_equal(stats.support, [0])
@@ -118,8 +124,8 @@ class TestEffectiveGainStats:
         def spread(n_mc, reps, seed):
             seeds = np.random.SeedSequence(seed).spawn(reps)
             values = [
-                effective_gain_stats(serving, stats_state, cfg, 0.3, n_mc,
-                                     np.random.default_rng(s), 0, warn_rel_se=False).mean_gain[0].real
+                simulate_gain_moments(serving, stats_state, cfg, 0.3, n_mc, np.random.default_rng(s))
+                .mean_gain[0, 0].real
                 for s in seeds
             ]
             return np.var(values)
@@ -131,16 +137,9 @@ class TestEffectiveGainStats:
         rng = np.random.default_rng(5)
         covs = ring_stack(rng, 2, 2, 2)
         serving = np.ones((2, 2), dtype=bool)
+        moments = simulate_gain_moments(serving, make_stats(covs), PilotConfig.uniform(2, 4, 1.0), 0.3, 3, rng)
         with pytest.warns(UserWarning, match="n_mc"):
-            effective_gain_stats(serving, make_stats(covs), PilotConfig.uniform(2, 4, 1.0),
-                                 0.3, 3, rng, 0, warn_rel_se=True)
-
-    def test_unknown_combiner_rejected(self):
-        rng = np.random.default_rng(6)
-        covs = ring_stack(rng, 1, 1, 2)
-        with pytest.raises(NumericalError):
-            effective_gain_stats(np.ones((1, 1), dtype=bool), make_stats(covs),
-                                 PilotConfig.uniform(1, 2, 1.0), 0.3, 5, rng, 0, combiner="mrc")
+            stats_for_ue(moments, 0, warn_rel_se=True)
 
 
 def random_instance(rng, n_oru=3, n_ue=3, n_draws=60, support=None):
@@ -261,48 +260,3 @@ class TestUplinkSinr:
                 ses.append(se)
             deltas.append(ses[0] - ses[1])
         assert np.mean(deltas) > -1e-3
-
-
-class TestFusion:
-    def test_single_odu_no_transfer(self):
-        signals = np.array([1 + 1j, 2 - 1j, 0.5j])
-        weights = np.array([0.5, 0.25 + 0.1j, 0.0])
-        odu_of_oru = np.array([0, 0, 1])
-        fused, partials = fuse_estimates(signals, weights, odu_of_oru, 0)
-        assert set(partials) == {0}
-        assert fused == partials[0]
-
-    def test_staged_equals_flat_fixed_order(self):
-        rng = np.random.default_rng(11)
-        signals = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        weights = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        weights[4] = 0.0
-        odu_of_oru = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
-        fused, partials = fuse_estimates(signals, weights, odu_of_oru, 1)
-        # Flat reference following the canonical order: ascending O-RU within
-        # ascending O-DU, partials materialized exactly as the module defines.
-        flat = 0.0 + 0.0j
-        for c in sorted(partials):
-            partial = 0.0 + 0.0j
-            for l in range(9):
-                if odu_of_oru[l] == c and weights[l] != 0:
-                    partial += np.conj(weights[l]) * signals[l]
-            flat += partial
-        assert fused == flat
-        unordered = np.sum(np.conj(weights) * signals)
-        assert abs(fused - unordered) < 1e-12 * max(1.0, abs(unordered))
-
-    def test_zero_weights_zero_estimate(self):
-        fused, partials = fuse_estimates(np.ones(4, dtype=complex), np.zeros(4, dtype=complex), np.array([0, 0, 1, 1]), 0)
-        assert fused == 0
-        assert partials == {}
-
-    def test_ledger_notified_of_transfers(self):
-        signals = np.ones(4, dtype=complex)
-        weights = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex)
-        odu_of_oru = np.array([0, 1, 2, 2])
-        ledger = SignalingLedger(4, 3)
-        fuse_estimates(signals, weights, odu_of_oru, 0, ledger=ledger, frame=FrameConfig(tau_u=70), step=3)
-        assert ledger.total_inter_odu == 2 * 70
-        assert ledger.cumulative.inter_odu[1, 0] == 70
-        assert ledger.cumulative.inter_odu[2, 0] == 70

@@ -8,26 +8,27 @@ import pytest
 from cfmimo.errors import ConfigurationError
 from cfmimo.geometry import (
     DeploymentConfig,
-    UEState,
     advance_positions,
     generate_deployment,
-    step_ue,
     uniform_headings,
     uniform_positions,
-    wrap_angle,
-    wrap_angle_matrix,
-    wrap_distance,
+    wrap_distance_and_angle,
     wrap_distance_matrix,
 )
+from oracles import step_ue, wrap_distance
 
 
-def brute_force_wrap(a, b, side):
-    """Independent 9-image enumeration with scalar math."""
-    return min(
-        math.hypot(b[0] + i * side - a[0], b[1] + j * side - a[1])
-        for i in (-1, 0, 1)
-        for j in (-1, 0, 1)
+def distance(a, b, side):
+    """Torus distance of one point pair through the batched kernel."""
+    return float(wrap_distance_matrix(np.array([a], float), np.array([b], float), side)[0, 0])
+
+
+def angle(oru, orientation, ue, side):
+    """Broadside azimuth of one (O-RU, UE) pair through the batched kernel."""
+    _, phi = wrap_distance_and_angle(
+        np.array([oru], float), np.array([orientation]), np.array([ue], float), side
     )
+    return float(phi[0, 0])
 
 
 class TestDeployment:
@@ -84,50 +85,56 @@ class TestDeployment:
 
 class TestWrapDistance:
     def test_spec_values(self):
-        assert wrap_distance((50, 50), (950, 50), 1000.0) == pytest.approx(100.0)
-        assert wrap_distance((123, 456), (123, 456), 1000.0) == 0.0
-        assert wrap_distance((0, 0), (999, 999), 1000.0) == pytest.approx(math.sqrt(2.0))
+        assert distance((50, 50), (950, 50), 1000.0) == pytest.approx(100.0)
+        assert distance((123, 456), (123, 456), 1000.0) == 0.0
+        assert distance((0, 0), (999, 999), 1000.0) == pytest.approx(math.sqrt(2.0))
 
     def test_matches_brute_force_and_bounded_by_direct(self):
         rng = np.random.default_rng(7)
         side = 1000.0
-        pts = rng.uniform(0, side, size=(1000, 2, 2))
-        for a, b in pts:
-            d = wrap_distance(a, b, side)
-            assert d == pytest.approx(brute_force_wrap(a, b, side), abs=1e-9)
-            assert d <= math.hypot(*(b - a)) + 1e-9
+        a = rng.uniform(0, side, size=(40, 2))
+        b = rng.uniform(0, side, size=(25, 2))
+        mat = wrap_distance_matrix(a, b, side)
+        for i in range(40):
+            for j in range(25):
+                assert mat[i, j] == pytest.approx(wrap_distance(a[i], b[j], side), abs=1e-9)
+                assert mat[i, j] <= math.hypot(*(b[j] - a[i])) + 1e-9
 
     def test_matrix_agrees_with_scalar(self):
+        # Each entry is the single-pair value, bit for bit, and the refresh
+        # kernel gives the same distances as the clustering one.
         rng = np.random.default_rng(8)
         a = rng.uniform(0, 200, size=(5, 2))
         b = rng.uniform(0, 200, size=(7, 2))
         mat = wrap_distance_matrix(a, b, 200.0)
+        dist, _ = wrap_distance_and_angle(a, np.zeros(5), b, 200.0)
+        assert np.array_equal(dist, mat)
         for i in range(5):
             for j in range(7):
-                assert mat[i, j] == pytest.approx(wrap_distance(a[i], b[j], 200.0))
+                assert mat[i, j] == distance(a[i], b[j], 200.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            a, b = rng.uniform(0, 300, size=(2, 2))
-            assert wrap_distance(a, b, 300.0) == pytest.approx(wrap_distance(b, a, 300.0))
+        a = rng.uniform(0, 300, size=(50, 2))
+        b = rng.uniform(0, 300, size=(30, 2))
+        assert wrap_distance_matrix(a, b, 300.0) == pytest.approx(wrap_distance_matrix(b, a, 300.0).T)
 
 
 class TestWrapAngle:
     def test_broadside_is_zero(self):
         for d in (1.0, 50.0, 400.0):
-            assert wrap_angle((500, 500), 0.0, (500, 500 + d), 1000.0) == pytest.approx(0.0)
+            assert angle((500, 500), 0.0, (500, 500 + d), 1000.0) == pytest.approx(0.0)
 
     def test_array_axis_is_half_pi(self):
-        assert wrap_angle((500, 500), 0.0, (600, 500), 1000.0) == pytest.approx(math.pi / 2)
-        assert wrap_angle((500, 500), 0.0, (400, 500), 1000.0) == pytest.approx(-math.pi / 2)
+        assert angle((500, 500), 0.0, (600, 500), 1000.0) == pytest.approx(math.pi / 2)
+        assert angle((500, 500), 0.0, (400, 500), 1000.0) == pytest.approx(-math.pi / 2)
 
     def test_coincident_is_zero(self):
-        assert wrap_angle((10, 10), 0.0, (10, 10), 100.0) == 0.0
+        assert angle((10, 10), 0.0, (10, 10), 100.0) == 0.0
 
     def test_wrapped_image_used(self):
         # Nearest image of the UE lies through the boundary: displacement is -20 in x.
-        phi = wrap_angle((10, 500), 0.0, (990, 500), 1000.0)
+        phi = angle((10, 500), 0.0, (990, 500), 1000.0)
         assert phi == pytest.approx(-math.pi / 2)
 
     def test_against_nine_image_brute_force(self):
@@ -136,7 +143,7 @@ class TestWrapAngle:
         orus = rng.uniform(0, side, size=(6, 2))
         orientations = rng.uniform(0, 2 * math.pi, size=6)
         ues = rng.uniform(0, side, size=(9, 2))
-        phi = wrap_angle_matrix(orus, orientations, ues, side)
+        _, phi = wrap_distance_and_angle(orus, orientations, ues, side)
         for l in range(6):
             for k in range(9):
                 best, best_d = None, np.inf
@@ -154,15 +161,15 @@ class TestWrapAngle:
 
 class TestMobility:
     def test_zero_speed(self):
-        state = UEState(np.array([10.0, 20.0]), 0.0, 1.3)
-        out = step_ue(state, 0.5)
-        assert np.array_equal(out.position, state.position)
+        positions = np.array([[10.0, 20.0]])
+        out = advance_positions(positions, np.array([0.0]), np.array([1.3]), 0.5, 1000.0)
+        assert np.array_equal(out, positions)
 
     def test_displacement_value(self):
         v = 30.0 / 3.6
-        out = step_ue(UEState(np.array([100.0, 100.0]), v, 0.0), 0.5)
-        assert out.position[0] - 100.0 == pytest.approx(4.1667, abs=1e-3)
-        assert out.position[1] == pytest.approx(100.0)
+        out = advance_positions(np.array([[100.0, 100.0]]), np.array([v]), np.array([0.0]), 0.5, 1000.0)
+        assert out[0, 0] - 100.0 == pytest.approx(4.1667, abs=1e-3)
+        assert out[0, 1] == pytest.approx(100.0)
 
     def test_wraps_at_boundary(self):
         positions = np.array([[999.0, 10.0]])
@@ -176,8 +183,8 @@ class TestMobility:
         headings = rng.uniform(0, 2 * math.pi, size=8)
         batch = advance_positions(pos, speeds, headings, 0.5, 100.0)
         for k in range(8):
-            single = step_ue(UEState(pos[k], speeds[k], headings[k]), 0.5)
-            assert np.allclose(batch[k], np.mod(single.position, 100.0))
+            single = step_ue(pos[k], speeds[k], headings[k], 0.5)
+            assert np.allclose(batch[k], np.mod(single, 100.0))
 
     def test_total_displacement_bound(self):
         rng = np.random.default_rng(14)
@@ -189,4 +196,4 @@ class TestMobility:
         for n in range(1, 30):
             pos = advance_positions(pos, speeds, headings, 0.5, side)
             for k in range(4):
-                assert wrap_distance(start[k], pos[k], side) <= n * speeds[k] * 0.5 + 1e-9
+                assert distance(start[k], pos[k], side) <= n * speeds[k] * 0.5 + 1e-9

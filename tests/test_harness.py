@@ -1,5 +1,7 @@
 """Episode/campaign drivers, configuration handling, seed derivation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from cfmimo.clustering import HandoverConfig
 from cfmimo.config import SimConfig
 from cfmimo.errors import ConfigurationError
 from cfmimo.geometry import DeploymentConfig
+from cfmimo.signaling import FrameConfig
 from cfmimo.simulate import (
     AggregateResult,
     campaign_cells,
     episode_seed,
     episodes_to_csv,
+    pool_size,
     run_campaign,
     run_episode,
 )
@@ -125,6 +129,17 @@ class TestCampaign:
         with pytest.raises(ConfigurationError):
             run_campaign(tiny_config(), strategies=["mesh"], thresholds=[1.0], speeds=[3.0])
 
+    def test_pool_size(self):
+        # Pure arithmetic: no pool is started, however large the request.
+        cores = os.cpu_count()
+        assert pool_size(1, 10) == 1
+        assert pool_size(10**6, 3) == min(3, cores)
+        assert pool_size(10**6, 10**6) == cores
+        assert pool_size(2, 0) == 0
+        for bad in (0, -3):
+            with pytest.raises(ConfigurationError, match="parallelism"):
+                pool_size(bad, 5)
+
     def test_bit_identical_across_runs(self):
         cfg = tiny_config(sim_time_s=1.0)
         a = run_campaign(cfg, strategies=["fixed"], thresholds=[2.0], speeds=[3.0, 30.0])
@@ -163,6 +178,35 @@ class TestConfig:
         path.write_text(config_mod.to_text(cfg), encoding="utf-8")
         loaded = config_mod.from_file(str(path))
         assert loaded == cfg
+
+    def test_non_default_file_roundtrip(self, tmp_path):
+        cfg = SimConfig(
+            deployment=DeploymentConfig(750.0, 16, 4, 2, 7),
+            handover=HandoverConfig("cellular", 1.5, 3, 9, 4.5),
+            frame=FrameConfig(50, 2),
+            ts_s=0.25,
+            sim_time_s=7.5,
+            speeds_kmh=(10.0 / 3.0, 47.0),
+            n_setups=3,
+            n_mc=12,
+            seed=42,
+            tau_p=20,
+            power_mw=50.0,
+            sigma2_ul_dbm=-96.5,
+            sigma_sf_db=6.0,
+            shadow_alpha_per_m=0.1,
+            angle_spread_deg=15.0,
+            antenna_spacing_wl=0.25,
+            min_distance_m=2.0,
+            se_prelog=True,
+            check_quadrature=False,
+        )
+        text = config_mod.to_text(cfg)
+        defaults = config_mod.to_text(SimConfig()).splitlines()
+        assert all(line != default for line, default in zip(text.splitlines(), defaults))
+        path = tmp_path / "sim.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert config_mod.from_file(str(path)) == cfg
 
     def test_unknown_key_named_in_error(self, tmp_path):
         path = tmp_path / "sim.cfg"

@@ -5,14 +5,8 @@ import pytest
 
 from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
 from cfmimo.errors import ConfigurationError
-from cfmimo.pilots import (
-    PilotConfig,
-    apply_filters,
-    assign_pilots,
-    mmse_estimate,
-    mmse_filters,
-    observe_pilots,
-)
+from cfmimo.pilots import PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots
+from oracles import mmse_estimate
 
 
 def dft_pilots(tau_p):
@@ -89,9 +83,9 @@ class TestObservation:
         n_ant, sigma2 = 2, 0.5
         cov = np.stack(
             [
-                one_ring_covariance(1.0, 0.3, np.deg2rad(12.0), n_ant, 0.5).matrix,
-                one_ring_covariance(2.0, -0.7, np.deg2rad(12.0), n_ant, 0.5).matrix,
-                one_ring_covariance(0.5, 1.1, np.deg2rad(12.0), n_ant, 0.5).matrix,
+                one_ring_covariance(1.0, 0.3, np.deg2rad(12.0), n_ant, 0.5),
+                one_ring_covariance(2.0, -0.7, np.deg2rad(12.0), n_ant, 0.5),
+                one_ring_covariance(0.5, 1.1, np.deg2rad(12.0), n_ant, 0.5),
             ]
         )[None]
         cfg = PilotConfig(4, np.array([1, 1, 0]), np.array([1.0, 0.7, 2.0]))
@@ -106,40 +100,45 @@ class TestObservation:
             assert np.abs(y[:, k].mean(axis=0)).max() < 3 * np.sqrt(np.trace(theory).real / y.shape[0])
 
 
+def estimate(cov, y, tau_p, p, sigma2):
+    """MMSE estimate and error covariance of one UE at one O-RU through the batched filters."""
+    filters, error_covs = mmse_filters(cov[None, None], PilotConfig(tau_p, np.array([0]), np.array([p])), sigma2)
+    return filters[0, 0] @ y, error_covs[0, 0]
+
+
 class TestMmseEstimate:
     def test_scalar_closed_form(self):
         tau_p, p, beta, sigma2 = 10, 0.2, 0.5, 0.3
         y = np.array([0.7 - 0.2j])
-        est = mmse_estimate(np.array([[beta]]), [np.array([[beta]])], y, tau_p, [p], 0, sigma2)
-        assert abs(est.h_hat[0] - np.sqrt(tau_p * p) * beta / (tau_p * p * beta + sigma2) * y[0]) < 1e-12
-        assert abs(est.error_cov[0, 0] - beta * sigma2 / (tau_p * p * beta + sigma2)) < 1e-12
+        h_hat, error_cov = estimate(np.array([[beta + 0j]]), y, tau_p, p, sigma2)
+        assert abs(h_hat[0] - np.sqrt(tau_p * p) * beta / (tau_p * p * beta + sigma2) * y[0]) < 1e-12
+        assert abs(error_cov[0, 0] - beta * sigma2 / (tau_p * p * beta + sigma2)) < 1e-12
 
     def test_balanced_snr_halves_covariance(self):
         # tau_p p beta == sigma2 leaves exactly half the prior variance.
         tau_p, p, beta = 4, 0.5, 0.9
         sigma2 = tau_p * p * beta
-        est = mmse_estimate(np.array([[beta]]), [np.array([[beta]])], np.array([1.0 + 0j]), tau_p, [p], 0, sigma2)
-        assert abs(est.error_cov[0, 0] - beta / 2) < 1e-12
+        _, error_cov = estimate(np.array([[beta + 0j]]), np.array([1.0 + 0j]), tau_p, p, sigma2)
+        assert abs(error_cov[0, 0] - beta / 2) < 1e-12
 
     def test_noiseless_limit_recovers_channel(self):
         rng = np.random.default_rng(4)
-        cov = one_ring_covariance(1.0, 0.2, np.deg2rad(20.0), 3, 0.5).matrix
+        cov = one_ring_covariance(1.0, 0.2, np.deg2rad(20.0), 3, 0.5)
         h = sample_channels(covariance_factor(cov)[None, None], 1, rng)[0, 0, 0]
         tau_p, p, sigma2 = 8, 1.0, 1e-10
         y = np.sqrt(tau_p * p) * h
-        est = mmse_estimate(cov, [cov], y, tau_p, [p], 0, sigma2)
-        assert np.allclose(est.h_hat, h, rtol=1e-5, atol=1e-8)
-        assert np.trace(est.error_cov).real < 1e-9
+        h_hat, error_cov = estimate(cov, y, tau_p, p, sigma2)
+        assert np.allclose(h_hat, h, rtol=1e-5, atol=1e-8)
+        assert np.trace(error_cov).real < 1e-9
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
-        cov = one_ring_covariance(1.0, -0.4, np.deg2rad(15.0), 4, 0.5).matrix
+        cov = one_ring_covariance(1.0, -0.4, np.deg2rad(15.0), 4, 0.5)
         y1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         a, b = 1.7 - 0.3j, -0.8 + 2.1j
-        combined = mmse_estimate(cov, [cov], a * y1 + b * y2, 10, [0.5], 0, 0.25).h_hat
-        separate = a * mmse_estimate(cov, [cov], y1, 10, [0.5], 0, 0.25).h_hat
-        separate = separate + b * mmse_estimate(cov, [cov], y2, 10, [0.5], 0, 0.25).h_hat
+        combined = estimate(cov, a * y1 + b * y2, 10, 0.5, 0.25)[0]
+        separate = a * estimate(cov, y1, 10, 0.5, 0.25)[0] + b * estimate(cov, y2, 10, 0.5, 0.25)[0]
         assert np.allclose(combined, separate, rtol=1e-12, atol=1e-14)
 
 
@@ -149,8 +148,8 @@ def _estimation_setup(contaminated: bool, n_draws: int = 100_000):
     n_ant = 4
     cov = np.stack(
         [
-            one_ring_covariance(1.0, 0.25, np.deg2rad(10.0), n_ant, 0.5).matrix,
-            one_ring_covariance(0.6, -1.2, np.deg2rad(10.0), n_ant, 0.5).matrix,
+            one_ring_covariance(1.0, 0.25, np.deg2rad(10.0), n_ant, 0.5),
+            one_ring_covariance(0.6, -1.2, np.deg2rad(10.0), n_ant, 0.5),
         ]
     )[None]
     if contaminated:
@@ -194,8 +193,8 @@ class TestMmseConsistency:
         rng = np.random.default_rng(7)
         cov = np.stack(
             [
-                one_ring_covariance(1.0, 0.25, np.deg2rad(10.0), 3, 0.5).matrix,
-                one_ring_covariance(0.6, -1.2, np.deg2rad(10.0), 3, 0.5).matrix,
+                one_ring_covariance(1.0, 0.25, np.deg2rad(10.0), 3, 0.5),
+                one_ring_covariance(0.6, -1.2, np.deg2rad(10.0), 3, 0.5),
             ]
         )[None]
         cfg = PilotConfig(5, np.array([0, 0]), np.array([1.0, 0.8]))
@@ -203,6 +202,6 @@ class TestMmseConsistency:
         filters, error_covs = mmse_filters(cov, cfg, sigma2)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for k in range(2):
-            est = mmse_estimate(cov[0, k], [cov[0, 0], cov[0, 1]], y, 5, cfg.power_mw, k, sigma2)
-            assert np.allclose(filters[0, k] @ y, est.h_hat, rtol=1e-12)
-            assert np.allclose(error_covs[0, k], est.error_cov, rtol=1e-12, atol=1e-14)
+            h_hat, error_cov = mmse_estimate(cov[0, k], [cov[0, 0], cov[0, 1]], y, 5, cfg.power_mw, k, sigma2)
+            assert np.allclose(filters[0, k] @ y, h_hat, rtol=1e-12)
+            assert np.allclose(error_covs[0, k], error_cov, rtol=1e-12, atol=1e-14)

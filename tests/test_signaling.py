@@ -20,6 +20,7 @@ from cfmimo.signaling import (
     account_data_plane,
     account_statistics_exchange,
 )
+from oracles import remote_serving_counts
 
 
 def manual_state(strategy, serving, primary, odu_count=None, measurement=None):
@@ -139,6 +140,27 @@ class TestStatisticsExchange:
         delta = account_statistics_exchange(state, odu_of_oru)
         assert delta.stats_msgs.sum() == 2  # UE 0: O-DUs 1 and 2 report to O-DU 0
         assert delta.stats_msgs[1, 0] == 1 and delta.stats_msgs[2, 0] == 1
+
+    def test_matches_data_plane_and_loop_oracle(self):
+        # inter_odu == samples x stats_msgs, and both equal a per-UE loop, on
+        # random serving maps under a shuffled O-RU -> O-DU ownership.
+        rng = np.random.default_rng(21)
+        frame = FrameConfig(tau_u=30, blocks_per_step=2)
+        transfers = 0
+        for _ in range(50):
+            l_num, odus = [(4, 2), (6, 3), (9, 9), (8, 4)][rng.integers(4)]
+            k_num = int(rng.integers(1, 7))
+            odu_of_oru = rng.permutation(np.repeat(np.arange(odus), l_num // odus))
+            primary = rng.integers(l_num, size=k_num)
+            serving = rng.random((l_num, k_num)) < 0.4
+            serving[primary, np.arange(k_num)] = True
+            state = manual_state("fixed", serving, primary)
+            stats = account_statistics_exchange(state, odu_of_oru)
+            data = account_data_plane(state, frame, odu_of_oru)
+            assert np.array_equal(data.inter_odu, frame.tau_u * frame.blocks_per_step * stats.stats_msgs)
+            assert np.array_equal(stats.stats_msgs, remote_serving_counts(serving, primary, odu_of_oru))
+            transfers += int(stats.stats_msgs.sum())
+        assert transfers > 0
 
 
 class TestLedger:
