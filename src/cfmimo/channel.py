@@ -13,6 +13,7 @@ worth modeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -91,6 +92,15 @@ def linear_to_db(value_lin):
     return 10.0 * np.log10(np.asarray(value_lin, dtype=float))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
+    x, w = leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _ring_lag_coefficients(
     phi: np.ndarray, spread_rad: float, num_antennas: int, spacing_wl: float, nodes: int
 ) -> np.ndarray:
@@ -103,7 +113,7 @@ def _ring_lag_coefficients(
     lags = np.arange(num_antennas)
     if spread_rad == 0.0:
         return np.exp(2j * np.pi * spacing_wl * lags * np.sin(phi)[..., None])
-    x, w = leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     angles = phi[..., None] + spread_rad * x  # (..., nodes)
     phase = np.exp(
         2j * np.pi * spacing_wl * lags[(None,) * phi.ndim + (slice(None), None)] * np.sin(angles)[..., None, :]
@@ -178,7 +188,7 @@ def sample_channels(factor: np.ndarray, n_draws: int, rng: np.random.Generator) 
     """Stacked draws h = A z for factors (L, K, N, N) -> realizations (n_draws, L, K, N)."""
     shape = (n_draws,) + factor.shape[:-1]
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return np.einsum("lkmn,dlkn->dlkm", factor, z)
+    return (factor @ z[..., None])[..., 0]
 
 
 @dataclass

@@ -5,7 +5,10 @@ The second-stage weights need only expected effective gains, estimated here by
 Monte Carlo over joint draws of (true channel, channel estimate). Entries for
 O-RUs outside a UE's serving cluster are exactly zero throughout: a combiner is
 only computed where the UE is served, and everything downstream inherits that
-support.
+support. The moments are therefore formed and stored on each UE's serving
+support only: a step holds the draws, O(d L K N) entries for d draws, plus the
+O(K^2 S^2) moment blocks for serving clusters of at most S O-RUs, and never a
+per-draw gain array over all (O-RU, UE, UE) triples.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def local_mmse_combiners(
     """
     # Per-O-RU combiner Gram matrix over its served UEs, shared by all of them.
     weights = serving * powers_mw[None, :]  # (L, K)
-    gram = np.einsum("lk,dlkm,dlkn->dlmn", weights, h_hat, h_hat.conj())
+    gram = (h_hat * weights[..., None]).swapaxes(-1, -2) @ h_hat.conj()  # (d, L, N, N)
     gram += np.einsum("lk,lkmn->lmn", weights, error_covs)[None, ...]
     gram += sigma2_mw * np.eye(h_hat.shape[-1])
 
@@ -44,16 +47,23 @@ def local_mmse_combiners(
 
 @dataclass
 class GainMoments:
-    """Monte-Carlo effective-gain moments for every UE at once.
+    """Monte-Carlo effective-gain moments for every UE at once, on serving supports.
 
-    mean_gain[k, l]      = E[v_{l,k}^H h_{l,k}]
-    second_moment[k, i]  = E[g_{ki} g_{ki}^H]  (L x L, rows/cols zero off-support)
-    noise_diag[k, l]     = sigma2 * E[||v_{l,k}||^2]
-    share[k, i]          = True when UEs k and i share at least one serving O-RU
+    With S_k the ascending serving O-RUs of UE k (s_k of them) and g_ki[l] =
+    v_{l,k}^H h_{l,i}:
+
+    mean_gain[k, l]                  = E[g_kk[l]], zero for l outside S_k
+    second_moment[k, i, :s_k, :s_k]  = E[g_ki g_ki^H] restricted to S_k x S_k;
+                                       the padding up to S_max is zero
+    noise_diag[k, l]                 = sigma2 * E[||v_{l,k}||^2]
+    share[k, i]                      = True when UEs k and i share at least one serving O-RU
+
+    Off the support every moment is exactly zero, so the padded layout loses
+    nothing; it takes K^2 S_max^2 complex entries instead of K^2 L^2.
     """
 
     mean_gain: np.ndarray  # (K, L) complex
-    second_moment: np.ndarray  # (K, K, L, L) complex
+    second_moment: np.ndarray  # (K, K, S_max, S_max) complex
     noise_diag: np.ndarray  # (K, L) real
     share: np.ndarray  # (K, K) bool
     serving: np.ndarray  # (L, K) bool
@@ -74,6 +84,7 @@ def simulate_gain_moments(
     Each draw regenerates the full estimation chain: true channels from the
     current covariances, decorrelated pilot observations (shared noise per pilot
     slot), MMSE estimates, and per-O-RU local combiners over the served sets.
+    The effective gains of one UE are formed on its serving support at a time.
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
@@ -83,16 +94,25 @@ def simulate_gain_moments(
 
     filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
-    y = pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng)
-    h_hat = pilots_mod.apply_filters(filters, y)
-
+    h_hat = pilots_mod.apply_filters(filters, pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng))
     combiners = local_mmse_combiners(serving, h_hat, error_covs, powers, sigma2_mw)
+    del h_hat  # the gains need only the true channels and the combiners; free the draw-sized array
 
-    g = np.einsum("dlkn,dlin->dlki", combiners.conj(), h)  # g[d, l, k, i]
-    mean_gain = np.einsum("dlkk->kl", g) / n_mc
-    second_moment = np.einsum("dlki,dmki->kilm", g, g.conj()) / n_mc
+    supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
+    s_max = max(support.size for support in supports)
+    mean_gain = np.zeros((k_num, l_num), dtype=complex)
+    mean_abs2 = np.zeros((k_num, l_num))
+    second_moment = np.zeros((k_num, k_num, s_max, s_max), dtype=complex)
+    for k, support in enumerate(supports):
+        s = support.size
+        # g_k[d, l, i] = v_{l,k}^H h_{l,i} over k's serving O-RUs l.
+        g_k = (h[:, support] @ combiners[:, support, k, :, None].conj())[..., 0]
+        gain = g_k[:, :, k]
+        mean_gain[k, support] = gain.sum(axis=0) / n_mc
+        mean_abs2[k, support] = (gain.real**2 + gain.imag**2).sum(axis=0) / n_mc
+        a = g_k.transpose(2, 1, 0)  # (K, s, d)
+        second_moment[k, :, :s, :s] = a @ a.conj().swapaxes(-1, -2) / n_mc
     noise_diag = sigma2_mw * np.einsum("dlkn,dlkn->kl", combiners, combiners.conj()).real / n_mc
-    mean_abs2 = np.einsum("dlkk,dlkk->kl", g, g.conj()).real / n_mc
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
     return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc, mean_abs2)
 
@@ -104,9 +124,9 @@ class EffectiveGainStats:
     ue: int
     support: np.ndarray  # serving O-RU indices, ascending
     mean_gain: np.ndarray  # (L,) complex, E[g_kk]
-    second_moments: dict  # interferer UE -> (L, L) E[g_ki g_ki^H]
+    second_moments: np.ndarray  # (I, s, s) E[g_ki g_ki^H] on the support, row j for interferers[j]
     noise_diag: np.ndarray  # (L,) real, diagonal of F_k
-    interferers: np.ndarray  # UE indices sharing a serving O-RU (self included)
+    interferers: np.ndarray  # (I,) UE indices sharing a serving O-RU (self included)
 
 
 def stats_for_ue(
@@ -124,7 +144,8 @@ def stats_for_ue(
         interferers = np.arange(moments.share.shape[0])
     else:
         interferers = np.flatnonzero(moments.share[k])
-    second = {int(i): moments.second_moment[k, i] for i in interferers}
+    s = support.size
+    second = moments.second_moment[k, interferers, :s, :s]
     if warn_rel_se:
         mean = moments.mean_gain[k, support]
         var = np.maximum(moments.mean_abs2[k, support] - np.abs(mean) ** 2, 0.0)
@@ -147,10 +168,8 @@ def stats_for_ue(
 
 def _denominator(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray:
     """F_k + sum_{i in interferers} p_i E[g_ki g_ki^H], restricted to the serving support."""
-    idx = np.ix_(stats.support, stats.support)
-    denom = np.diag(stats.noise_diag[stats.support]).astype(complex)
-    for i, moment in stats.second_moments.items():
-        denom = denom + powers_mw[i] * moment[idx]
+    denom = np.tensordot(powers_mw[stats.interferers], stats.second_moments, 1)
+    denom[np.diag_indices(stats.support.size)] += stats.noise_diag[stats.support]
     return denom
 
 

@@ -67,6 +67,12 @@ class SimConfig:
 
     def resolve(self) -> "SimConfig":
         """Validate and normalize; clamps the measurement size to the O-RU count."""
+        for key, (section, attr, parser) in _FIELDS.items():
+            if parser in (float, _parse_speeds):
+                value = _field_value(self, section, attr)
+                values = value if parser is _parse_speeds else (value,)
+                if not all(math.isfinite(v) for v in values):
+                    raise ConfigurationError(f"{key} must be finite, got {value!r}")
         cfg = replace(
             self,
             handover=replace(
@@ -150,6 +156,10 @@ _FIELDS = {
 }
 
 
+def _field_value(config: SimConfig, section, attr: str):
+    return getattr(config if section is None else getattr(config, section), attr)
+
+
 def apply_setting(config: SimConfig, key: str, raw_value: str) -> SimConfig:
     """Set one flat key on a copy of ``config``; unknown keys are rejected."""
     if key not in _FIELDS:
@@ -195,7 +205,7 @@ def to_text(config: SimConfig) -> str:
     """Render the resolved configuration in the flat file format."""
     lines = []
     for key, (section, attr, _) in _FIELDS.items():
-        value = getattr(config if section is None else getattr(config, section), attr)
+        value = _field_value(config, section, attr)
         if key == "speeds_kmh":
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")

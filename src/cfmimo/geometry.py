@@ -33,8 +33,8 @@ class DeploymentConfig:
     num_ues: int
 
     def validate(self) -> None:
-        if self.grid_side_m <= 0:
-            raise ConfigurationError("grid_side_m must be > 0")
+        if not (math.isfinite(self.grid_side_m) and self.grid_side_m > 0):
+            raise ConfigurationError(f"grid_side_m must be finite and > 0, got {self.grid_side_m!r}")
         for name in ("num_orus", "num_odus", "antennas_per_oru", "num_ues"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")

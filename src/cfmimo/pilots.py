@@ -62,7 +62,7 @@ def observe_pilots(
     scale = np.sqrt(pilots.tau_p * pilots.power_mw)  # (K,)
     onehot = np.zeros((k, slots.size))
     onehot[np.arange(k), slot_of_ue] = 1.0
-    superposed = np.einsum("...lkn,k,ku->...lun", channels, scale, onehot)
+    superposed = (onehot.T * scale) @ channels  # (..., L, slots, N)
     noise_shape = channels.shape[:-2] + (slots.size, channels.shape[-1])
     noise = np.sqrt(sigma2_mw / 2.0) * (rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape))
     return (superposed + noise)[..., slot_of_ue, :]
@@ -95,4 +95,4 @@ def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):
 
 def apply_filters(filters: np.ndarray, observations: np.ndarray) -> np.ndarray:
     """Batched h_hat = W y over leading draw axes: (L,K,N,N) x (...,L,K,N)."""
-    return np.einsum("lkmn,dlkn->dlkm", filters, observations)
+    return (filters @ observations[..., None])[..., 0]

@@ -107,7 +107,7 @@ def _lsfd_optimal():
         powers = np.full(n_ue, 0.5)
         k = 0
         mean = g[:, :, k, k].mean(axis=0)
-        second = {i: np.einsum("dl,dm->lm", g[:, :, k, i], g[:, :, k, i].conj()) / 60 for i in range(n_ue)}
+        second = np.einsum("dli,dmi->ilm", g[:, :, k], g[:, :, k].conj()) / 60
         stats = EffectiveGainStats(
             ue=k,
             support=np.arange(n_oru),

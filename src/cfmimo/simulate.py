@@ -15,6 +15,7 @@ bit-reproducible regardless of execution order or parallelism.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -91,8 +92,8 @@ def resolve_cell(config: SimConfig, strategy=None, threshold_db=None, speed_kmh=
     if strategy not in clustering.STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}; expected one of {clustering.STRATEGIES}")
     speed = float(config.speeds_kmh[0] if speed_kmh is None else speed_kmh)
-    if not speed >= 0:
-        raise ConfigurationError(f"speed must be >= 0 km/h, got {speed:g}")
+    if not 0 <= speed < math.inf:
+        raise ConfigurationError(f"speed must be finite and >= 0 km/h, got {speed:g}")
     key = "cellular_hysteresis_db" if strategy == clustering.CELLULAR else "threshold_db"
     if strategy == clustering.UBIQUITOUS:
         threshold = 0.0

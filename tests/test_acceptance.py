@@ -251,7 +251,7 @@ def _moment_instance(rng, n_oru, n_ue, support):
         ue=0,
         support=np.asarray(support),
         mean_gain=g[:, :, 0].mean(axis=0),
-        second_moments={i: np.einsum("dl,dm->lm", g[:, :, i], g[:, :, i].conj()) / draws for i in range(n_ue)},
+        second_moments=np.einsum("dli,dmi->ilm", g[:, support], g[:, support].conj()) / draws,
         noise_diag=np.where(mask, rng.uniform(0.05, 0.4, size=n_oru), 0.0),
         interferers=np.arange(n_ue),
     )
@@ -279,10 +279,9 @@ def test_criterion_6_lsfd_optimality_and_scale_invariance():
         eps = 10 ** rng.uniform(-2, 0, size=(1000, 1))
         candidates = np.zeros((1000, len(best)), dtype=complex)
         candidates[:, support] = best[support] + eps * scale * noise
-        idx = np.ix_(stats.support, stats.support)
         denom = np.diag(stats.noise_diag[stats.support]).astype(complex)
-        for i, moment in stats.second_moments.items():
-            denom = denom + powers[i] * moment[idx]
+        for i, moment in zip(stats.interferers, stats.second_moments):
+            denom = denom + powers[i] * moment
         mean = stats.mean_gain[stats.support]
         denom = denom - powers[0] * np.outer(mean, mean.conj())
         a_sub = candidates[:, stats.support]

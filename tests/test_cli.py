@@ -90,12 +90,27 @@ class TestRun:
             (["--speed-kmh", "-30"], "-30"),
             (["--strategy", "mesh"], "mesh"),
             (["--strategy", "cellular", "--threshold-db", "-3"], "-3"),
+            (["--speed-kmh", "inf"], "inf"),
         ],
     )
     def test_bad_cell_exits_2(self, tmp_path, capsys, cell, named):
         args = ["run", *TINY, "--setups", "1", *cell, "--out", str(tmp_path / "se.csv")]
         assert cli.main(args) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "sigma_sf_db=nan", "min_distance_m=nan", "angle_spread_deg=nan", "power_mw=nan",
+            "sample_time_s=nan", "grid_side_m=nan", "sim_time_s=inf", "threshold_db=-inf", "speeds_kmh=3,nan",
+        ],
+    )
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, setting):
+        args = ["run", *TINY, "--setups", "1", "--set", setting, "--out", str(tmp_path / "se.csv")]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{setting.partition('=')[0]} must be finite" in err
+        assert not (tmp_path / "se.csv").exists()
 
     def test_setup_failure_exits_3(self, tmp_path, capsys):
         # Far-spaced antennas under a wide spread defeat the t=0 quadrature check.

@@ -1,9 +1,17 @@
 """Local combiners, effective-gain statistics, second-stage weights, SINR."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cfmimo.channel import ChannelStatistics, covariance_factor, linear_to_db, one_ring_covariance
+from cfmimo.channel import (
+    ChannelStatistics,
+    covariance_factor,
+    linear_to_db,
+    one_ring_covariance,
+    sample_channels,
+)
 from cfmimo.combining import (
     EffectiveGainStats,
     local_mmse_combiners,
@@ -13,7 +21,8 @@ from cfmimo.combining import (
     uplink_sinr,
 )
 from cfmimo.errors import NumericalError
-from cfmimo.pilots import PilotConfig
+from cfmimo.pilots import PilotConfig, apply_filters, mmse_filters, observe_pilots
+from oracles import full_gain_moments
 
 
 def make_stats(covs: np.ndarray) -> ChannelStatistics:
@@ -98,7 +107,7 @@ class TestEffectiveGainStats:
         serving = np.array([[True, False], [False, True]])
         cfg = PilotConfig.uniform(2, 4, 1.0)
         stats = stats_for_ue(simulate_gain_moments(serving, make_stats(covs), cfg, 0.3, 50, rng), 0)
-        assert 1 not in stats.second_moments
+        assert stats.second_moments.shape == (1, 1, 1)
         assert np.array_equal(stats.interferers, [0])
         assert np.array_equal(stats.support, [0])
 
@@ -111,8 +120,9 @@ class TestEffectiveGainStats:
         assert np.array_equal(stats.support, [0, 2])
         assert stats.mean_gain[1] == 0
         assert stats.noise_diag[1] == 0
-        for moment in stats.second_moments.values():
-            assert np.all(moment[1, :] == 0) and np.all(moment[:, 1] == 0)
+        # Moments are stored on the support only: one 2 x 2 block per interferer.
+        assert moments.second_moment.shape == (2, 2, 2, 2)
+        assert stats.second_moments.shape == (2, 2, 2)
 
     def test_doubling_n_mc_halves_variance(self):
         rng = np.random.default_rng(4)
@@ -142,6 +152,86 @@ class TestEffectiveGainStats:
             stats_for_ue(moments, 0, warn_rel_se=True)
 
 
+def assert_close(actual, expected, rel=1e-12):
+    """Entries agree to ``rel`` times the largest magnitude of ``expected``."""
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=rel * np.abs(expected).max(initial=0.0))
+
+
+class TestSupportMoments:
+    """The support-restricted moments against the full (K, K, L, L) tensor oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_full_tensor_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        l_num, k_num, n_mc, sigma2 = 6, 5, 30, 0.2
+        stats = make_stats(ring_stack(rng, l_num, k_num, 2))
+        # Unequal serving sizes in random order; one UE is not served at all.
+        serving = np.zeros((l_num, k_num), dtype=bool)
+        for k, size in enumerate(rng.permutation([0, 1, 2, 3, 6])):
+            serving[rng.choice(l_num, size, replace=False), k] = True
+        pilots = PilotConfig(2, np.arange(k_num) % 2, rng.uniform(0.5, 2.0, size=k_num))  # tau_p < K
+        moments = simulate_gain_moments(serving, stats, pilots, sigma2, n_mc, np.random.default_rng(seed + 10))
+
+        # Replay the same draws through the estimation chain, then form every gain.
+        replay = np.random.default_rng(seed + 10)
+        filters, error_covs = mmse_filters(stats.covariance, pilots, sigma2)
+        h = sample_channels(stats.factor, n_mc, replay)
+        h_hat = apply_filters(filters, observe_pilots(h, pilots, sigma2, replay))
+        combiners = local_mmse_combiners(serving, h_hat, error_covs, pilots.power_mw, sigma2)
+        mean_gain, second_moment, mean_abs2, combiner_power = full_gain_moments(combiners, h)
+
+        assert_close(moments.mean_gain, mean_gain)
+        assert_close(moments.mean_abs2, mean_abs2)
+        assert_close(moments.noise_diag, sigma2 * combiner_power)
+        assert moments.second_moment.shape == (k_num, k_num, 6, 6)
+        for k in range(k_num):
+            support = np.flatnonzero(serving[:, k])
+            s = support.size
+            for i in range(k_num):
+                full = second_moment[k, i]
+                block = moments.second_moment[k, i]
+                assert_close(block[:s, :s], full[np.ix_(support, support)])
+                assert not np.any(block[s:]) and not np.any(block[:, s:])
+                # The support blocks lose nothing: the full block is zero elsewhere.
+                off_support = full.copy()
+                off_support[np.ix_(support, support)] = 0
+                assert not np.any(off_support)
+            if s == 0:
+                assert not np.any(lsfd_weights(stats_for_ue(moments, k), pilots.power_mw))
+                continue
+            # Second-stage weights from the full blocks, as a dense solve on the support.
+            sharers = np.flatnonzero(moments.share[k])
+            denom = np.diag(sigma2 * combiner_power[k, support]).astype(complex)
+            for i in sharers:
+                denom = denom + pilots.power_mw[i] * second_moment[k, i][np.ix_(support, support)]
+            expected = pilots.power_mw[k] * np.linalg.solve(denom, mean_gain[k, support])
+            weights = lsfd_weights(stats_for_ue(moments, k), pilots.power_mw)
+            assert_close(weights[support], expected, rel=1e-10)
+
+    def test_peak_memory_below_full_gain_array(self):
+        # Reference-scale shapes with a short Monte Carlo: K=40, L=36, n_mc=20.
+        rng = np.random.default_rng(12)
+        l_num, k_num, n_ant, n_mc = 36, 40, 4, 20
+        beta = rng.uniform(0.2, 2.0, size=(l_num, k_num))
+        aoa = rng.uniform(-np.pi, np.pi, size=beta.shape)
+        stats = make_stats(one_ring_covariance(beta, aoa, np.deg2rad(10.0), n_ant, 0.5))
+        serving = np.zeros((l_num, k_num), dtype=bool)
+        for k in range(k_num):
+            serving[rng.choice(l_num, 16, replace=False), k] = True
+        pilots = PilotConfig.uniform(k_num, 100, 1.0)
+        full_gain_bytes = n_mc * l_num * k_num**2 * np.dtype(complex).itemsize  # g[d, l, k, i]: 18.4 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            moments = simulate_gain_moments(serving, stats, pilots, 0.2, n_mc, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert moments.second_moment.shape == (k_num, k_num, 16, 16)
+        assert peak < full_gain_bytes, f"peak {peak / 1e6:.1f} MB >= {full_gain_bytes / 1e6:.1f} MB"
+
+
 def random_instance(rng, n_oru=3, n_ue=3, n_draws=60, support=None):
     """Moment-consistent statistics instance built from raw complex gain draws."""
     g = rng.standard_normal((n_draws, n_oru, n_ue)) + 1j * rng.standard_normal((n_draws, n_oru, n_ue))
@@ -151,7 +241,8 @@ def random_instance(rng, n_oru=3, n_ue=3, n_draws=60, support=None):
     mask[support] = True
     g[:, ~mask, :] = 0.0
     mean = g[:, :, 0].mean(axis=0)
-    second = {i: np.einsum("dl,dm->lm", g[:, :, i], g[:, :, i].conj()) / n_draws for i in range(n_ue)}
+    g_support = g[:, support]
+    second = np.einsum("dli,dmi->ilm", g_support, g_support.conj()) / n_draws
     noise = np.where(mask, rng.uniform(0.05, 0.3, size=n_oru), 0.0)
     return EffectiveGainStats(
         ue=0, support=np.asarray(support), mean_gain=mean, second_moments=second,
@@ -172,7 +263,7 @@ class TestLsfdWeights:
 
     def test_symmetric_two_oru_equal_weights(self):
         mean = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-        second = {0: np.array([[2.0, 0.5], [0.5, 2.0]], dtype=complex)}
+        second = np.array([[[2.0, 0.5], [0.5, 2.0]]], dtype=complex)
         stats = EffectiveGainStats(
             ue=0, support=np.array([0, 1]), mean_gain=mean, second_moments=second,
             noise_diag=np.array([0.3, 0.3]), interferers=np.array([0]),
@@ -187,7 +278,7 @@ class TestLsfdWeights:
             powers = rng.uniform(0.5, 2.0, size=3)
             a = lsfd_weights(stats, powers)
             denom = np.diag(stats.noise_diag).astype(complex)
-            for i, moment in stats.second_moments.items():
+            for i, moment in zip(stats.interferers, stats.second_moments):
                 denom = denom + powers[i] * moment
             oracle = powers[0] * np.linalg.pinv(denom) @ stats.mean_gain
             assert np.allclose(a, oracle, rtol=1e-8, atol=1e-10)
@@ -202,7 +293,7 @@ class TestLsfdWeights:
     def test_singular_support_raises(self):
         stats = EffectiveGainStats(
             ue=0, support=np.array([0, 1]), mean_gain=np.ones(2, dtype=complex),
-            second_moments={0: np.zeros((2, 2), dtype=complex)},
+            second_moments=np.zeros((1, 2, 2), dtype=complex),
             noise_diag=np.zeros(2), interferers=np.array([0]),
         )
         with pytest.raises(NumericalError, match="support"):
@@ -213,7 +304,7 @@ class TestUplinkSinr:
     def _scalar_stats(self, second_moment):
         return EffectiveGainStats(
             ue=0, support=np.array([0]), mean_gain=np.array([1.0 + 0.0j]),
-            second_moments={0: np.array([[second_moment]], dtype=complex)},
+            second_moments=np.array([[[second_moment]]], dtype=complex),
             noise_diag=np.array([0.0]), interferers=np.array([0]),
         )
 
