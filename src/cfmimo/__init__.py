@@ -29,14 +29,10 @@ from .clustering import (
     HandoverConfig,
     HandoverEvent,
     NeighborTable,
-    baseline_assign,
     cellular_handover_step,
-    fixed_cluster,
     fixed_handover_step,
     initial_clusters,
-    opportunistic_init,
     opportunistic_track,
-    select_primary,
 )
 from .combining import (
     EffectiveGainStats,

@@ -13,6 +13,10 @@ Four strategies share one state representation:
 * ``cellular``: all O-RUs of a single O-DU serve the UE (lower baseline) with a
   classical strongest-neighbor-plus-hysteresis handover between O-DUs.
 
+``initial_clusters`` forms the t=0 state and ``strategy_step`` advances it; both
+call the strategy's one cluster builder (``_form_fixed``, ``_track`` plus
+``_reload_oru``, ``_serve_odu``). Every strongest-first choice uses ``_ranked``.
+
 Gains enter in dB wherever a hysteresis margin applies and linearly wherever
 powers are summed. Downlink gain measurements are modeled as error-free
 knowledge of the uplink large-scale gain (reciprocity).
@@ -60,8 +64,9 @@ class HandoverConfig:
     def validate(self, num_orus: int) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.threshold_db < 0 or self.cellular_hysteresis_db < 0:
-            raise ConfigurationError("hysteresis thresholds must be >= 0 dB")
+        if not (self.threshold_db >= 0 and self.cellular_hysteresis_db >= 0):
+            got = f"{self.threshold_db:g} and {self.cellular_hysteresis_db:g}"
+            raise ConfigurationError(f"threshold_db and cellular_hysteresis_db must be >= 0 dB, got {got}")
         if not (1 <= self.serving_size <= self.measurement_size <= num_orus):
             raise ConfigurationError(
                 "need 1 <= serving_size <= measurement_size <= num_orus "
@@ -94,10 +99,7 @@ class NeighborTable:
         dist = geometry.wrap_distance_matrix(
             topology.oru_positions, topology.oru_positions, topology.grid_side_m
         )
-        l_num = topology.num_orus
-        self.order = np.stack(
-            [np.lexsort((np.arange(l_num), dist[l])) for l in range(l_num)]
-        )
+        self.order = np.argsort(dist, axis=1, kind="stable")
 
     def measurement_set(self, primary: int, size: int) -> np.ndarray:
         return self.order[primary, :size]
@@ -161,55 +163,10 @@ class ClusterState:
                 raise AssertionError("more primary UEs than antennas on an O-RU")
 
 
-def select_primary(gains_k: np.ndarray) -> int:
-    """Strongest O-RU for one UE (first index wins on ties)."""
-    if len(gains_k) == 0:
-        raise ConfigurationError("need at least one O-RU")
-    return int(np.argmax(gains_k))
-
-
-def fixed_cluster(beta_lin_k: np.ndarray, measurement_idx: np.ndarray, serving_size: int):
-    """Strongest ``serving_size`` O-RUs of the measurement cluster, by gain.
-
-    Returns (serving indices ascending, reference power = linear gain sum).
-    Ties resolve to the lowest O-RU index.
-    """
-    if serving_size > measurement_idx.size:
-        raise ConfigurationError("serving_size exceeds the measurement cluster")
-    members = np.sort(measurement_idx)
-    ranked = members[np.argsort(-beta_lin_k[members], kind="stable")]
-    chosen = np.sort(ranked[:serving_size])
-    return chosen, float(beta_lin_k[chosen].sum())
-
-
-def _top_candidates(beta_l: np.ndarray, candidates: np.ndarray, count: int) -> np.ndarray:
-    """Strongest ``count`` candidate UEs for one O-RU, ties by UE index."""
-    if count <= 0 or candidates.size == 0:
-        return candidates[:0]
-    ranked = candidates[np.argsort(-beta_l[candidates], kind="stable")]
-    return ranked[:count]
-
-
-def _measurement_mask(primaries: np.ndarray, neighbors: NeighborTable, size: int) -> np.ndarray:
-    l_num = neighbors.order.shape[0]
-    mask = np.zeros((l_num, primaries.size), dtype=bool)
-    for k, p in enumerate(primaries):
-        mask[neighbors.measurement_set(int(p), size), k] = True
-    return mask
-
-
-def _fixed_state_for_ue(state: ClusterState, k: int, beta_lin: np.ndarray, neighbors: NeighborTable, cfg: HandoverConfig) -> None:
-    """(Re)build UE k's fixed-strategy clusters in place: primary by argmax,
-    measurement cluster around it, serving cluster by gain, reference power."""
-    primary = select_primary(beta_lin[:, k])
-    meas = neighbors.measurement_set(primary, cfg.measurement_size)
-    serving, ref_power = fixed_cluster(beta_lin[:, k], meas, cfg.serving_size)
-    state.primary[k] = primary
-    state.measurement[:, k] = False
-    state.measurement[meas, k] = True
-    state.serving[:, k] = False
-    state.serving[serving, k] = True
-    state.reference_power[k] = ref_power
+def _ranked(gains: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Ascending ``candidates`` ordered strongest first by ``gains``; the stable
+    sort leaves equal gains in ascending index order."""
+    return candidates[np.argsort(-gains[candidates], kind="stable")]
 
 
 def initial_clusters(
@@ -220,112 +177,82 @@ def initial_clusters(
     neighbors: NeighborTable | None = None,
 ) -> ClusterState:
     """Form the t=0 cluster state for the configured strategy."""
-    if cfg.strategy in (UBIQUITOUS, CELLULAR):
-        return baseline_assign(cfg.strategy, beta_lin, topology)
-    if neighbors is None:
-        neighbors = NeighborTable(topology)
     cfg.validate(topology.num_orus)
     l_num, k_num = beta_lin.shape
-    if cfg.strategy == FIXED:
-        state = ClusterState(
-            FIXED,
-            primary=np.zeros(k_num, dtype=int),
-            measurement=np.zeros((l_num, k_num), dtype=bool),
-            serving=np.zeros((l_num, k_num), dtype=bool),
-            reference_power=np.full(k_num, np.nan),
-        )
-        for k in range(k_num):
-            _fixed_state_for_ue(state, k, beta_lin, neighbors, cfg)
-        return state
-    return opportunistic_init(beta_lin, topology, n_antennas, cfg, neighbors)
-
-
-def opportunistic_init(
-    beta_lin: np.ndarray,
-    topology: geometry.Topology,
-    n_antennas: int,
-    cfg: HandoverConfig,
-    neighbors: NeighborTable | None = None,
-) -> ClusterState:
-    """Initial autonomous cluster formation.
-
-    Every UE first claims its strongest O-RU as primary; when an O-RU already
-    holds ``n_antennas`` primary UEs, later UEs (ascending index) fall through to
-    their next-strongest O-RU with spare primary capacity. Each O-RU then fills
-    its remaining capacity with the strongest non-primary UEs whose measurement
-    cluster contains it.
-    """
-    if neighbors is None:
-        neighbors = NeighborTable(topology)
-    l_num, k_num = beta_lin.shape
-    if k_num > l_num * n_antennas:
-        raise ConfigurationError(
-            f"{k_num} UEs cannot all obtain a primary O-RU: capacity is {l_num * n_antennas}"
-        )
-    primary = np.zeros(k_num, dtype=int)
-    counts = np.zeros(l_num, dtype=int)
-    for k in range(k_num):
-        ranked = np.argsort(-beta_lin[:, k], kind="stable")
-        chosen = next(int(l) for l in ranked if counts[l] < n_antennas)
-        primary[k] = chosen
-        counts[chosen] += 1
-    measurement = _measurement_mask(primary, neighbors, cfg.measurement_size)
-    serving = np.zeros((l_num, k_num), dtype=bool)
-    serving[primary, np.arange(k_num)] = True
-    for l in range(l_num):
-        _reload_oru(serving, l, beta_lin, measurement, primary, n_antennas)
-    return ClusterState(
-        OPPORTUNISTIC,
-        primary=primary,
-        measurement=measurement,
-        serving=serving,
+    everywhere = np.ones((l_num, k_num), dtype=bool)
+    state = ClusterState(
+        cfg.strategy,
+        primary=np.argmax(beta_lin, axis=0),
+        measurement=everywhere,
+        serving=everywhere.copy(),
         reference_power=np.full(k_num, np.nan),
     )
+    ues = np.arange(k_num)
+    if cfg.strategy == UBIQUITOUS:
+        return state
+    if cfg.strategy == CELLULAR:
+        state.serving_odu = np.zeros(k_num, dtype=int)
+        _serve_odu(state, ues, state.primary, topology.odu_of_oru)
+        return state
+    neighbors = NeighborTable(topology) if neighbors is None else neighbors
+    if cfg.strategy == FIXED:
+        _form_fixed(state, ues, beta_lin, neighbors, cfg)
+        return state
+    # Opportunistic: each UE in turn claims its strongest O-RU with spare primary
+    # capacity; every O-RU then fills its remaining capacity.
+    if k_num > l_num * n_antennas:
+        raise ConfigurationError(f"{k_num} UEs cannot all obtain a primary O-RU: capacity is {l_num * n_antennas}")
+    counts = np.zeros(l_num, dtype=int)
+    for k in ues:
+        ranked = _ranked(beta_lin[:, k], np.arange(l_num))
+        _track(state, k, ranked[counts[ranked] < n_antennas][0], neighbors, cfg)
+        counts[state.primary[k]] += 1
+    for l in range(l_num):
+        _reload_oru(state, l, beta_lin, n_antennas)
+    return state
 
 
-def _reload_oru(
-    serving: np.ndarray,
-    l: int,
-    beta: np.ndarray,
-    measurement: np.ndarray,
-    primary: np.ndarray,
-    n_antennas: int,
-) -> None:
+def _form_fixed(state: ClusterState, ues: np.ndarray, beta_lin: np.ndarray, neighbors: NeighborTable, cfg: HandoverConfig) -> None:
+    """(Re)build the fixed clusters of ``ues`` in place: strongest O-RU as primary,
+    its nearest neighbors as measurement cluster, their strongest ``serving_size``
+    as serving cluster, whose gain sum (ascending O-RU order) is the reference."""
+    primaries = np.argmax(beta_lin[:, ues], axis=0)
+    members = np.sort(neighbors.order[primaries, : cfg.measurement_size], axis=1)
+    state.primary[ues] = primaries
+    state.measurement[:, ues] = False
+    state.measurement[members, ues[:, None]] = True
+    state.serving[:, ues] = False
+    for k, members_k in zip(ues, members):
+        chosen = np.sort(_ranked(beta_lin[:, k], members_k)[: cfg.serving_size])
+        state.serving[chosen, k] = True
+        state.reference_power[k] = beta_lin[chosen, k].sum()
+
+
+def _track(state: ClusterState, k: int, primary: int, neighbors: NeighborTable, cfg: HandoverConfig) -> None:
+    """Make ``primary`` UE k's primary O-RU and its neighbors the UE's
+    measurement cluster (opportunistic strategy)."""
+    state.primary[k] = primary
+    state.measurement[:, k] = False
+    state.measurement[neighbors.measurement_set(primary, cfg.measurement_size), k] = True
+
+
+def _reload_oru(state: ClusterState, l: int, gains: np.ndarray, n_antennas: int) -> None:
     """Reset O-RU l's served set to its primary UEs plus the strongest
     non-primary candidates tracking it, up to the capacity limit."""
-    own_primaries = np.flatnonzero(primary == l)
-    spare = n_antennas - own_primaries.size
-    candidates = np.flatnonzero(measurement[l] & (primary != l))
-    picked = _top_candidates(beta[l], candidates, spare)
-    serving[l, :] = False
-    serving[l, own_primaries] = True
-    serving[l, picked] = True
+    own = state.primary == l
+    candidates = np.flatnonzero(state.measurement[l] & ~own)
+    state.serving[l] = own
+    state.serving[l, _ranked(gains[l], candidates)[: n_antennas - own.sum()]] = True
 
 
-def baseline_assign(strategy: str, beta_lin: np.ndarray, topology: geometry.Topology) -> ClusterState:
-    """All-serve (ubiquitous) or single-O-DU (cellular) assignment."""
-    l_num, k_num = beta_lin.shape
-    if strategy == UBIQUITOUS:
-        return ClusterState(
-            UBIQUITOUS,
-            primary=np.argmax(beta_lin, axis=0),
-            measurement=np.ones((l_num, k_num), dtype=bool),
-            serving=np.ones((l_num, k_num), dtype=bool),
-            reference_power=np.full(k_num, np.nan),
-        )
-    if strategy != CELLULAR:
-        raise ConfigurationError(f"baseline strategy must be ubiquitous or cellular, got {strategy!r}")
-    best_oru = np.argmax(beta_lin, axis=0)
-    serving_odu = topology.odu_of_oru[best_oru]
-    serving = topology.odu_of_oru[:, None] == serving_odu[None, :]
-    return ClusterState(
-        CELLULAR,
-        primary=best_oru.astype(int),
-        measurement=serving.copy(),
-        serving=serving,
-        reference_power=np.full(k_num, np.nan),
-        serving_odu=serving_odu.astype(int),
-    )
+def _serve_odu(state: ClusterState, ues: np.ndarray, best_oru: np.ndarray, odu_of_oru: np.ndarray) -> None:
+    """Serve (and measure) ``ues`` by every O-RU of the O-DU hosting their
+    ``best_oru``, which becomes their primary (cellular strategy)."""
+    state.primary[ues] = best_oru
+    state.serving_odu[ues] = odu_of_oru[best_oru]
+    member = odu_of_oru[:, None] == state.serving_odu[ues][None, :]
+    state.serving[:, ues] = member
+    state.measurement[:, ues] = member
 
 
 def fixed_handover_step(
@@ -342,15 +269,16 @@ def fixed_handover_step(
     measurement and serving clusters and resets the reference power.
     """
     state = state.copy()
-    events: list[HandoverEvent] = []
     current = np.einsum("lk,lk->k", state.serving, beta_lin)
-    triggered = current < state.reference_power * 10.0 ** (-cfg.threshold_db / 10.0)
-    for k in np.flatnonzero(triggered):
-        old_primary = int(state.primary[k])
-        _fixed_state_for_ue(state, int(k), beta_lin, neighbors, cfg)
-        events.append(HandoverEvent(t, int(k), FIXED_RECLUSTER, old_primary, int(state.primary[k])))
-        if state.primary[k] != old_primary:
-            events.append(HandoverEvent(t, int(k), PRIMARY_CHANGE, old_primary, int(state.primary[k])))
+    triggered = np.flatnonzero(current < state.reference_power * 10.0 ** (-cfg.threshold_db / 10.0))
+    old_primaries = state.primary[triggered]
+    _form_fixed(state, triggered, beta_lin, neighbors, cfg)
+    events: list[HandoverEvent] = []
+    for k, old in zip(triggered.tolist(), old_primaries.tolist()):
+        new = int(state.primary[k])
+        events.append(HandoverEvent(t, k, FIXED_RECLUSTER, old, new))
+        if new != old:
+            events.append(HandoverEvent(t, k, PRIMARY_CHANGE, old, new))
     return state, events
 
 
@@ -378,39 +306,26 @@ def opportunistic_track(
     for k in range(state.num_ues):
         members = np.flatnonzero(state.measurement[:, k])
         current = int(state.primary[k])
-        gains = beta_db[members, k]
-        best = members[np.argmax(gains)]
-        if best == current or beta_db[best, k] <= beta_db[current, k] + threshold:
-            continue
-        ranked = members[np.argsort(-gains, kind="stable")]
-        target = -1
-        for cand in ranked:
-            if cand == current or beta_db[cand, k] <= beta_db[current, k] + threshold:
-                continue
-            if counts[cand] < n_antennas:
-                target = int(cand)
-                break
-        if target < 0:
-            continue  # every sufficiently stronger O-RU is full of primary UEs
+        stronger = _ranked(beta_db[:, k], members[beta_db[members, k] > beta_db[current, k] + threshold])
+        free = stronger[counts[stronger] < n_antennas]
+        if free.size == 0:
+            continue  # no O-RU beats the primary, or every one that does is full
+        target = int(free[0])
         counts[current] -= 1
         counts[target] += 1
-        state.primary[k] = target
-        new_meas = neighbors.measurement_set(target, cfg.measurement_size)
-        state.measurement[:, k] = False
-        state.measurement[new_meas, k] = True
+        _track(state, k, target, neighbors, cfg)
         # O-RUs no longer tracking the UE stop serving it immediately.
         state.serving[~state.measurement[:, k], k] = False
-        _reload_oru(state.serving, current, beta_db, state.measurement, state.primary, n_antennas)
-        _reload_oru(state.serving, target, beta_db, state.measurement, state.primary, n_antennas)
+        _reload_oru(state, current, beta_db, n_antennas)
+        _reload_oru(state, target, beta_db, n_antennas)
         events.append(HandoverEvent(t, k, PRIMARY_CHANGE, current, target))
-    for l in range(state.num_orus):
-        served = np.flatnonzero(state.serving[l])
-        candidates = np.flatnonzero(state.measurement[l] & ~state.serving[l])
-        if served.size == 0 or candidates.size == 0:
-            continue
-        if beta_db[l, candidates].max() > beta_db[l, served].min() + threshold:
-            _reload_oru(state.serving, l, beta_db, state.measurement, state.primary, n_antennas)
-            events.append(HandoverEvent(t, -1, OPPORTUNISTIC_RELOAD, l, l))
+    # A reload only rewrites its own O-RU's row, so every trigger can be read
+    # from the state after the handovers.
+    best_candidate = np.where(state.measurement & ~state.serving, beta_db, -np.inf).max(axis=1)
+    worst_served = np.where(state.serving, beta_db, np.inf).min(axis=1)
+    for l in np.flatnonzero(best_candidate > worst_served + threshold).tolist():
+        _reload_oru(state, l, beta_db, n_antennas)
+        events.append(HandoverEvent(t, -1, OPPORTUNISTIC_RELOAD, l, l))
     return state, events
 
 
@@ -418,22 +333,17 @@ def cellular_handover_step(state: ClusterState, beta_lin: np.ndarray, topology: 
     """Classical inter-O-DU handover: switch when the best outside O-RU beats the
     best in-O-DU O-RU by more than the hysteresis margin."""
     state = state.copy()
-    events: list[HandoverEvent] = []
-    margin = 10.0 ** (hysteresis_db / 10.0)
-    for k in range(state.num_ues):
-        inside = topology.odu_of_oru == state.serving_odu[k]
-        best_inside = beta_lin[inside, k].max()
-        outside_gains = np.where(inside, -np.inf, beta_lin[:, k])
-        best_outside_oru = int(np.argmax(outside_gains))
-        if beta_lin[best_outside_oru, k] > best_inside * margin:
-            old = int(state.serving_odu[k])
-            new = int(topology.odu_of_oru[best_outside_oru])
-            state.serving_odu[k] = new
-            member = topology.odu_of_oru == new
-            state.serving[:, k] = member
-            state.measurement[:, k] = member
-            state.primary[k] = best_outside_oru
-            events.append(HandoverEvent(t, k, CELLULAR_HANDOVER, old, new))
+    ues = np.arange(state.num_ues)
+    inside = topology.odu_of_oru[:, None] == state.serving_odu[None, :]
+    best_inside = np.where(inside, beta_lin, -np.inf).max(axis=0)
+    best_outside = np.argmax(np.where(inside, -np.inf, beta_lin), axis=0)
+    moved = np.flatnonzero(beta_lin[best_outside, ues] > best_inside * 10.0 ** (hysteresis_db / 10.0))
+    old_odus = state.serving_odu[moved]
+    _serve_odu(state, moved, best_outside[moved], topology.odu_of_oru)
+    events = [
+        HandoverEvent(t, k, CELLULAR_HANDOVER, old, new)
+        for k, old, new in zip(moved.tolist(), old_odus.tolist(), state.serving_odu[moved].tolist())
+    ]
     return state, events
 
 

@@ -84,7 +84,7 @@ class SimConfig:
         cfg.handover.validate(cfg.deployment.num_orus)
         cfg.frame.validate()
         if cfg.ts_s <= 0:
-            raise ConfigurationError("ts_s must be > 0")
+            raise ConfigurationError("sample_time_s must be > 0")
         if cfg.sim_time_s <= 0 or cfg.n_steps < 1:
             raise ConfigurationError("sim_time_s must cover at least one step")
         if not cfg.speeds_kmh or any(v < 0 for v in cfg.speeds_kmh):

@@ -136,7 +136,7 @@ def _cluster_fuzz():
         strategy="opportunistic", threshold_db=1.0, serving_size=3, measurement_size=5
     )
     beta_db = -70.0 - 30.0 * rng.random((8, 6))
-    state = clustering.opportunistic_init(10 ** (beta_db / 10.0), topology, 2, cfg, neighbors)
+    state = clustering.initial_clusters(10 ** (beta_db / 10.0), topology, cfg, 2, neighbors)
     state.validate(2)
     for t in range(1, 51):
         beta_db = beta_db + rng.normal(scale=2.0, size=beta_db.shape)
@@ -154,7 +154,8 @@ def _signaling():
     dep = geometry.DeploymentConfig(600.0, 8, 4, 4, 5)
     topology = geometry.generate_deployment(dep, rng)
     beta = rng.random((8, 5)) + 0.1
-    state = clustering.baseline_assign("ubiquitous", beta, topology)
+    ubiquitous = clustering.HandoverConfig(strategy="ubiquitous", serving_size=1, measurement_size=8)
+    state = clustering.initial_clusters(beta, topology, ubiquitous, 4)
     frame = signaling.FrameConfig(tau_u=50, blocks_per_step=1)
     delta = signaling.account_data_plane(state, frame, topology.odu_of_oru)
     assert delta.fronthaul.sum() == 50 * 8 * 5

@@ -82,15 +82,14 @@ class EpisodeResult:
 
 
 def resolve_cell(config: SimConfig, strategy=None, threshold_db=None, speed_kmh=None):
-    """Validated (handover config, reported threshold, speed) of one sweep cell.
+    """Validated (handover config, reported threshold, speed) of one sweep cell
+    of a resolved configuration.
 
     Unset values take the configuration's. The threshold is the handover margin
     of fixed and opportunistic, the hysteresis of cellular, and 0 for the
     ubiquitous baseline, which has no handover.
     """
     strategy = config.handover.strategy if strategy is None else strategy
-    if strategy not in clustering.STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {strategy!r}; expected one of {clustering.STRATEGIES}")
     speed = float(config.speeds_kmh[0] if speed_kmh is None else speed_kmh)
     if not 0 <= speed < math.inf:
         raise ConfigurationError(f"speed must be finite and >= 0 km/h, got {speed:g}")
@@ -99,9 +98,9 @@ def resolve_cell(config: SimConfig, strategy=None, threshold_db=None, speed_kmh=
         threshold = 0.0
     else:
         threshold = float(getattr(config.handover, key) if threshold_db is None else threshold_db)
-    if not threshold >= 0:
-        raise ConfigurationError(f"threshold must be >= 0 dB, got {threshold:g}")
-    return replace(config.handover, strategy=strategy, **{key: threshold}), threshold, speed
+    handover = replace(config.handover, strategy=strategy, **{key: threshold})
+    handover.validate(config.deployment.num_orus)
+    return handover, threshold, speed
 
 
 def run_episode(

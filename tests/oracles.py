@@ -73,3 +73,37 @@ def full_gain_moments(combiners, h):
     mean_abs2 = np.einsum("dlkk,dlkk->kl", g, g.conj()).real / n_mc
     combiner_power = np.einsum("dlkn,dlkn->kl", combiners, combiners.conj()).real / n_mc
     return mean_gain, second_moment, mean_abs2, combiner_power
+
+
+def fixed_selection(gains, measurement_idx, serving_size: int):
+    """Fixed-strategy serving cluster of one UE: the ``serving_size`` strongest
+    O-RUs of its measurement cluster, equal gains going to the lower index.
+
+    Returns (serving indices ascending, reference power = their gain sum taken
+    in ascending O-RU order).
+    """
+    by_strength = sorted((int(l) for l in measurement_idx), key=lambda l: (-gains[l], l))
+    chosen = sorted(by_strength[:serving_size])
+    return chosen, float(np.asarray(gains)[chosen].sum())
+
+
+def cellular_handover(serving_odu, primary, beta_lin, odu_of_oru, hysteresis_db: float):
+    """Inter-O-DU handover of the cellular baseline, one UE at a time.
+
+    A UE switches to the O-DU of the best O-RU outside its serving O-DU when that
+    O-RU beats the best inside one by more than the hysteresis margin. Returns
+    (serving_odu, primary, events) with events as (ue, old O-DU, new O-DU).
+    """
+    serving_odu, primary = np.array(serving_odu), np.array(primary)
+    margin = 10.0 ** (hysteresis_db / 10.0)
+    events = []
+    for k in range(serving_odu.size):
+        inside = odu_of_oru == serving_odu[k]
+        best_inside = beta_lin[inside, k].max()
+        best_outside_oru = int(np.argmax(np.where(inside, -np.inf, beta_lin[:, k])))
+        if beta_lin[best_outside_oru, k] > best_inside * margin:
+            new = int(odu_of_oru[best_outside_oru])
+            events.append((k, int(serving_odu[k]), new))
+            serving_odu[k] = new
+            primary[k] = best_outside_oru
+    return serving_odu, primary, events

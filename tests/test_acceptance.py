@@ -18,7 +18,6 @@ from cfmimo.clustering import (
     NeighborTable,
     fixed_handover_step,
     initial_clusters,
-    opportunistic_init,
     opportunistic_track,
 )
 from cfmimo.combining import EffectiveGainStats, lsfd_weights, uplink_sinr
@@ -313,7 +312,7 @@ def test_criterion_7_cluster_algorithm_invariants():
         neighbors = NeighborTable(topology)
         cfg = HandoverConfig("opportunistic", 1.0, 3, 5)
         beta_db = -75.0 - 35.0 * rng.random((l_num, k_num))
-        state = opportunistic_init(10 ** (beta_db / 10.0), topology, n_ant, cfg, neighbors)
+        state = initial_clusters(10 ** (beta_db / 10.0), topology, cfg, n_ant, neighbors)
         state.validate(n_ant)
         for t in range(1, 1001):
             beta_db = beta_db + rng.normal(scale=2.5, size=beta_db.shape)
@@ -346,7 +345,7 @@ def test_criterion_8_signaling_exactness():
 
     opp_cfg = HandoverConfig("opportunistic", 1.0, 3, 6)
     beta_db = -75.0 - 30.0 * rng.random((16, 10))
-    opp_state = opportunistic_init(10 ** (beta_db / 10.0), topology, 4, opp_cfg, neighbors)
+    opp_state = initial_clusters(10 ** (beta_db / 10.0), topology, opp_cfg, 4, neighbors)
     messages = changes = 0
     for t in range(1, 30):
         beta_db = beta_db + rng.normal(scale=4.0, size=beta_db.shape)

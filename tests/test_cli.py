@@ -42,6 +42,10 @@ class TestValidate:
         assert cli.main(["validate", "--set", "num_orus=7"]) == 2
         assert "num_orus" in capsys.readouterr().err
 
+    def test_bad_value_names_its_key(self, capsys):
+        assert cli.main(["validate", "--set", "sample_time_s=0"]) == 2
+        assert "sample_time_s must be > 0" in capsys.readouterr().err
+
     def test_config_file_loaded(self, tmp_path, capsys):
         path = tmp_path / "sim.cfg"
         path.write_text("num_ues = 9\n", encoding="utf-8")

@@ -5,25 +5,38 @@ import pytest
 
 from cfmimo.channel import db_to_linear
 from cfmimo.clustering import (
+    CELLULAR,
     CELLULAR_HANDOVER,
+    FIXED,
     FIXED_RECLUSTER,
+    OPPORTUNISTIC,
     OPPORTUNISTIC_RELOAD,
     PRIMARY_CHANGE,
+    STRATEGIES,
+    UBIQUITOUS,
+    ClusterState,
     HandoverConfig,
     NeighborTable,
-    baseline_assign,
     cellular_handover_step,
     events_to_csv,
-    fixed_cluster,
     fixed_handover_step,
     initial_clusters,
-    opportunistic_init,
     opportunistic_track,
-    select_primary,
+    strategy_step,
 )
 from cfmimo.errors import ConfigurationError
 from cfmimo.geometry import DeploymentConfig, Topology, generate_deployment
-from oracles import wrap_distance
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cellular_handover, fixed_selection, wrap_distance
+
+# Event kinds each strategy may emit.
+STRATEGY_KINDS = {
+    FIXED: {FIXED_RECLUSTER, PRIMARY_CHANGE},
+    OPPORTUNISTIC: {PRIMARY_CHANGE, OPPORTUNISTIC_RELOAD},
+    CELLULAR: {CELLULAR_HANDOVER},
+    UBIQUITOUS: set(),
+}
 
 
 def grid_topology(l_num=16, odus=4, side=1000.0, seed=0):
@@ -31,20 +44,32 @@ def grid_topology(l_num=16, odus=4, side=1000.0, seed=0):
     return generate_deployment(dep, np.random.default_rng(seed))
 
 
+def line_topology(l_num):
+    """``l_num`` O-RUs 10 m apart on one O-DU."""
+    positions = np.stack([10.0 * np.arange(l_num), np.zeros(l_num)], axis=1)
+    return Topology(positions, np.zeros(l_num, dtype=int), np.zeros(l_num), 10.0 * max(l_num, 1))
+
+
+def fixed_t0(gains, serving_size=1):
+    """t=0 fixed state of one UE whose measurement cluster holds every O-RU."""
+    gains = np.asarray(gains, dtype=float)
+    cfg = HandoverConfig(FIXED, 2.0, serving_size, gains.size)
+    return initial_clusters(gains[:, None], line_topology(gains.size), cfg, 4)
+
+
 class TestSelectPrimary:
     def test_argmax(self):
-        gains = db_to_linear(np.array([-80.0, -75.0, -90.0]))
-        assert select_primary(gains) == 1
+        assert fixed_t0(db_to_linear(np.array([-80.0, -75.0, -90.0]))).primary[0] == 1
 
     def test_tie_lowest_index(self):
-        assert select_primary(np.array([0.5, 0.5, 0.5])) == 0
+        assert fixed_t0([0.5, 0.5, 0.5]).primary[0] == 0
 
     def test_single(self):
-        assert select_primary(np.array([0.1])) == 0
+        assert fixed_t0([0.1]).primary[0] == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            select_primary(np.array([]))
+        with pytest.raises(ConfigurationError, match="num_orus"):
+            initial_clusters(np.zeros((0, 1)), line_topology(0), HandoverConfig(FIXED, 2.0, 1, 1), 4)
 
 
 class TestMeasurementCluster:
@@ -83,18 +108,17 @@ class TestMeasurementCluster:
 
 class TestFixedCluster:
     def test_top_gains_and_reference_power(self):
-        serving, ref = fixed_cluster(np.array([10.0, 5.0, 8.0, 2.0]), np.arange(4), 2)
-        assert serving.tolist() == [0, 2]
-        assert ref == pytest.approx(18.0)
+        state = fixed_t0([10.0, 5.0, 8.0, 2.0], serving_size=2)
+        assert state.serving_cluster(0).tolist() == [0, 2]
+        assert state.reference_power[0] == pytest.approx(18.0)
 
     def test_full_selection(self):
-        serving, ref = fixed_cluster(np.array([1.0, 2.0, 3.0]), np.arange(3), 3)
-        assert serving.tolist() == [0, 1, 2]
-        assert ref == pytest.approx(6.0)
+        state = fixed_t0([1.0, 2.0, 3.0], serving_size=3)
+        assert state.serving_cluster(0).tolist() == [0, 1, 2]
+        assert state.reference_power[0] == pytest.approx(6.0)
 
     def test_ties_take_lowest_indices(self):
-        serving, _ = fixed_cluster(np.full(5, 2.0), np.arange(5), 3)
-        assert serving.tolist() == [0, 1, 2]
+        assert fixed_t0(np.full(5, 2.0), serving_size=3).serving_cluster(0).tolist() == [0, 1, 2]
 
 
 def fixed_state(beta_lin, topo, serving_size=4, measurement_size=8, threshold=3.0):
@@ -148,7 +172,7 @@ class TestFixedHandover:
 
     def test_full_cluster_static_equals_ubiquitous(self):
         state, _ = fixed_state(self.beta, self.topo, serving_size=16, measurement_size=16)
-        ubiq = baseline_assign("ubiquitous", self.beta, self.topo)
+        ubiq = initial_clusters(self.beta, self.topo, HandoverConfig(UBIQUITOUS, 2.0, 4, 8), 4)
         assert np.array_equal(state.serving, ubiq.serving)
 
 
@@ -157,7 +181,7 @@ class TestOpportunisticInit:
         topo = grid_topology(seed=7)
         beta = db_to_linear(-80.0 - 30.0 * np.random.default_rng(8).random((16, 1)))
         cfg = HandoverConfig("opportunistic", 2.0, 4, 8)
-        state = opportunistic_init(beta, topo, 4, cfg)
+        state = initial_clusters(beta, topo, cfg, 4)
         primary = int(np.argmax(beta[:, 0]))
         assert state.primary[0] == primary
         assert state.serving[primary, 0]
@@ -171,7 +195,7 @@ class TestOpportunisticInit:
         topo = Topology(positions, np.array([0, 0]), np.zeros(2), 100.0)
         beta = np.array([[1.0, 0.5], [0.4, 0.9]])
         cfg = HandoverConfig("opportunistic", 2.0, 1, 2)
-        state = opportunistic_init(beta, topo, 1, cfg)
+        state = initial_clusters(beta, topo, cfg, 1)
         assert state.primary.tolist() == [0, 1]
         assert state.serving[:, 0].tolist() == [True, False]
         assert state.serving[:, 1].tolist() == [False, True]
@@ -181,7 +205,7 @@ class TestOpportunisticInit:
         topo = Topology(positions, np.array([0, 0]), np.zeros(2), 100.0)
         beta = np.array([[1.0, 0.5], [0.4, 0.9]])
         cfg = HandoverConfig("opportunistic", 2.0, 2, 2)
-        state = opportunistic_init(beta, topo, 2, cfg)
+        state = initial_clusters(beta, topo, cfg, 2)
         assert np.all(state.serving)
 
     def test_primary_overflow_spills_to_next_best(self):
@@ -194,7 +218,7 @@ class TestOpportunisticInit:
              [0.30, 0.20, 0.45]]
         )
         cfg = HandoverConfig("opportunistic", 2.0, 1, 3)
-        state = opportunistic_init(beta, topo, 1, cfg)
+        state = initial_clusters(beta, topo, cfg, 1)
         assert state.primary.tolist() == [0, 1, 2]
         assert np.all(state.primary_counts() <= 1)
         state.validate(1)
@@ -204,7 +228,7 @@ class TestOpportunisticInit:
         topo = Topology(positions, np.zeros(1, dtype=int), np.zeros(1), 100.0)
         cfg = HandoverConfig("opportunistic", 2.0, 1, 1)
         with pytest.raises(ConfigurationError):
-            opportunistic_init(np.ones((1, 2)), topo, 1, cfg)
+            initial_clusters(np.ones((1, 2)), topo, cfg, 1)
 
 
 def small_opportunistic(seed=9, k_num=6, n_ant=2, threshold=2.0):
@@ -212,7 +236,7 @@ def small_opportunistic(seed=9, k_num=6, n_ant=2, threshold=2.0):
     rng = np.random.default_rng(seed + 1)
     beta_db = -80.0 - 30.0 * rng.random((8, k_num))
     cfg = HandoverConfig("opportunistic", threshold, 3, 5)
-    state = opportunistic_init(db_to_linear(beta_db), topo, n_ant, cfg, NeighborTable(topo))
+    state = initial_clusters(db_to_linear(beta_db), topo, cfg, n_ant, NeighborTable(topo))
     return topo, beta_db, cfg, state
 
 
@@ -293,18 +317,23 @@ class TestOpportunisticTrack:
                 state.validate(n_ant)
 
 
+def baseline(strategy, beta, topo):
+    cfg = HandoverConfig(strategy, 2.0, 1, topo.num_orus)
+    return initial_clusters(beta, topo, cfg, 4)
+
+
 class TestBaselines:
     def test_ubiquitous_serves_all(self):
         topo = grid_topology(seed=11)
         beta = db_to_linear(-90.0 + 10.0 * np.random.default_rng(12).random((16, 5)))
-        state = baseline_assign("ubiquitous", beta, topo)
+        state = baseline(UBIQUITOUS, beta, topo)
         assert np.all(state.serving)
         assert state.serving[:, 0].sum() == 16
 
     def test_cellular_cluster_size_is_orus_per_odu(self):
         topo = grid_topology(seed=13)
         beta = db_to_linear(-90.0 + 10.0 * np.random.default_rng(14).random((16, 5)))
-        state = baseline_assign("cellular", beta, topo)
+        state = baseline(CELLULAR, beta, topo)
         assert np.all(state.serving.sum(axis=0) == 4)
         for k in range(5):
             best = np.argmax(beta[:, k])
@@ -315,13 +344,13 @@ class TestBaselines:
         dep = DeploymentConfig(500.0, 4, 1, 2, 3)
         topo = generate_deployment(dep, np.random.default_rng(15))
         beta = np.random.default_rng(16).random((4, 3)) + 0.1
-        cellular = baseline_assign("cellular", beta, topo)
-        ubiquitous = baseline_assign("ubiquitous", beta, topo)
+        cellular = baseline(CELLULAR, beta, topo)
+        ubiquitous = baseline(UBIQUITOUS, beta, topo)
         assert np.array_equal(cellular.serving, ubiquitous.serving)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            baseline_assign("mesh", np.ones((2, 2)), grid_topology())
+        with pytest.raises(ConfigurationError, match="mesh"):
+            baseline("mesh", np.ones((16, 2)), grid_topology())
 
 
 class TestCellularHandover:
@@ -329,7 +358,7 @@ class TestCellularHandover:
         self.topo = grid_topology(seed=17)
         rng = np.random.default_rng(18)
         self.beta = db_to_linear(-80.0 - 20.0 * rng.random((16, 4)))
-        self.state = baseline_assign("cellular", self.beta, self.topo)
+        self.state = baseline(CELLULAR, self.beta, self.topo)
 
     def test_hysteresis_boundary(self):
         k = 0
@@ -361,13 +390,13 @@ class TestCellularHandover:
         dist = wrap_distance_matrix(topo.oru_positions, position, side)
         shadow = ShadowFading.initial(16, 1, 4.0, 0.05, rng)
         beta = db_to_linear(path_loss_db(dist, shadow.values_db))
-        state = baseline_assign("cellular", beta, topo)
+        state = baseline(CELLULAR, beta, topo)
         events = []
         steps = 200
         for t in range(1, steps + 1):
             shadow = shadow.evolve(np.array([8.33]), 0.5, rng)  # fast-decorrelating shadow
             beta = db_to_linear(path_loss_db(dist, shadow.values_db))
-            state, ev = cellular_handover_step(state, beta, self.topo, 2.0, t)
+            state, ev = cellular_handover_step(state, beta, topo, 2.0, t)
             events.extend(ev)
         rate = len(events) / (steps * 0.5)
         assert rate < 0.1
@@ -392,7 +421,7 @@ class TestStateValidation:
     def test_detects_primary_outside_serving(self):
         topo = grid_topology(seed=21)
         beta = np.random.default_rng(22).random((16, 3)) + 0.1
-        state = baseline_assign("ubiquitous", beta, topo)
+        state = baseline(UBIQUITOUS, beta, topo)
         state.serving[state.primary[0], 0] = False
         with pytest.raises(AssertionError):
             state.validate()
@@ -402,3 +431,127 @@ class TestStateValidation:
         state.serving[0, :] = True
         with pytest.raises(AssertionError):
             state.validate(2)
+
+
+class TestHandoverConfig:
+    @pytest.mark.parametrize(
+        "cfg", [HandoverConfig(FIXED, np.nan, 4, 8), HandoverConfig(CELLULAR, 2.0, 4, 8, np.nan)]
+    )
+    def test_nan_threshold_rejected(self, cfg):
+        with pytest.raises(ConfigurationError, match="nan"):
+            cfg.validate(16)
+
+    def test_infinite_threshold_accepted(self):
+        HandoverConfig(FIXED, np.inf, 4, 8, np.inf).validate(16)
+
+
+def random_instance(rng):
+    """Deployment, neighbor table and (L, K) linear gains with frequent exact ties."""
+    l_num, odus = [(4, 1), (8, 4), (16, 4), (18, 9)][rng.integers(4)]
+    k_num = int(rng.integers(1, 9))
+    topo = generate_deployment(DeploymentConfig(800.0, l_num, odus, 4, k_num), rng)
+    beta_db = -70.0 - rng.integers(0, 6, size=(l_num, k_num)) * rng.choice([1.0, 7.3])
+    return topo, NeighborTable(topo), db_to_linear(beta_db)
+
+
+def fixed_oracle(state, gains, ues, neighbors, cfg):
+    """``state`` with the fixed clusters of ``ues`` rebuilt one UE at a time by
+    the selection oracle, the primary being the strongest O-RU, lowest index on ties."""
+    state = state.copy()
+    l_num = gains.shape[0]
+    for k in ues:
+        primary = max(range(l_num), key=lambda l: (gains[l, k], -l))
+        members = neighbors.measurement_set(primary, cfg.measurement_size)
+        chosen, state.reference_power[k] = fixed_selection(gains[:, k], members, cfg.serving_size)
+        state.primary[k] = primary
+        state.measurement[:, k] = np.isin(np.arange(l_num), members)
+        state.serving[:, k] = np.isin(np.arange(l_num), chosen)
+    return state
+
+
+class TestAgainstOracles:
+    def test_fixed_matches_selection_oracle(self):
+        rng = np.random.default_rng(30)
+        for _ in range(60):
+            topo, neighbors, beta = random_instance(rng)
+            l_num, k_num = beta.shape
+            measurement = int(rng.integers(1, l_num + 1))
+            cfg = HandoverConfig(FIXED, 2.0, int(rng.integers(1, measurement + 1)), measurement)
+            blank = ClusterState(
+                FIXED, np.zeros(k_num, dtype=int), np.zeros(beta.shape, dtype=bool),
+                np.zeros(beta.shape, dtype=bool), np.full(k_num, np.nan),
+            )
+            state = initial_clusters(beta, topo, cfg, 4, neighbors)
+            assert_states_equal(state, fixed_oracle(blank, beta, range(k_num), neighbors, cfg))
+            # Drop a random subset of UEs by more than the threshold; the rest keep their gains.
+            triggered = np.flatnonzero(rng.random(k_num) < 0.5)
+            shifted = beta.copy()
+            shifted[:, triggered] *= 10 ** (-3.0 / 10) * rng.random((l_num, triggered.size))
+            out, events = fixed_handover_step(state, shifted, neighbors, cfg, 5)
+            expected = fixed_oracle(state, shifted, triggered, neighbors, cfg)
+            assert_states_equal(out, expected)
+            want = []
+            for k in triggered:
+                old, new = int(state.primary[k]), int(expected.primary[k])
+                want.append((5, k, FIXED_RECLUSTER, old, new))
+                if new != old:
+                    want.append((5, k, PRIMARY_CHANGE, old, new))
+            assert [(e.t, e.ue, e.kind, e.old, e.new) for e in events] == want
+
+    def test_cellular_step_matches_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            topo, neighbors, beta = random_instance(rng)
+            cfg = HandoverConfig(CELLULAR, 2.0, 1, topo.num_orus, float(rng.choice([0.0, 1.0, 3.0])))
+            state = initial_clusters(beta, topo, cfg, 4, neighbors)
+            shifted = beta * db_to_linear(rng.normal(scale=4.0, size=beta.shape))
+            out, events = cellular_handover_step(state, shifted, topo, cfg.cellular_hysteresis_db, 2)
+            serving_odu, primary, want = cellular_handover(
+                state.serving_odu, state.primary, shifted, topo.odu_of_oru, cfg.cellular_hysteresis_db
+            )
+            member = topo.odu_of_oru[:, None] == serving_odu[None, :]
+            expected = state.copy()
+            expected.serving_odu, expected.primary = serving_odu, primary
+            expected.serving, expected.measurement = member, member.copy()
+            assert_states_equal(out, expected)
+            assert [(e.t, e.ue, e.kind, e.old, e.new) for e in events] == [
+                (2, k, CELLULAR_HANDOVER, old, new) for k, old, new in want
+            ]
+
+
+def assert_states_equal(got, want):
+    assert got.strategy == want.strategy
+    for name in ("primary", "measurement", "serving", "reference_power", "serving_odu"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    layout=st.sampled_from([(1, 1), (4, 1), (8, 4), (16, 4)]),
+    n_ant=st.integers(1, 4),
+    threshold=st.sampled_from([0.0, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strategies_keep_their_invariants(strategy, layout, n_ant, threshold, seed):
+    """Every strategy keeps a valid state over 20 steps of drifting gains, emits
+    only its own event kinds, and a fixed recluster stores the new serving gain."""
+    l_num, odus = layout
+    rng = np.random.default_rng(seed)
+    k_num = int(rng.integers(1, min(l_num * n_ant, 8) + 1))
+    topo = generate_deployment(DeploymentConfig(500.0, l_num, odus, n_ant, k_num), rng)
+    neighbors = NeighborTable(topo)
+    measurement = int(rng.integers(1, l_num + 1))
+    cfg = HandoverConfig(strategy, threshold, int(rng.integers(1, measurement + 1)), measurement, threshold)
+    beta_db = -70.0 - 40.0 * rng.random((l_num, k_num))
+    state = initial_clusters(db_to_linear(beta_db), topo, cfg, n_ant, neighbors)
+    state.validate(n_ant)
+    for t in range(1, 21):
+        beta_db = beta_db + rng.normal(scale=3.0, size=beta_db.shape)
+        beta_lin = db_to_linear(beta_db)
+        state, events = strategy_step(state, beta_db, beta_lin, topo, neighbors, cfg, n_ant, t)
+        state.validate(n_ant)
+        assert {e.kind for e in events} <= STRATEGY_KINDS[strategy]
+        for k in {e.ue for e in events if e.kind == FIXED_RECLUSTER}:
+            assert state.reference_power[k] == beta_lin[state.serving_cluster(k), k].sum()
