@@ -32,6 +32,10 @@ DEFAULT_MIN_DISTANCE_M = 1.0
 QUADRATURE_NODES = 64
 QUADRATURE_TOL = 1e-9
 PSD_CLIP_REL_TOL = 1e-9
+# Angles per block of the one-ring quadrature. The (block, nodes) temporaries
+# then stay near 100 kB, which the allocator reuses from call to call; whole
+# (L, K, nodes) arrays were unmapped and page-faulted in again on every refresh.
+_RING_BLOCK = 64
 
 
 def jakes_autocorrelation(fc_hz: float, speed_mps: float, ts_s: float) -> float:
@@ -108,19 +112,36 @@ def _ring_lag_coefficients(
 
     Gauss-Legendre quadrature over [phi - spread, phi + spread]; `phi` may be any
     shape, output has one extra trailing axis of length num_antennas (lags 0..N-1).
+    The lag-d integrand is the d-th power of the lag-1 phasor
+    base = exp(2 pi j d_H sin(angle)), so one phasor is evaluated per node and
+    lag d is the previous lag's phasors times `base`; each lag is reduced with
+    the weights straight into the output. Lag 0 is the analytic 1 and is not
+    evaluated. At zero spread the ring collapses to its centre angle (one node
+    of unit weight), which gives the steering-vector lags. Angles are processed
+    in blocks of _RING_BLOCK.
     """
     phi = np.asarray(phi, dtype=float)
-    lags = np.arange(num_antennas)
     if spread_rad == 0.0:
-        return np.exp(2j * np.pi * spacing_wl * lags * np.sin(phi)[..., None])
-    x, w = _gauss_legendre(nodes)
-    angles = phi[..., None] + spread_rad * x  # (..., nodes)
-    phase = np.exp(
-        2j * np.pi * spacing_wl * lags[(None,) * phi.ndim + (slice(None), None)] * np.sin(angles)[..., None, :]
-    )  # (..., N, nodes)
-    coeff = 0.5 * phase @ w  # uniform density: (1 / 2 xi) * integral
-    coeff[..., 0] = 1.0  # lag-0 integrand is identically 1; pin the analytic value
-    return coeff
+        offsets, half_w = np.zeros(1), np.ones(1)
+    else:
+        x, w = _gauss_legendre(nodes)
+        offsets, half_w = spread_rad * x, 0.5 * w  # uniform density: (1 / 2 xi) * integral
+    flat_phi = phi.reshape(-1)
+    coeff = np.empty((flat_phi.size, num_antennas), dtype=complex)
+    coeff[:, 0] = 1.0
+    for start in range(0, flat_phi.size, _RING_BLOCK):
+        rows = slice(start, start + _RING_BLOCK)
+        phase = np.sin(flat_phi[rows, None] + offsets)
+        phase *= 2.0 * np.pi * spacing_wl
+        base = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=base.real)
+        np.sin(phase, out=base.imag)
+        power = base.copy()
+        for lag in range(1, num_antennas):
+            if lag > 1:
+                power *= base
+            np.matmul(power, half_w, out=coeff[rows, lag])
+    return coeff.reshape(phi.shape + (num_antennas,))
 
 
 def _toeplitz_from_lags(coeff: np.ndarray) -> np.ndarray:
@@ -146,10 +167,13 @@ def one_ring_covariance(
     (O-RU, UE) pair); the result appends two antenna axes: (..., N, N). Entry
     (m, n) is beta times the average of exp(2 pi j d_H (n - m) sin(angle)) over
     angles uniform in [aoa - spread, aoa + spread], evaluated with fixed
-    Gauss-Legendre quadrature so results are deterministic.
+    Gauss-Legendre quadrature so results are deterministic. Each evaluation
+    takes one complex exponential per (pair, node); the higher lags are powers
+    of it (see `_ring_lag_coefficients`).
 
-    Raises NumericalError if doubling the node count moves any entry by more
-    than QUADRATURE_TOL (non-converged quadrature).
+    With ``check`` (and a nonzero spread) every call evaluates the lags at both
+    ``nodes`` and ``2 * nodes`` and raises NumericalError if doubling the node
+    count moves any entry by more than QUADRATURE_TOL (non-converged quadrature).
     """
     phi = np.asarray(aoa_rad)
     coeff = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, nodes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 from .clustering import HandoverConfig
@@ -80,9 +81,12 @@ class SimConfig:
                 measurement_size=min(self.handover.measurement_size, self.deployment.num_orus),
             ),
         )
-        cfg.deployment.validate()
-        cfg.handover.validate(cfg.deployment.num_orus)
-        cfg.frame.validate()
+        try:
+            cfg.deployment.validate()
+            cfg.handover.validate(cfg.deployment.num_orus)
+            cfg.frame.validate()
+        except ConfigurationError as exc:
+            raise ConfigurationError(_with_key_names(str(exc))) from None
         if cfg.ts_s <= 0:
             raise ConfigurationError("sample_time_s must be > 0")
         if cfg.sim_time_s <= 0 or cfg.n_steps < 1:
@@ -154,6 +158,14 @@ _FIELDS = {
     "se_prelog": (None, "se_prelog", _parse_bool),
     "check_quadrature": (None, "check_quadrature", _parse_bool),
 }
+
+
+def _with_key_names(message: str) -> str:
+    """``message`` with every attribute name that differs from its key replaced by the key."""
+    for key, (_, attr, _) in _FIELDS.items():
+        if attr != key:
+            message = re.sub(rf"\b{attr}\b", key, message)
+    return message
 
 
 def _field_value(config: SimConfig, section, attr: str):

@@ -9,6 +9,7 @@ covers the same ground far more thoroughly.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import jv
 
 from . import clustering, geometry, signaling
 from .channel import (
@@ -61,7 +62,7 @@ def _scalars():
     assert abs(jakes_autocorrelation(3.5e9, 0.8333, 0.5)) < 0.15
 
 
-@_check("one-ring covariance matches its Monte-Carlo oracle")
+@_check("one-ring covariance matches its Monte-Carlo and Jacobi-Anger oracles")
 def _one_ring():
     rng = np.random.default_rng(3)
     beta, phi, xi, n, d_h = 0.7, np.pi / 4, np.deg2rad(10.0), 4, 0.5
@@ -71,6 +72,12 @@ def _one_ring():
     lags = np.arange(n)
     oracle = beta * np.exp(2j * np.pi * d_h * lags[:, None] * np.sin(phi + delta)).mean(axis=1)
     assert np.abs(cov[0] - oracle).max() < 3e-3
+    # Jacobi-Anger: exp(j a sin t) = sum_n J_n(a) e^{jnt}; the ring average of
+    # e^{jnt} is e^{jn phi} sin(n xi) / (n xi). |n| <= 60 is far past a = 3 pi.
+    terms = np.arange(-60, 61)
+    ring = np.exp(1j * terms * phi) * np.sinc(terms * xi / np.pi)
+    series = beta * np.array([jv(terms, 2.0 * np.pi * d_h * d) @ ring for d in range(n)])
+    assert np.abs(cov[0] - series).max() < 1e-13
     assert np.abs(np.trace(cov) - n * beta) < 1e-9
     assert np.abs(cov - cov.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(cov).min() > -1e-9 * np.trace(cov).real
@@ -189,7 +196,7 @@ def _episode_determinism():
 def run_selftest(quick: bool = False) -> int:
     failures = 0
     for name, fn in _CHECKS:
-        if quick and name in ("one-ring covariance matches its Monte-Carlo oracle",
+        if quick and name in ("one-ring covariance matches its Monte-Carlo and Jacobi-Anger oracles",
                               "channel sampler reproduces its covariance"):
             print(f"skip - {name}")
             continue

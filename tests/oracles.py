@@ -8,6 +8,7 @@ production kernels against them.
 import math
 
 import numpy as np
+from scipy.special import jv
 
 
 def wrap_distance(a, b, grid_side: float) -> float:
@@ -43,6 +44,21 @@ def mmse_estimate(cov, sharer_covs, observation, tau_p: int, powers_mw, k_local:
     filt = np.sqrt(tau_p * p_k) * np.linalg.solve(gram, cov).conj().T
     error_cov = cov - np.sqrt(tau_p * p_k) * filt @ cov
     return filt @ observation, 0.5 * (error_cov + error_cov.conj().T)
+
+
+def ring_lag_oracle(phi: float, spread_rad: float, num_antennas: int, spacing_wl: float) -> np.ndarray:
+    """One-ring lag coefficients c_0..c_{N-1} of one angle from the Jacobi-Anger series.
+
+    exp(j a sin(t)) = sum_n J_n(a) exp(j n t), so the ring average of lag d
+    (a = 2 pi d_H d over angles uniform in [phi - xi, phi + xi]) is
+    c_d = sum_n J_n(a) exp(j n phi) sin(n xi) / (n xi), the last factor being 1
+    for n = 0 and for xi = 0 (the steering-vector lags). The series is cut at
+    |n| <= 2 pi d_H (N - 1) + 40, where J_n(a) is far below double precision.
+    """
+    terms = math.ceil(2.0 * math.pi * spacing_wl * (num_antennas - 1)) + 40
+    n = np.arange(-terms, terms + 1)
+    ring = np.exp(1j * n * phi) * np.sinc(n * spread_rad / math.pi)
+    return np.array([jv(n, 2.0 * math.pi * spacing_wl * d) @ ring for d in range(num_antennas)])
 
 
 def remote_serving_counts(serving, primary, odu_of_oru) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Shadow fading, path loss, one-ring covariances, and channel sampling."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import ring_lag_oracle
+from scipy.linalg import toeplitz
 from scipy.special import j0
 
 from cfmimo.channel import (
@@ -123,6 +126,38 @@ class TestOneRing:
         with pytest.raises(NumericalError):
             one_ring_covariance(1.0, 0.0, 1.5, 16, 40.0, nodes=4, check=True)
 
+    @pytest.mark.parametrize("nodes", [64, 128])
+    @pytest.mark.parametrize("spacing_wl", [0.5, 1.0])
+    def test_batched_matches_jacobi_anger_oracle(self, nodes, spacing_wl):
+        rng = np.random.default_rng(nodes + int(10 * spacing_wl))
+        for n_ant in (1, 2, 4, 8):
+            for spread_deg in (1.0, 10.0, 25.0, 40.0):
+                xi = np.deg2rad(spread_deg)
+                phi = rng.uniform(-np.pi, np.pi, size=(3, 5))
+                cov = one_ring_covariance(np.ones(phi.shape), phi, xi, n_ant, spacing_wl, nodes=nodes)
+                assert cov.shape == (3, 5, n_ant, n_ant)
+                for idx in np.ndindex(phi.shape):
+                    lags = ring_lag_oracle(phi[idx], xi, n_ant, spacing_wl)
+                    assert np.abs(cov[idx] - toeplitz(lags.conj(), lags)).max() < 1e-13
+
+    @pytest.mark.parametrize("spread_deg", [1.0, 10.0, 40.0])
+    def test_scalar_matches_jacobi_anger_oracle(self, spread_deg):
+        xi = np.deg2rad(spread_deg)
+        for n_ant, spacing_wl in ((4, 0.5), (8, 1.0)):
+            for nodes in (64, 128):
+                cov = one_ring_covariance(1.0, 0.7, xi, n_ant, spacing_wl, nodes=nodes)
+                lags = ring_lag_oracle(0.7, xi, n_ant, spacing_wl)
+                assert np.abs(cov - toeplitz(lags.conj(), lags)).max() < 1e-13
+
+    def test_zero_spread_matches_steering_oracle(self):
+        phi = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(2, 3))
+        for n_ant, spacing_wl in ((4, 0.5), (8, 1.0)):
+            cov = one_ring_covariance(np.ones(phi.shape), phi, 0.0, n_ant, spacing_wl)
+            for idx in np.ndindex(phi.shape):
+                lags = ring_lag_oracle(phi[idx], 0.0, n_ant, spacing_wl)
+                assert np.abs(lags - np.exp(2j * np.pi * spacing_wl * np.arange(n_ant) * np.sin(phi[idx]))).max() < 1e-13
+                assert np.abs(cov[idx] - toeplitz(lags.conj(), lags)).max() < 1e-13
+
 
 class TestSampling:
     def test_zero_covariance_gives_zero(self):
@@ -192,6 +227,29 @@ class TestRefresh:
         assert isinstance(stats, ChannelStatistics)
         assert stats.covariance.shape == (36, 40, 4, 4)
         assert elapsed < 1.0
+
+    def test_peak_memory_at_reference_deployment(self):
+        rng = np.random.default_rng(6)
+        topo = generate_deployment(DeploymentConfig(1000.0, 36, 9, 4, 40), rng)
+        shadow = ShadowFading.initial(36, 40, 4.0, 0.05, rng)
+        positions = rng.uniform(0, 1000.0, size=(40, 2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            refresh_statistics(topo, positions, shadow, np.deg2rad(10.0), 4, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_quadrature_check_stays_on(self):
+        topo, shadow, positions = self._setup()
+        args = (topo, positions, shadow, np.deg2rad(80.0), 4, 40.0)
+        with pytest.raises(NumericalError):
+            refresh_statistics(*args, check_quadrature=True)
+        stats = refresh_statistics(*args, check_quadrature=False)
+        assert stats.covariance.shape == (4, 3, 4, 4)
 
     def test_factor_reproduces_covariance(self):
         topo, shadow, positions = self._setup(sigma_sf=4.0)

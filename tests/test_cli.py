@@ -46,6 +46,12 @@ class TestValidate:
         assert cli.main(["validate", "--set", "sample_time_s=0"]) == 2
         assert "sample_time_s must be > 0" in capsys.readouterr().err
 
+    def test_cluster_size_error_names_its_keys(self, capsys):
+        assert cli.main(["validate", "--set", "serving_cluster_size=40"]) == 2
+        err = capsys.readouterr().err
+        assert "serving_cluster_size <= measurement_cluster_size <= num_orus" in err
+        assert "serving_size" not in err.replace("serving_cluster_size", "")
+
     def test_config_file_loaded(self, tmp_path, capsys):
         path = tmp_path / "sim.cfg"
         path.write_text("num_ues = 9\n", encoding="utf-8")
