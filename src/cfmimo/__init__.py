@@ -10,7 +10,7 @@ Library layout, one module per concern:
 * ``clustering``: serving-cluster strategies and handover
 * ``signaling``: control/data-plane cost accounting
 * ``simulate``: episode and campaign drivers
-* ``cli``: command-line front end (run / sweep / validate / selftest)
+* ``cli``: command-line front end (run / sweep / validate)
 
 Each concept has one batched implementation here. The scalar reference
 oracles that the tests compare it against live in ``tests/oracles.py``.

@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``run`` (episodes of one sweep cell, long-format SE CSV), ``sweep``
-(full campaign, aggregate CSV), ``validate`` (print the resolved configuration),
-``selftest`` (built-in oracle suite). Exit codes: 0 success, 2 configuration
-error (the message names the offending field), 3 runtime numerical error with
+(full campaign, aggregate CSV) and ``validate`` (print the resolved
+configuration). Exit codes: 0 success, 2 configuration error (the message names
+the offending field, flag or output path), 3 runtime numerical error with
 episode/step context.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import config as config_mod
@@ -49,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="print the resolved configuration and exit")
     _add_common(validate)
-
-    selftest = sub.add_parser("selftest", help="run the built-in oracle suite")
-    selftest.add_argument("--quick", action="store_true", help="skip the slower consistency checks")
     return parser
 
 
@@ -72,8 +70,15 @@ def _load_config(args) -> config_mod.SimConfig:
     return cfg
 
 
-def _parse_list(text, parser=float):
-    return [parser(v) for v in str(text).split(",") if str(v).strip() != ""]
+def _check_outputs(args, *flags) -> None:
+    """Reject an output path that cannot be written, before any episode runs."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise ConfigurationError(f"{flag} {path!r} is not a file in a writable directory")
 
 
 def _with_setup_column(tables) -> str:
@@ -89,6 +94,7 @@ def _with_setup_column(tables) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args).resolve()
+    _check_outputs(args, "--out", "--events-out", "--ledger-out")
     results = [
         simulate.run_episode(
             cfg, setup, strategy=args.strategy,
@@ -113,9 +119,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args).resolve()
-    strategies = _parse_list(args.strategy, str) if args.strategy else None
-    thresholds = _parse_list(args.threshold_db) if args.threshold_db else None
-    speeds = _parse_list(args.speeds) if args.speeds else None
+    strategies = config_mod.parse_list(args.strategy, "--strategy", str) if args.strategy else None
+    thresholds = config_mod.parse_list(args.threshold_db, "--threshold-db") if args.threshold_db else None
+    speeds = config_mod.parse_list(args.speeds, "--speeds") if args.speeds else None
+    _check_outputs(args, "--out")
     result = simulate.run_campaign(
         cfg, strategies=strategies, thresholds=thresholds, speeds=speeds,
         parallelism=args.parallelism,
@@ -132,13 +139,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
-    failures = run_selftest(quick=args.quick)
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -146,9 +146,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_selftest(args)
+        return _cmd_validate(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

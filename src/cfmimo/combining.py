@@ -13,7 +13,6 @@ per-draw gain array over all (O-RU, UE, UE) triples.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,6 @@ class GainMoments:
     share: np.ndarray  # (K, K) bool
     serving: np.ndarray  # (L, K) bool
     n_mc: int
-    mean_abs2: np.ndarray  # (K, L) real, E[|g_kk_l|^2] for standard-error reporting
 
 
 def simulate_gain_moments(
@@ -101,20 +99,17 @@ def simulate_gain_moments(
     supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
     s_max = max(support.size for support in supports)
     mean_gain = np.zeros((k_num, l_num), dtype=complex)
-    mean_abs2 = np.zeros((k_num, l_num))
     second_moment = np.zeros((k_num, k_num, s_max, s_max), dtype=complex)
     for k, support in enumerate(supports):
         s = support.size
         # g_k[d, l, i] = v_{l,k}^H h_{l,i} over k's serving O-RUs l.
         g_k = (h[:, support] @ combiners[:, support, k, :, None].conj())[..., 0]
-        gain = g_k[:, :, k]
-        mean_gain[k, support] = gain.sum(axis=0) / n_mc
-        mean_abs2[k, support] = (gain.real**2 + gain.imag**2).sum(axis=0) / n_mc
+        mean_gain[k, support] = g_k[:, :, k].sum(axis=0) / n_mc
         a = g_k.transpose(2, 1, 0)  # (K, s, d)
         second_moment[k, :, :s, :s] = a @ a.conj().swapaxes(-1, -2) / n_mc
     noise_diag = sigma2_mw * np.einsum("dlkn,dlkn->kl", combiners, combiners.conj()).real / n_mc
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
-    return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc, mean_abs2)
+    return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc)
 
 
 @dataclass
@@ -129,10 +124,8 @@ class EffectiveGainStats:
     interferers: np.ndarray  # (I,) UE indices sharing a serving O-RU (self included)
 
 
-def stats_for_ue(
-    moments: GainMoments, k: int, warn_rel_se: bool = False, all_interferers: bool = False
-) -> EffectiveGainStats:
-    """Extract one UE's view from bulk moments; optionally flag noisy estimates.
+def stats_for_ue(moments: GainMoments, k: int, all_interferers: bool = False) -> EffectiveGainStats:
+    """Extract one UE's view from bulk moments.
 
     By default the interferer set is the UEs sharing a serving O-RU with ``k``
     (the statistics a primary O-DU can collect scalably, used for the weight
@@ -145,22 +138,11 @@ def stats_for_ue(
     else:
         interferers = np.flatnonzero(moments.share[k])
     s = support.size
-    second = moments.second_moment[k, interferers, :s, :s]
-    if warn_rel_se:
-        mean = moments.mean_gain[k, support]
-        var = np.maximum(moments.mean_abs2[k, support] - np.abs(mean) ** 2, 0.0)
-        rel_se = np.sqrt(var / moments.n_mc) / np.maximum(np.abs(mean), np.finfo(float).tiny)
-        if np.any(rel_se > 0.05):
-            warnings.warn(
-                f"n_mc={moments.n_mc} too small for UE {k}: relative standard error "
-                f"of a mean effective gain reaches {rel_se.max():.1%}",
-                stacklevel=2,
-            )
     return EffectiveGainStats(
         ue=k,
         support=support,
         mean_gain=moments.mean_gain[k],
-        second_moments=second,
+        second_moments=moments.second_moment[k, interferers, :s, :s],
         noise_diag=moments.noise_diag[k],
         interferers=interferers,
     )

@@ -12,6 +12,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .clustering import HandoverConfig
 from .errors import ConfigurationError
@@ -124,8 +125,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_speeds(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
+def parse_list(text: str, name: str, item=float) -> tuple:
+    """The non-empty items of a comma list; a malformed item is reported under ``name``."""
+    try:
+        return tuple(item(v) for v in text.split(",") if v.strip() != "")
+    except ValueError:
+        raise ConfigurationError(f"{name} expects a comma list of {item.__name__} values, got {text!r}") from None
+
+
+_parse_speeds = partial(parse_list, name="speeds_kmh")
 
 
 _FIELDS = {

@@ -79,16 +79,15 @@ def full_gain_moments(combiners, h):
 
     ``combiners`` and ``h`` are (d, L, K, N) draws. Builds g[d, l, k, i] =
     v_{l,k}^H h_{l,i} and returns (mean_gain (K, L), second_moment (K, K, L, L),
-    mean_abs2 (K, L), combiner_power (K, L)), with second_moment[k, i] =
-    E[g_ki g_ki^H] and combiner_power[k, l] = E[||v_{l,k}||^2].
+    combiner_power (K, L)), with second_moment[k, i] = E[g_ki g_ki^H] and
+    combiner_power[k, l] = E[||v_{l,k}||^2].
     """
     n_mc = h.shape[0]
     g = np.einsum("dlkn,dlin->dlki", combiners.conj(), h)
     mean_gain = np.einsum("dlkk->kl", g) / n_mc
     second_moment = np.einsum("dlki,dmki->kilm", g, g.conj()) / n_mc
-    mean_abs2 = np.einsum("dlkk,dlkk->kl", g, g.conj()).real / n_mc
     combiner_power = np.einsum("dlkn,dlkn->kl", combiners, combiners.conj()).real / n_mc
-    return mean_gain, second_moment, mean_abs2, combiner_power
+    return mean_gain, second_moment, combiner_power
 
 
 def fixed_selection(gains, measurement_idx, serving_size: int):

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, output schemas."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import cfmimo
 from cfmimo import cli
 from cfmimo.clustering import events_to_csv
 from cfmimo.config import SimConfig, apply_setting
@@ -60,6 +65,19 @@ class TestValidate:
 
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["validate", "--config", "/nonexistent/sim.cfg"]) == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cfmimo.__file__).resolve().parents[1]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "cfmimo", "validate", "--set", setting],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for setting in ("num_ues=7", "bogus=1")
+        ]
+        (good_out, _), (_, bad_err) = (run.communicate(timeout=60) for run in runs)
+        assert runs[0].returncode == 0 and "num_ues = 7" in good_out
+        assert runs[1].returncode == 2 and "bogus" in bad_err
 
 
 class TestRun:
@@ -122,6 +140,18 @@ class TestRun:
         assert f"{setting.partition('=')[0]} must be finite" in err
         assert not (tmp_path / "se.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--events-out", "--ledger-out"])
+    def test_bad_output_path_exits_2_before_any_episode(self, monkeypatch, tmp_path, capsys, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("an episode ran before the output paths were checked")
+
+        monkeypatch.setattr(cli.simulate, "run_episode", never)
+        missing = str(tmp_path / "missing" / "x.csv")
+        args = ["run", *TINY, "--setups", "1", "--out", str(tmp_path / "se.csv"), flag, missing]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert flag in err and missing in err
+
     def test_setup_failure_exits_3(self, tmp_path, capsys):
         # Far-spaced antennas under a wide spread defeat the t=0 quadrature check.
         args = [
@@ -158,12 +188,28 @@ class TestSweep:
         assert "mesh" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,named", [("--speeds=-30", "-30"), ("--parallelism=0", "parallelism must be >= 1")]
+        "flag,named",
+        [
+            ("--speeds=-30", "-30"),
+            ("--parallelism=0", "parallelism must be >= 1"),
+            ("--speeds=abc", "--speeds"),
+            ("--threshold-db=2,x", "--threshold-db"),
+        ],
     )
     def test_bad_speed_or_parallelism_exits_2(self, tmp_path, capsys, flag, named):
         args = ["sweep", *TINY, flag, "--out", str(tmp_path / "s.csv")]
         assert cli.main(args) == 2
         assert named in capsys.readouterr().err
+
+    def test_bad_output_path_exits_2_before_any_episode(self, monkeypatch, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the campaign ran before the output path was checked")
+
+        monkeypatch.setattr(cli.simulate, "run_campaign", never)
+        missing = str(tmp_path / "missing" / "s.csv")
+        assert cli.main(["sweep", *TINY, "--out", missing]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and missing in err
 
     def test_runtime_error_exits_3(self, monkeypatch, tmp_path, capsys):
         def boom(*args, **kwargs):
@@ -174,8 +220,3 @@ class TestSweep:
         assert cli.main(args) == 3
         assert "step 3" in capsys.readouterr().err
 
-
-def test_selftest_quick(capsys):
-    assert cli.main(["selftest", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "ok" in out
