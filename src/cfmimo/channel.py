@@ -209,10 +209,27 @@ def covariance_factor(cov: np.ndarray, clip_rel_tol: float = PSD_CLIP_REL_TOL) -
 
 
 def sample_channels(factor: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Stacked draws h = A z for factors (L, K, N, N) -> realizations (n_draws, L, K, N)."""
-    shape = (n_draws,) + factor.shape[:-1]
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Stacked draws h = A z for factors (L, K, N, N) -> realizations (n_draws, L, K, N).
+
+    z ~ CN(0, I) is scaled in place, so the draws hold one complex array of
+    z's shape at a time besides the result.
+    """
+    z = complex_normal_draws((n_draws,) + factor.shape[:-1], rng)
+    z /= np.sqrt(2.0)
     return (factor @ z[..., None])[..., 0]
+
+
+def complex_normal_draws(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """x + j y with x and then y standard normal draws of ``shape`` from ``rng``.
+
+    The values and the stream position equal those of
+    ``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)``, but only
+    one complex array of ``shape`` is allocated (and one real draw at a time).
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
 
 
 @dataclass

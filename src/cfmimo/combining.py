@@ -9,6 +9,11 @@ support. The moments are therefore formed and stored on each UE's serving
 support only: a step holds the draws, O(d L K N) entries for d draws, plus the
 O(K^2 S^2) moment blocks for serving clusters of at most S O-RUs, and never a
 per-draw gain array over all (O-RU, UE, UE) triples.
+
+Memory bound: at most three draw-sized (d, L, K, N) complex arrays are live at
+once along the draw pipeline (channels, pilot observations, estimates,
+combiners); every other temporary is a fraction of one. Draws are filled and
+scaled in place, and no stage writes into an array it was passed.
 """
 
 from __future__ import annotations
@@ -31,16 +36,21 @@ def local_mmse_combiners(
     covariances (L, K, N, N). The combiner of UE k at O-RU l is
     p_k (sum_{i in D_l} p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k,
     with D_l the UEs O-RU l serves; it is zero where l does not serve k.
+    Besides ``h_hat`` and the result, one array of its size is live at a time.
     """
-    # Per-O-RU combiner Gram matrix over its served UEs, shared by all of them.
+    # Per-O-RU combiner Gram matrix over its served UEs, shared by all of them:
+    # the conjugate of (p-weighted conj(h_hat))^T h_hat.
     weights = serving * powers_mw[None, :]  # (L, K)
-    gram = (h_hat * weights[..., None]).swapaxes(-1, -2) @ h_hat.conj()  # (d, L, N, N)
+    scaled_conj = h_hat.conj()
+    scaled_conj *= weights[..., None]
+    gram = scaled_conj.swapaxes(-1, -2) @ h_hat  # (d, L, N, N)
+    del scaled_conj
+    np.conjugate(gram, out=gram)
     gram += np.einsum("lk,lkmn->lmn", weights, error_covs)[None, ...]
     gram += sigma2_mw * np.eye(h_hat.shape[-1])
 
-    rhs = (h_hat * powers_mw[None, None, :, None]).swapaxes(-1, -2)  # (d, L, N, K)
-    combiners = np.linalg.solve(gram, rhs).swapaxes(-1, -2)  # (d, L, K, N)
-    combiners *= serving[None, :, :, None]
+    combiners = np.linalg.solve(gram, h_hat.swapaxes(-1, -2)).swapaxes(-1, -2)  # (d, L, K, N)
+    combiners *= weights[None, :, :, None]
     return combiners
 
 
@@ -107,7 +117,9 @@ def simulate_gain_moments(
         mean_gain[k, support] = g_k[:, :, k].sum(axis=0) / n_mc
         a = g_k.transpose(2, 1, 0)  # (K, s, d)
         second_moment[k, :, :s, :s] = a @ a.conj().swapaxes(-1, -2) / n_mc
-    noise_diag = sigma2_mw * np.einsum("dlkn,dlkn->kl", combiners, combiners.conj()).real / n_mc
+    power = np.einsum("dlkn,dlkn->kl", combiners.real, combiners.real)
+    power += np.einsum("dlkn,dlkn->kl", combiners.imag, combiners.imag)
+    noise_diag = sigma2_mw * power / n_mc
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
     return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import complex_normal_draws
 from .errors import ConfigurationError
 
 
@@ -55,17 +56,19 @@ def observe_pilots(
     ``channels`` has shape (..., L, K, N); the result matches it. UEs sharing a
     pilot see the same superposed signal and the same projected noise vector,
     drawn once per (O-RU, pilot slot) with covariance sigma2 * I.
+
+    Each UE's scaled channel is added into its slot of the noise buffer, which
+    is then gathered per UE once: besides ``channels`` and the result, one
+    (..., L, slots, N) array is live.
     """
     channels = np.asarray(channels)
-    k = channels.shape[-2]
     slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
     scale = np.sqrt(pilots.tau_p * pilots.power_mw)  # (K,)
-    onehot = np.zeros((k, slots.size))
-    onehot[np.arange(k), slot_of_ue] = 1.0
-    superposed = (onehot.T * scale) @ channels  # (..., L, slots, N)
-    noise_shape = channels.shape[:-2] + (slots.size, channels.shape[-1])
-    noise = np.sqrt(sigma2_mw / 2.0) * (rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape))
-    return (superposed + noise)[..., slot_of_ue, :]
+    received = complex_normal_draws(channels.shape[:-2] + (slots.size, channels.shape[-1]), rng)
+    received *= np.sqrt(sigma2_mw / 2.0)
+    for k, slot in enumerate(slot_of_ue):
+        received[..., slot, :] += scale[k] * channels[..., k, :]
+    return received[..., slot_of_ue, :]
 
 
 def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):

@@ -273,12 +273,16 @@ def run_campaign(
 
     Episodes are fully determined by their derived seed, so results are
     bit-identical for any parallelism level; aggregation always reduces setups
-    in ascending order.
+    in ascending order. An empty strategies, thresholds or speeds axis raises
+    ConfigurationError before any episode runs.
     """
     cfg = config.resolve()
     strategies = list(strategies) if strategies is not None else [cfg.handover.strategy]
     thresholds = list(thresholds) if thresholds is not None else [cfg.handover.threshold_db]
     speeds = list(speeds) if speeds is not None else list(cfg.speeds_kmh)
+    for name, axis in (("strategies", strategies), ("thresholds", thresholds), ("speeds", speeds)):
+        if not axis:
+            raise ConfigurationError(f"the {name} axis of the sweep is empty")
     cells = campaign_cells(cfg, strategies, thresholds, speeds)
     jobs = [
         (cfg, strategy, threshold, speed, setup)

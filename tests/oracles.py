@@ -61,6 +61,32 @@ def ring_lag_oracle(phi: float, spread_rad: float, num_antennas: int, spacing_wl
     return np.array([jv(n, 2.0 * math.pi * spacing_wl * d) @ ring for d in range(num_antennas)])
 
 
+def sample_channels(factor, n_draws: int, rng) -> np.ndarray:
+    """Channel draws h = A z, with z built as one complex expression of two real draws."""
+    shape = (n_draws,) + factor.shape[:-1]
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return (factor @ z[..., None])[..., 0]
+
+
+def observe_pilots(channels, pilots, sigma2_mw: float, rng) -> np.ndarray:
+    """Decorrelated pilot observations with the pilot superposition as a one-hot matmul.
+
+    ``channels`` is (..., L, K, N). The (slots, K) matrix of per-UE pilot
+    amplitudes sums the channels of every UE on each pilot slot; noise with
+    covariance sigma2 * I is drawn once per (O-RU, slot), and the slot signals
+    are gathered back per UE.
+    """
+    k = channels.shape[-2]
+    slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
+    scale = np.sqrt(pilots.tau_p * pilots.power_mw)
+    onehot = np.zeros((k, slots.size))
+    onehot[np.arange(k), slot_of_ue] = 1.0
+    superposed = (onehot.T * scale) @ channels
+    noise_shape = channels.shape[:-2] + (slots.size, channels.shape[-1])
+    noise = np.sqrt(sigma2_mw / 2.0) * (rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape))
+    return (superposed + noise)[..., slot_of_ue, :]
+
+
 def remote_serving_counts(serving, primary, odu_of_oru) -> np.ndarray:
     """(C, C) count of UEs per (serving O-DU, primary O-DU) pair of distinct O-DUs,
     one UE and one serving O-DU at a time."""

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import oracles
 from oracles import ring_lag_oracle
 from scipy.linalg import toeplitz
 from scipy.special import j0
@@ -165,6 +166,16 @@ class TestSampling:
         h = sample_channels(factor, 5, np.random.default_rng(0))
         assert h.shape == (5, 1, 1, 3)
         assert np.all(h == 0)
+
+    def test_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        beta = rng.uniform(0.2, 2.0, size=(3, 5))
+        factor = covariance_factor(one_ring_covariance(beta, rng.uniform(-np.pi, np.pi, beta.shape), 0.2, 4, 0.5))
+        draws, reference = np.random.default_rng(11), np.random.default_rng(11)
+        h = sample_channels(factor, 7, draws)
+        assert np.array_equal(h, oracles.sample_channels(factor, 7, reference))
+        # The stream is left where the oracle leaves it.
+        assert draws.bit_generator.state == reference.bit_generator.state
 
     def test_sample_covariance_consistency(self):
         cov = one_ring_covariance(1.0, 0.6, np.deg2rad(10.0), 4, 0.5)

@@ -194,6 +194,9 @@ class TestSweep:
             ("--parallelism=0", "parallelism must be >= 1"),
             ("--speeds=abc", "--speeds"),
             ("--threshold-db=2,x", "--threshold-db"),
+            ("--speeds=,", "speeds axis of the sweep is empty"),
+            ("--strategy=,", "strategies axis of the sweep is empty"),
+            ("--threshold-db=,", "thresholds axis of the sweep is empty"),
         ],
     )
     def test_bad_speed_or_parallelism_exits_2(self, tmp_path, capsys, flag, named):

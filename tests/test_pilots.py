@@ -6,6 +6,7 @@ import pytest
 from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots
+import oracles
 from oracles import mmse_estimate
 
 
@@ -57,6 +58,25 @@ class TestObservation:
         assert np.allclose(y[:, 0], expected)
         assert np.allclose(y[:, 1], expected)
         assert np.allclose(y[:, 2], np.sqrt(4 * 9.0) * h[:, 2])
+
+    @pytest.mark.parametrize("tau_p", [6, 2])
+    def test_matches_one_hot_oracle(self, tau_p):
+        # Bit for bit with orthogonal pilots (tau_p >= K); with shared pilots the
+        # per-slot sums are added in another order.
+        rng = np.random.default_rng(5)
+        k_num = 5
+        h = rng.standard_normal((3, 4, k_num, 2)) + 1j * rng.standard_normal((3, 4, k_num, 2))
+        cfg = PilotConfig(tau_p, rng.permutation(k_num) % tau_p, rng.uniform(0.5, 2.0, size=k_num))
+        draws, reference = np.random.default_rng(13), np.random.default_rng(13)
+        h_before = h.copy()
+        y = observe_pilots(h, cfg, 0.3, draws)
+        expected = oracles.observe_pilots(h, cfg, 0.3, reference)
+        if tau_p >= k_num:
+            assert np.array_equal(y, expected)
+        else:
+            np.testing.assert_allclose(y, expected, rtol=1e-14, atol=0)
+        assert draws.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(h, h_before)
 
     def test_full_matrix_identity(self):
         # Building the tau_p-symbol received block and decorrelating it is
