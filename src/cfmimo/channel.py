@@ -152,6 +152,66 @@ def _toeplitz_from_lags(coeff: np.ndarray) -> np.ndarray:
     return full[..., idx]
 
 
+@lru_cache(maxsize=256)
+def _ring_quadrature_error_bound(spread_rad: float, num_antennas: int, spacing_wl: float, nodes: int) -> float:
+    """A-priori bound on |quadrature - exact ring mean| of every lag, for every centre angle.
+
+    The lag-d integrand f(x) = exp(2 pi j d_H d sin(phi + xi x)) on [-1, 1] is
+    entire, and on the Bernstein ellipse E_rho (semi-minor axis
+    b = (rho - 1/rho) / 2) |f| <= M = exp(a sinh(|xi| b)) for every real phi,
+    with a = 2 pi |d_H| (N - 1) covering every lag. Gauss-Legendre quadrature
+    with m nodes then misses the integral by at most
+    (64/15) M rho^(-2(m-1)) / (rho^2 - 1) for any rho > 1 (Trefethen, "Is Gauss
+    quadrature better than Clenshaw-Curtis?", SIAM Review 50(1), 2008,
+    Thm 4.5, whose n counts n + 1 nodes); the ring mean is half the integral.
+    The bound is minimized over a fixed log-spaced grid of rho, in logs so that
+    nothing overflows, and capped at 2, which |quadrature - exact| never
+    exceeds. A non-finite spread or spacing gets an infinite bound.
+    """
+    if not (np.isfinite(spread_rad) and np.isfinite(spacing_wl)):
+        return np.inf
+    a = 2.0 * np.pi * abs(spacing_wl) * (num_antennas - 1)
+    rho = 1.0 + np.logspace(-4.0, 2.0, 241)
+    # sinh overflows to inf on ellipses too wide to help; with a = 0, M is 1 (not 0 * inf).
+    with np.errstate(over="ignore"):
+        log_growth = a * np.sinh(abs(spread_rad) * (rho - 1.0 / rho) / 2.0) if a else 0.0
+    log_bound = (
+        np.log(32.0 / 15.0)
+        + log_growth
+        - 2.0 * (nodes - 1) * np.log(rho)
+        - np.log(rho**2 - 1.0)
+    )
+    return float(np.exp(min(log_bound.min(), np.log(2.0))))
+
+
+def _doubling_check_proved(
+    phi: np.ndarray, spread_rad: float, num_antennas: int, spacing_wl: float, nodes: int
+) -> bool:
+    """Whether the doubling check of `one_ring_covariance` provably passes for these angles.
+
+    The check compares the lags at ``nodes`` and ``2 * nodes``; their computed
+    difference is at most the two quadrature errors (`_ring_quadrature_error_bound`)
+    plus the rounding of both evaluations; truncation and rounding each get
+    half of QUADRATURE_TOL. Rounding is estimated to first order with a wide margin:
+    the angle phi + xi x is off by ~eps (|phi| + |xi|), which the lag phases
+    multiply by up to 2 pi d_H (N - 1), and the sines, powers and node sums add
+    a few eps each. The estimate is what keeps huge angles (|phi| ~ 1e10,
+    where rounding alone moves the check by ~5e-9) from being certified. With
+    fewer than two antennas only the analytic lag 0 exists, so the check
+    always passes; a non-finite spread or angle is never certified.
+    """
+    if num_antennas < 2:
+        return True
+    spread_rad, spacing_wl = float(spread_rad), float(spacing_wl)
+    truncation = sum(
+        _ring_quadrature_error_bound(spread_rad, num_antennas, spacing_wl, m) for m in (nodes, 2 * nodes)
+    )
+    lag_phase = 2.0 * np.pi * abs(spacing_wl) * (num_antennas - 1)
+    angle = float(np.abs(phi).max(initial=0.0)) + abs(spread_rad) + 1.0
+    rounding = 64.0 * np.finfo(float).eps * ((lag_phase + num_antennas) * angle + 3.0 * nodes)
+    return truncation <= QUADRATURE_TOL / 2 and rounding <= QUADRATURE_TOL / 2
+
+
 def one_ring_covariance(
     beta_lin,
     aoa_rad,
@@ -171,13 +231,24 @@ def one_ring_covariance(
     takes one complex exponential per (pair, node); the higher lags are powers
     of it (see `_ring_lag_coefficients`).
 
-    With ``check`` (and a nonzero spread) every call evaluates the lags at both
-    ``nodes`` and ``2 * nodes`` and raises NumericalError if doubling the node
-    count moves any entry by more than QUADRATURE_TOL (non-converged quadrature).
+    With ``check`` (and a nonzero spread) the call makes sure that doubling
+    the node count moves no entry by more than QUADRATURE_TOL, and raises
+    NumericalError otherwise (non-converged quadrature). The check is proved
+    when `_doubling_check_proved` holds: an a-priori Gauss-Legendre error bound
+    for ``nodes`` and ``2 * nodes`` plus a rounding estimate stay within
+    QUADRATURE_TOL for every angle in ``aoa_rad`` (at the reference scenario the
+    bound is ~2e-162). Otherwise, e.g. for wide spreads at large antenna
+    spacings, a non-finite spread or angle, the lags are evaluated again at
+    ``2 * nodes`` and compared. Either way the verdict and the returned values
+    are the same; a proof only saves the second evaluation.
     """
     phi = np.asarray(aoa_rad)
     coeff = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, nodes)
-    if check and spread_rad != 0.0:
+    if (
+        check
+        and spread_rad != 0.0
+        and not _doubling_check_proved(phi, spread_rad, num_antennas, spacing_wl, nodes)
+    ):
         refined = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, 2 * nodes)
         worst = float(np.abs(coeff - refined).max())
         if worst > QUADRATURE_TOL:
@@ -256,13 +327,22 @@ def refresh_statistics(
     """Rebuild beta and the spatial covariances for every (O-RU, UE) pair.
 
     Distances and angles use the nearest torus image of each UE; covariances are
-    regenerated from scratch (angles move with the UE every step).
+    regenerated from scratch (angles move with the UE every step). A gain that
+    is not finite in linear scale (e.g. shadowing so wide that 10^(beta_db/10)
+    overflows) raises NumericalError naming the first such pair; underflow to 0
+    is allowed.
     """
     dist, aoa = geometry.wrap_distance_and_angle(
         topology.oru_positions, topology.orientation, ue_positions, topology.grid_side_m
     )
     beta_db = path_loss_db(dist, shadow.values_db, min_distance_m)
-    beta_lin = db_to_linear(beta_db)
+    with np.errstate(over="ignore"):  # reported below
+        beta_lin = db_to_linear(beta_db)
+    if not np.isfinite(beta_lin).all():
+        oru, ue = np.argwhere(~np.isfinite(beta_lin))[0]
+        raise NumericalError(
+            f"large-scale gain of (O-RU {oru}, UE {ue}) is not finite: beta_db = {beta_db[oru, ue]:.6g}"
+        )
     cov = one_ring_covariance(beta_lin, aoa, spread_rad, num_antennas, spacing_wl, check=check_quadrature)
     factor = covariance_factor(cov)
     return ChannelStatistics(beta_db, beta_lin, aoa, cov, factor)

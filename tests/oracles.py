@@ -52,10 +52,13 @@ def ring_lag_oracle(phi: float, spread_rad: float, num_antennas: int, spacing_wl
     exp(j a sin(t)) = sum_n J_n(a) exp(j n t), so the ring average of lag d
     (a = 2 pi d_H d over angles uniform in [phi - xi, phi + xi]) is
     c_d = sum_n J_n(a) exp(j n phi) sin(n xi) / (n xi), the last factor being 1
-    for n = 0 and for xi = 0 (the steering-vector lags). The series is cut at
-    |n| <= 2 pi d_H (N - 1) + 40, where J_n(a) is far below double precision.
+    for n = 0 and for xi = 0 (the steering-vector lags). J_n(a) turns to decay
+    only over a transition of width ~a^(1/3) past n = a, so the series is cut
+    at |n| <= a + 15 a^(1/3) + 40 with a = 2 pi d_H (N - 1), where J_n(a) is far
+    below double precision (a cut at a + 40 alone leaves ~1e-10 at a = 190).
     """
-    terms = math.ceil(2.0 * math.pi * spacing_wl * (num_antennas - 1)) + 40
+    a_max = 2.0 * math.pi * abs(spacing_wl) * (num_antennas - 1)
+    terms = math.ceil(a_max + 15.0 * a_max ** (1.0 / 3.0)) + 40
     n = np.arange(-terms, terms + 1)
     ring = np.exp(1j * n * phi) * np.sinc(n * spread_rad / math.pi)
     return np.array([jv(n, 2.0 * math.pi * spacing_wl * d) @ ring for d in range(num_antennas)])

@@ -1,5 +1,6 @@
 """Shadow fading, path loss, one-ring covariances, and channel sampling."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -10,7 +11,9 @@ from oracles import ring_lag_oracle
 from scipy.linalg import toeplitz
 from scipy.special import j0
 
+from cfmimo import channel
 from cfmimo.channel import (
+    QUADRATURE_TOL,
     ChannelStatistics,
     ShadowFading,
     covariance_factor,
@@ -160,6 +163,110 @@ class TestOneRing:
                 assert np.abs(cov[idx] - toeplitz(lags.conj(), lags)).max() < 1e-13
 
 
+def counting_lag_evaluations(monkeypatch):
+    """Patch `_ring_lag_coefficients` to record the node count of every evaluation."""
+    calls = []
+    evaluate = channel._ring_lag_coefficients
+
+    def counted(phi, spread_rad, num_antennas, spacing_wl, nodes):
+        calls.append(nodes)
+        return evaluate(phi, spread_rad, num_antennas, spacing_wl, nodes)
+
+    monkeypatch.setattr(channel, "_ring_lag_coefficients", counted)
+    return calls
+
+
+# Spreads 1-80 degrees, 2-16 antennas, 0.25-10 wavelengths and 4-64 nodes: the
+# certificate holds on part of the grid and fails on the rest.
+CERTIFICATE_GRID = list(
+    itertools.product((1.0, 10.0, 40.0, 80.0), (2, 4, 16), (0.25, 0.5, 2.0, 10.0), (4, 16, 64))
+)
+
+
+class TestDoublingCertificate:
+    def test_certified_implies_evaluated_check_passes(self):
+        rng = np.random.default_rng(31)
+        certified = failed = 0
+        for spread_deg, n_ant, spacing_wl, nodes in CERTIFICATE_GRID:
+            xi = np.deg2rad(spread_deg)
+            phi = rng.uniform(-np.pi, np.pi, size=32)
+            coarse = channel._ring_lag_coefficients(phi, xi, n_ant, spacing_wl, nodes)
+            fine = channel._ring_lag_coefficients(phi, xi, n_ant, spacing_wl, 2 * nodes)
+            passes = np.abs(coarse - fine).max() <= QUADRATURE_TOL
+            if channel._doubling_check_proved(phi, xi, n_ant, spacing_wl, nodes):
+                certified += 1
+                assert passes, (spread_deg, n_ant, spacing_wl, nodes)
+            failed += not passes
+        # The grid exercises both sides of the certificate.
+        assert certified >= len(CERTIFICATE_GRID) // 3 and failed >= len(CERTIFICATE_GRID) // 4
+
+    def test_bound_covers_error_against_jacobi_anger_oracle(self):
+        rng = np.random.default_rng(32)
+        for spread_deg, n_ant, spacing_wl, nodes in CERTIFICATE_GRID:
+            xi = np.deg2rad(spread_deg)
+            bound = channel._ring_quadrature_error_bound(xi, n_ant, spacing_wl, nodes)
+            if bound >= 2.0:
+                continue  # the trivial bound: quadrature and ring mean both have modulus <= 1
+            phi = rng.uniform(-np.pi, np.pi, size=3)
+            coeff = channel._ring_lag_coefficients(phi, xi, n_ant, spacing_wl, nodes)
+            for i, angle in enumerate(phi):
+                error = np.abs(coeff[i] - ring_lag_oracle(angle, xi, n_ant, spacing_wl)).max()
+                assert error <= bound + 1e-12, (spread_deg, n_ant, spacing_wl, nodes, error, bound)
+
+    def test_reference_refresh_evaluates_lags_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        topo = generate_deployment(DeploymentConfig(1000.0, 36, 9, 4, 40), rng)
+        shadow = ShadowFading.initial(36, 40, 4.0, 0.05, rng)
+        positions = rng.uniform(0, 1000.0, size=(40, 2))
+        calls = counting_lag_evaluations(monkeypatch)
+        refresh_statistics(topo, positions, shadow, np.deg2rad(10.0), 4, 0.5)
+        assert calls == [64]
+        assert channel._ring_quadrature_error_bound(np.deg2rad(10.0), 4, 0.5, 64) < 1e-150
+
+    def test_uncertified_configuration_evaluates_the_check(self, monkeypatch):
+        calls = counting_lag_evaluations(monkeypatch)
+        with pytest.raises(NumericalError):
+            one_ring_covariance(1.0, 0.0, 1.5, 16, 40.0, nodes=4, check=True)
+        assert calls == [4, 8]
+
+    def test_huge_angles_fall_back_to_the_evaluated_check(self, monkeypatch):
+        # Truncation is negligible here, but rounding of phi + xi x near 1e10 rad
+        # alone moves the doubled lags by more than QUADRATURE_TOL.
+        phi = 1e10 + np.random.default_rng(0).uniform(-3.0, 3.0, size=64)
+        xi = 1e-3
+        assert channel._ring_quadrature_error_bound(xi, 4, 0.5, 64) < 1e-200
+        assert not channel._doubling_check_proved(phi, xi, 4, 0.5, 64)
+        calls = counting_lag_evaluations(monkeypatch)
+        with pytest.raises(NumericalError):
+            one_ring_covariance(np.ones(phi.shape), phi, xi, 4, 0.5)
+        assert calls == [64, 128]
+
+    def test_negative_zero_and_nan_spreads(self, monkeypatch):
+        calls = counting_lag_evaluations(monkeypatch)
+        xi = np.deg2rad(10.0)
+        negative = one_ring_covariance(1.0, 0.7, -xi, 4, 0.5)
+        assert calls == [64]
+        lags = ring_lag_oracle(0.7, xi, 4, 0.5)
+        assert np.abs(negative - toeplitz(lags.conj(), lags)).max() < 1e-13
+        calls.clear()
+        zero = one_ring_covariance(1.0, 0.7, 0.0, 4, 0.5)
+        assert calls == [64]
+        assert np.array_equal(zero, one_ring_covariance(1.0, 0.7, 0.0, 4, 0.5, check=False))
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            nan = one_ring_covariance(1.0, 0.7, np.nan, 4, 0.5)
+        # Never certified: the check is evaluated, and (as a NaN difference is
+        # not above the tolerance) it does not raise.
+        assert calls == [64, 128]
+        assert np.isnan(nan[0, 1])
+
+    def test_single_antenna_is_certified(self, monkeypatch):
+        calls = counting_lag_evaluations(monkeypatch)
+        cov = one_ring_covariance(2.0, 0.3, np.deg2rad(80.0), 1, 40.0, nodes=4)
+        assert calls == [4]
+        assert cov.shape == (1, 1) and cov[0, 0] == 2.0
+
+
 class TestSampling:
     def test_zero_covariance_gives_zero(self):
         factor = covariance_factor(np.zeros((1, 1, 3, 3), dtype=complex))
@@ -261,6 +368,25 @@ class TestRefresh:
             refresh_statistics(*args, check_quadrature=True)
         stats = refresh_statistics(*args, check_quadrature=False)
         assert stats.covariance.shape == (4, 3, 4, 4)
+
+    def test_non_finite_gain_raises_naming_the_pair(self):
+        topo, _, positions = self._setup()
+        values = np.zeros((4, 3))
+        values[2, 1], values[3, 0] = 5000.0, 1e300
+        with pytest.raises(NumericalError, match=r"\(O-RU 2, UE 1\) is not finite: beta_db = 4\d{3}"):
+            refresh_statistics(topo, positions, ShadowFading(values, 0.0, 0.05), np.deg2rad(10.0), 2, 0.5)
+        # Shadowing that wide on every pair stops at the gain, not in the factorization.
+        topo, shadow, positions = self._setup(sigma_sf=5000.0)
+        with pytest.raises(NumericalError, match="is not finite"):
+            refresh_statistics(topo, positions, shadow, np.deg2rad(10.0), 4, 0.5)
+
+    def test_underflowing_gain_is_zero(self):
+        topo, _, positions = self._setup()
+        values = np.zeros((4, 3))
+        values[1, 2] = -5000.0
+        stats = refresh_statistics(topo, positions, ShadowFading(values, 0.0, 0.05), np.deg2rad(10.0), 2, 0.5)
+        assert stats.beta_lin[1, 2] == 0.0
+        assert not np.any(stats.covariance[1, 2]) and not np.any(stats.factor[1, 2])
 
     def test_factor_reproduces_covariance(self):
         topo, shadow, positions = self._setup(sigma_sf=4.0)

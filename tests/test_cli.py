@@ -161,6 +161,14 @@ class TestRun:
         assert cli.main(args) == 3
         assert "episode aborted at step 0" in capsys.readouterr().err
 
+    def test_overflowing_gain_exits_3(self, tmp_path, capsys):
+        # 10^(beta_db / 10) overflows under this shadowing; the run must not go on with inf gains.
+        args = ["run", *TINY, "--setups", "1", "--set", "sigma_sf_db=1e300", "--out", str(tmp_path / "se.csv")]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert "episode aborted at step 0" in err and "is not finite: beta_db" in err
+        assert not (tmp_path / "se.csv").exists()
+
 
 class TestSweep:
     def test_csv_schema(self, tmp_path):

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmimo import config as config_mod
 from cfmimo.clustering import HandoverConfig
@@ -94,6 +96,33 @@ class TestEpisode:
         assert float(se) == results[0].se[0, 0]
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(
+    strategy=st.sampled_from(["fixed", "opportunistic", "ubiquitous", "cellular"]),
+    speed_kmh=st.sampled_from([3.0, 30.0, 120.0]),
+    tau_p=st.sampled_from([2, 4]),
+    threshold_db=st.sampled_from([0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_episode_properties(strategy, speed_kmh, tau_p, threshold_db, seed):
+    """Any tiny episode counts its invalid samples, scores non-negative SE, keeps
+    a ledger that sums its non-negative per-step records, and stamps events
+    with steps of the episode."""
+    cfg = tiny_config(sim_time_s=2.0, n_mc=10, tau_p=tau_p, seed=seed)
+    result = run_episode(cfg, 0, strategy=strategy, threshold_db=threshold_db, speed_kmh=speed_kmh)
+    n_steps = cfg.n_steps
+    assert result.se.shape == (n_steps, 4)
+    assert result.invalid_samples == int(np.isnan(result.se).sum())
+    assert np.all(result.se[np.isfinite(result.se)] >= 0)
+    ledger = result.ledger
+    assert [step for step, _ in ledger.steps] == list(range(1, n_steps + 1))
+    for counter in ("fronthaul", "inter_odu", "ric", "stats_msgs"):
+        records = [getattr(delta, counter) for _, delta in ledger.steps]
+        assert all(np.all(record >= 0) for record in records)
+        assert getattr(ledger, f"total_{counter}") == sum(int(record.sum()) for record in records)
+    assert all(1 <= event.t <= n_steps for event in result.events)
+
+
 class TestCampaign:
     def test_cell_grid_and_baseline_dedup(self):
         cfg = tiny_config()
@@ -139,6 +168,12 @@ class TestCampaign:
         for bad in (0, -3):
             with pytest.raises(ConfigurationError, match="parallelism"):
                 pool_size(bad, 5)
+
+    def test_csv_bit_identical_across_parallelism(self):
+        cfg = tiny_config(sim_time_s=1.0)
+        kwargs = dict(strategies=["fixed", "cellular"], thresholds=[2.0], speeds=[3.0, 30.0])
+        serial = run_campaign(cfg, parallelism=1, **kwargs)
+        assert run_campaign(cfg, parallelism=2, **kwargs).to_csv() == serial.to_csv()
 
     def test_bit_identical_across_runs(self):
         cfg = tiny_config(sim_time_s=1.0)
