@@ -239,8 +239,9 @@ def one_ring_covariance(
     QUADRATURE_TOL for every angle in ``aoa_rad`` (at the reference scenario the
     bound is ~2e-162). Otherwise, e.g. for wide spreads at large antenna
     spacings, a non-finite spread or angle, the lags are evaluated again at
-    ``2 * nodes`` and compared. Either way the verdict and the returned values
-    are the same; a proof only saves the second evaluation.
+    ``2 * nodes`` and compared; a NaN difference, from a NaN spread or angle,
+    fails the check. Either way the verdict and the returned values are the
+    same; a proof only saves the second evaluation.
     """
     phi = np.asarray(aoa_rad)
     coeff = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, nodes)
@@ -251,7 +252,7 @@ def one_ring_covariance(
     ):
         refined = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, 2 * nodes)
         worst = float(np.abs(coeff - refined).max())
-        if worst > QUADRATURE_TOL:
+        if not worst <= QUADRATURE_TOL:  # a NaN difference fails too
             raise NumericalError(
                 f"one-ring quadrature not converged: doubling nodes moved an entry by {worst:.3e}"
             )

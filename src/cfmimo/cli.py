@@ -45,7 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--strategy", help="comma list of strategies")
     sweep.add_argument("--threshold-db", help="comma list of hysteresis margins in dB")
     sweep.add_argument("--speeds", help="comma list of UE speeds in km/h")
-    sweep.add_argument("--parallelism", type=int, default=1, help="episode worker processes")
+    sweep.add_argument(
+        "--parallelism", type=int, default=1,
+        help="worker processes, at most one per core; a worker runs the cells of one (setup, speed) "
+        "in lockstep on shared draws; results do not depend on it",
+    )
     sweep.add_argument("--out", default="sweep.csv", help="aggregate CSV path")
 
     validate = sub.add_parser("validate", help="print the resolved configuration and exit")

@@ -10,6 +10,11 @@ support only: a step holds the draws, O(d L K N) entries for d draws, plus the
 O(K^2 S^2) moment blocks for serving clusters of at most S O-RUs, and never a
 per-draw gain array over all (O-RU, UE, UE) triples.
 
+The draws of channels, pilot observations and estimates (`draw_estimates`) do
+not depend on the serving clusters, so several serving maps can score their
+combiners and gains on one realization (`serving_gain_moments`);
+`simulate_gain_moments` is the composition of the two for one map.
+
 Memory bound: at most three draw-sized (d, L, K, N) complex arrays are live at
 once along the draw pipeline (channels, pilot observations, estimates,
 combiners); every other temporary is a fraction of one. Draws are filled and
@@ -79,32 +84,59 @@ class GainMoments:
     n_mc: int
 
 
-def simulate_gain_moments(
-    serving: np.ndarray,
+@dataclass
+class EstimationDraws:
+    """One Monte-Carlo realization of the estimation chain, independent of the clusters.
+
+    It depends only on the channel statistics, the pilots and the random stream,
+    so every serving map of a step can score its gains on the same draws.
+    ``estimates`` is set to None once the last serving map has its combiners.
+    """
+
+    channels: np.ndarray  # (d, L, K, N) true channels
+    estimates: np.ndarray | None  # (d, L, K, N) MMSE estimates
+    error_covs: np.ndarray  # (L, K, N, N) estimation error covariances
+
+
+def draw_estimates(
     stats: ChannelStatistics,
     pilots: pilots_mod.PilotConfig,
     sigma2_mw: float,
     n_mc: int,
     rng: np.random.Generator,
-) -> GainMoments:
-    """Joint Monte Carlo of channels, estimates, combiners, and effective gains.
-
-    Each draw regenerates the full estimation chain: true channels from the
-    current covariances, decorrelated pilot observations (shared noise per pilot
-    slot), MMSE estimates, and per-O-RU local combiners over the served sets.
-    The effective gains of one UE are formed on its serving support at a time.
-    """
+) -> EstimationDraws:
+    """True channels from the current covariances, decorrelated pilot observations
+    (shared noise per pilot slot) and their MMSE estimates, for ``n_mc`` draws."""
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
-    serving = np.asarray(serving, dtype=bool)
-    l_num, k_num = serving.shape
-    powers = pilots.power_mw
-
     filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
     h_hat = pilots_mod.apply_filters(filters, pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng))
-    combiners = local_mmse_combiners(serving, h_hat, error_covs, powers, sigma2_mw)
-    del h_hat  # the gains need only the true channels and the combiners; free the draw-sized array
+    return EstimationDraws(h, h_hat, error_covs)
+
+
+def serving_gain_moments(
+    draws: EstimationDraws,
+    serving: np.ndarray,
+    powers_mw: np.ndarray,
+    sigma2_mw: float,
+    release_estimates: bool = True,
+) -> GainMoments:
+    """Local combiners of one serving map on shared draws, and its effective-gain moments.
+
+    Nothing is written into ``draws``' arrays. With ``release_estimates`` the
+    estimates are dropped from ``draws`` once the combiners are formed, since
+    the gains need only the true channels and the combiners; the last serving
+    map of a step passes it, so the gain loop runs with two draw-sized arrays.
+    The effective gains of one UE are formed on its serving support at a time.
+    """
+    serving = np.asarray(serving, dtype=bool)
+    l_num, k_num = serving.shape
+    h = draws.channels
+    n_mc = h.shape[0]
+    combiners = local_mmse_combiners(serving, draws.estimates, draws.error_covs, powers_mw, sigma2_mw)
+    if release_estimates:
+        draws.estimates = None
 
     supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
     s_max = max(support.size for support in supports)
@@ -122,6 +154,24 @@ def simulate_gain_moments(
     noise_diag = sigma2_mw * power / n_mc
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
     return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc)
+
+
+def simulate_gain_moments(
+    serving: np.ndarray,
+    stats: ChannelStatistics,
+    pilots: pilots_mod.PilotConfig,
+    sigma2_mw: float,
+    n_mc: int,
+    rng: np.random.Generator,
+) -> GainMoments:
+    """Joint Monte Carlo of channels, estimates, combiners, and effective gains.
+
+    Each draw regenerates the full estimation chain (`draw_estimates`), then the
+    per-O-RU local combiners over the served sets and the effective-gain moments
+    (`serving_gain_moments`).
+    """
+    draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng)
+    return serving_gain_moments(draws, serving, pilots.power_mw, sigma2_mw)
 
 
 @dataclass

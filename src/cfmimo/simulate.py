@@ -7,9 +7,16 @@ second-stage weights, and score per-UE spectral efficiency, while the signaling
 ledger collects data- and control-plane costs. A campaign sweeps
 (strategy, threshold, speed) cells with ``n_setups`` independent episodes each.
 
-Seeds are derived per (cell, setup) from a hash of the cell identity, so adding
-sweep cells never changes the random streams of existing ones, and episodes are
-bit-reproducible regardless of execution order or parallelism.
+Seeds are derived per setup from a hash of the setup index, so every cell
+replays the same deployment and random streams (common random numbers), adding
+sweep cells never changes existing ones, and episodes are bit-reproducible
+regardless of execution order or parallelism. No strategy draws from the
+stream, so one driver, ``_run_lockstep``, runs all cells of a (setup, speed) in
+lockstep: motion, shadowing, channel statistics and the Monte-Carlo channel and
+estimate draws are computed once per step, and each cell runs only its cluster
+update, combiners, second stage and signaling on them. ``run_episode`` is its
+one-cell case, and a campaign runs one lockstep job per (speed, setup) group,
+so each cell's numbers are bit-identical to its own ``run_episode``.
 """
 
 from __future__ import annotations
@@ -18,13 +25,13 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import clustering, geometry, signaling
 from .channel import ShadowFading, refresh_statistics
-from .combining import lsfd_weights, simulate_gain_moments, stats_for_ue, uplink_sinr
+from .combining import draw_estimates, lsfd_weights, serving_gain_moments, stats_for_ue, uplink_sinr
 from .config import SimConfig
 from .errors import ConfigurationError, NumericalError, SimulationError
 from .pilots import PilotConfig
@@ -113,16 +120,51 @@ def run_episode(
     """Run one episode; cell parameters default to the configuration's values."""
     cfg = config.resolve()
     handover_cfg, threshold, speed = resolve_cell(cfg, strategy, threshold_db, speed_kmh)
-    return _run_episode(cfg, handover_cfg, threshold, speed, episode_seed(cfg.seed, setup))
+    (outcome,) = _run_lockstep(cfg, [(handover_cfg, threshold)], speed, episode_seed(cfg.seed, setup))
+    if isinstance(outcome, SimulationError):
+        raise outcome
+    return outcome
 
 
-def _run_episode(
+@dataclass
+class _Lane:
+    """What one cell of a lockstep episode carries from step to step."""
+
+    handover: clustering.HandoverConfig
+    threshold_db: float
+    se: np.ndarray
+    ledger: signaling.SignalingLedger
+    events: list = field(default_factory=list)
+    invalid: int = 0
+    state: clustering.ClusterState | None = None
+    error: SimulationError | None = None
+
+
+def _abort(lanes, step: int, speed_kmh: float, exc: NumericalError) -> None:
+    for lane in lanes:
+        lane.error = SimulationError(
+            f"episode aborted at step {step} "
+            f"(strategy={lane.handover.strategy}, speed={speed_kmh:g} km/h): {exc}"
+        )
+        lane.error.__cause__ = exc
+
+
+def _run_lockstep(
     cfg: SimConfig,
-    handover_cfg: clustering.HandoverConfig,
-    threshold_db: float,
+    cells: list,
     speed_kmh: float,
     seed_seq: np.random.SeedSequence,
-) -> EpisodeResult:
+) -> list:
+    """Episodes of one setup and speed for every (handover config, threshold) cell.
+
+    No strategy draws from the episode's generator, so all cells see the same
+    deployment, motion, shadowing, channel statistics and Monte-Carlo draws.
+    Each step does that work once; each cell then runs its own cluster update,
+    combiners and gain moments, second stage and signaling, and writes only
+    into its own arrays. Returns an EpisodeResult or a SimulationError per
+    cell, in order: a NumericalError in a cell's own stage ends that cell, one
+    in a shared stage ends every live cell.
+    """
     rng = np.random.default_rng(seed_seq)
     dep = cfg.deployment
     n_antennas = dep.antennas_per_oru
@@ -138,48 +180,80 @@ def _run_episode(
     channel_args = (
         cfg.angle_spread_rad, n_antennas, cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature
     )
+    lanes = [
+        _Lane(handover, threshold, np.zeros((cfg.n_steps, dep.num_ues)),
+              signaling.SignalingLedger(dep.num_orus, dep.num_odus))
+        for handover, threshold in cells
+    ]
 
-    ledger = signaling.SignalingLedger(dep.num_orus, dep.num_odus)
-    se = np.zeros((cfg.n_steps, dep.num_ues))
-    events: list = []
-    invalid = 0
-    step = 0  # set-up failures are reported as step 0
-    try:
-        stats = refresh_statistics(topology, positions, shadow, *channel_args)
-        state = clustering.initial_clusters(stats.beta_lin, topology, handover_cfg, n_antennas, neighbors)
-        for step in range(1, cfg.n_steps + 1):
-            positions = geometry.advance_positions(positions, speeds, headings, cfg.ts_s, dep.grid_side_m)
-            shadow = shadow.evolve(speeds, cfg.ts_s, rng)
+    for step in range(cfg.n_steps + 1):  # step 0 is the set-up
+        live = [lane for lane in lanes if lane.error is None]
+        if not live:
+            break
+        try:
+            if step:
+                positions = geometry.advance_positions(positions, speeds, headings, cfg.ts_s, dep.grid_side_m)
+                shadow = shadow.evolve(speeds, cfg.ts_s, rng)
             stats = refresh_statistics(topology, positions, shadow, *channel_args)
-            state, step_events = clustering.strategy_step(
-                state, stats.beta_db, stats.beta_lin, topology, neighbors, handover_cfg, n_antennas, step
-            )
-            moments = simulate_gain_moments(state.serving, stats, pilot_cfg, sigma2, cfg.n_mc, rng)
-            for k in range(dep.num_ues):
-                # Weights use the statistics a primary O-DU can collect (UEs
-                # sharing a serving O-RU); the achievable SE is charged with
-                # interference from every UE.
-                weights = lsfd_weights(stats_for_ue(moments, k), pilot_cfg.power_mw)
-                eval_stats = stats_for_ue(moments, k, all_interferers=True)
-                _, se_k = uplink_sinr(weights, eval_stats, pilot_cfg.power_mw)
-                se[step - 1, k] = cfg.prelog * se_k
-                if np.isnan(se_k):
-                    invalid += 1
-            delta = (
-                signaling.account_data_plane(state, cfg.frame, topology.odu_of_oru)
-                + signaling.account_control_plane(step_events, state, topology.odu_of_oru)
-                + signaling.account_statistics_exchange(state, topology.odu_of_oru)
-            )
-            ledger.record(step, delta)
-            events.extend(step_events)
-    except NumericalError as exc:
-        raise SimulationError(
-            f"episode aborted at step {step} "
-            f"(strategy={handover_cfg.strategy}, speed={speed_kmh:g} km/h): {exc}"
-        ) from exc
-    return EpisodeResult(
-        handover_cfg.strategy, threshold_db, speed_kmh, cfg.sim_time_s, se, events, ledger, invalid
-    )
+        except NumericalError as exc:
+            _abort(live, step, speed_kmh, exc)
+            break
+        updated = []
+        for lane in live:
+            try:
+                if step == 0:
+                    lane.state = clustering.initial_clusters(
+                        stats.beta_lin, topology, lane.handover, n_antennas, neighbors
+                    )
+                    continue
+                lane.state, step_events = clustering.strategy_step(
+                    lane.state, stats.beta_db, stats.beta_lin, topology, neighbors, lane.handover, n_antennas, step
+                )
+                updated.append((lane, step_events))
+            except NumericalError as exc:
+                _abort([lane], step, speed_kmh, exc)
+        if not updated:
+            continue
+        try:
+            draws = draw_estimates(stats, pilot_cfg, sigma2, cfg.n_mc, rng)
+        except NumericalError as exc:
+            _abort([lane for lane, _ in updated], step, speed_kmh, exc)
+            break
+        for index, (lane, step_events) in enumerate(updated):
+            try:
+                # The last cell frees the shared estimates before its gain loop.
+                moments = serving_gain_moments(
+                    draws, lane.state.serving, pilot_cfg.power_mw, sigma2,
+                    release_estimates=index == len(updated) - 1,
+                )
+                for k in range(dep.num_ues):
+                    # Weights use the statistics a primary O-DU can collect (UEs
+                    # sharing a serving O-RU); the achievable SE is charged with
+                    # interference from every UE.
+                    weights = lsfd_weights(stats_for_ue(moments, k), pilot_cfg.power_mw)
+                    eval_stats = stats_for_ue(moments, k, all_interferers=True)
+                    _, se_k = uplink_sinr(weights, eval_stats, pilot_cfg.power_mw)
+                    lane.se[step - 1, k] = cfg.prelog * se_k
+                    if np.isnan(se_k):
+                        lane.invalid += 1
+                delta = (
+                    signaling.account_data_plane(lane.state, cfg.frame, topology.odu_of_oru)
+                    + signaling.account_control_plane(step_events, lane.state, topology.odu_of_oru)
+                    + signaling.account_statistics_exchange(lane.state, topology.odu_of_oru)
+                )
+                lane.ledger.record(step, delta)
+                lane.events.extend(step_events)
+            except NumericalError as exc:
+                _abort([lane], step, speed_kmh, exc)
+        del draws  # the true channels are not kept into the next step
+    return [
+        lane.error
+        or EpisodeResult(
+            lane.handover.strategy, lane.threshold_db, speed_kmh, cfg.sim_time_s,
+            lane.se, lane.events, lane.ledger, lane.invalid,
+        )
+        for lane in lanes
+    ]
 
 
 @dataclass
@@ -245,15 +319,46 @@ def pool_size(parallelism: int, num_jobs: int) -> int:
     return min(parallelism, num_jobs, os.cpu_count() or 1)
 
 
-def _episode_job(args):
-    config, strategy, threshold, speed, setup = args
-    result = run_episode(config, setup, strategy=strategy, threshold_db=threshold, speed_kmh=speed)
-    return (
-        result.mean_se,
-        result.mean_handover_frequency,
-        float(result.ledger.total_ric),
-        float(result.ledger.total_inter_odu),
-    )
+def plan_jobs(cells, n_setups: int, workers: int) -> list:
+    """Lockstep jobs ``(speed, setup, cell indices)`` of a campaign over ``cells``.
+
+    The cells of one speed share every draw of a setup, so each (speed, setup)
+    group is one job, in order of first speed, then setup. With fewer groups
+    than ``workers``, each group's cells are split into ceil(workers / groups)
+    contiguous sub-groups of near-equal size (at least one cell each), so that
+    no worker sits idle.
+    """
+    speeds = list(dict.fromkeys(speed for _, _, speed in cells))
+    groups = [
+        (speed, setup, [i for i, cell in enumerate(cells) if cell[2] == speed])
+        for speed in speeds
+        for setup in range(n_setups)
+    ]
+    parts = -(-workers // len(groups))
+    jobs = []
+    for speed, setup, members in groups:
+        n_parts = min(parts, len(members))
+        bounds = [len(members) * j // n_parts for j in range(n_parts + 1)]
+        jobs += [(speed, setup, members[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return jobs
+
+
+def _lockstep_job(args):
+    """Campaign outcomes of one job: (mean SE, handover frequency, RIC and
+    inter-O-DU totals) or the SimulationError, per cell."""
+    config, speed, setup, cells = args
+    lanes = [resolve_cell(config, strategy, threshold, speed)[:2] for strategy, threshold, _ in cells]
+    return [
+        outcome
+        if isinstance(outcome, SimulationError)
+        else (
+            outcome.mean_se,
+            outcome.mean_handover_frequency,
+            float(outcome.ledger.total_ric),
+            float(outcome.ledger.total_inter_odu),
+        )
+        for outcome in _run_lockstep(config, lanes, speed, episode_seed(config.seed, setup))
+    ]
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -284,20 +389,24 @@ def run_campaign(
         if not axis:
             raise ConfigurationError(f"the {name} axis of the sweep is empty")
     cells = campaign_cells(cfg, strategies, thresholds, speeds)
-    jobs = [
-        (cfg, strategy, threshold, speed, setup)
-        for (strategy, threshold, speed) in cells
-        for setup in range(cfg.n_setups)
-    ]
-    workers = pool_size(parallelism, len(jobs))
+    workers = pool_size(parallelism, len(cells) * cfg.n_setups)
+    jobs = plan_jobs(cells, cfg.n_setups, workers)
+    job_args = [(cfg, speed, setup, [cells[i] for i in members]) for speed, setup, members in jobs]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_episode_job, jobs, chunksize=1))
+            results = list(pool.map(_lockstep_job, job_args, chunksize=1))
     else:
-        outcomes = [_episode_job(job) for job in jobs]
+        results = [_lockstep_job(args) for args in job_args]
+    outcomes = {}
+    for (_, setup, members), result in zip(jobs, results):
+        outcomes.update(((idx, setup), outcome) for idx, outcome in zip(members, result))
     rows = []
     for idx, (strategy, threshold, speed) in enumerate(cells):
-        block = outcomes[idx * cfg.n_setups : (idx + 1) * cfg.n_setups]
+        block = [outcomes[idx, setup] for setup in range(cfg.n_setups)]
+        for outcome in block:
+            if isinstance(outcome, SimulationError):
+                raise outcome
         se_values = np.array([b[0] for b in block])
         ho_values = np.array([b[1] for b in block])
         ric_values = np.array([b[2] for b in block])

@@ -253,12 +253,14 @@ class TestDoublingCertificate:
         assert calls == [64]
         assert np.array_equal(zero, one_ring_covariance(1.0, 0.7, 0.0, 4, 0.5, check=False))
         calls.clear()
-        with np.errstate(invalid="ignore"):
-            nan = one_ring_covariance(1.0, 0.7, np.nan, 4, 0.5)
-        # Never certified: the check is evaluated, and (as a NaN difference is
-        # not above the tolerance) it does not raise.
+        # Never certified: the check is evaluated, and a NaN difference fails it.
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="nan"):
+            one_ring_covariance(1.0, 0.7, np.nan, 4, 0.5)
         assert calls == [64, 128]
-        assert np.isnan(nan[0, 1])
+        calls.clear()
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="nan"):
+            one_ring_covariance(1.0, np.nan, xi, 4, 0.5)
+        assert calls == [64, 128]
 
     def test_single_antenna_is_certified(self, monkeypatch):
         calls = counting_lag_evaluations(monkeypatch)

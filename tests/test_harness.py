@@ -1,16 +1,18 @@
 """Episode/campaign drivers, configuration handling, seed derivation."""
 
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfmimo import clustering, simulate
 from cfmimo import config as config_mod
 from cfmimo.clustering import HandoverConfig
 from cfmimo.config import SimConfig
-from cfmimo.errors import ConfigurationError
+from cfmimo.errors import ConfigurationError, NumericalError, SimulationError
 from cfmimo.geometry import DeploymentConfig
 from cfmimo.signaling import FrameConfig
 from cfmimo.simulate import (
@@ -18,6 +20,7 @@ from cfmimo.simulate import (
     campaign_cells,
     episode_seed,
     episodes_to_csv,
+    plan_jobs,
     pool_size,
     run_campaign,
     run_episode,
@@ -180,6 +183,117 @@ class TestCampaign:
         a = run_campaign(cfg, strategies=["fixed"], thresholds=[2.0], speeds=[3.0, 30.0])
         b = run_campaign(cfg, strategies=["fixed"], thresholds=[2.0], speeds=[3.0, 30.0])
         assert a.to_csv() == b.to_csv()
+
+
+STRATEGIES = ["fixed", "opportunistic", "ubiquitous", "cellular"]
+
+
+def episode_fields(result) -> tuple:
+    """Everything an episode reports, in a form that compares floats bit for bit."""
+    ledger = result.ledger
+    return (
+        result.strategy,
+        repr(result.threshold_db),
+        repr(result.speed_kmh),
+        result.se.tobytes(),
+        [(e.t, e.ue, e.kind, e.old, e.new) for e in result.events],
+        [ledger.total_fronthaul, ledger.total_inter_odu, ledger.total_ric, ledger.total_stats_msgs],
+        result.invalid_samples,
+    )
+
+
+class TestLockstep:
+    """All cells of one (setup, speed) run in lockstep on shared draws; each
+    must still equal its own episode."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_campaign_equals_its_episodes(self, parallelism):
+        cfg = tiny_config(sim_time_s=1.0, n_setups=2, tau_p=2, n_mc=10)
+        sweep = dict(strategies=STRATEGIES, thresholds=[2.0, 3.0], speeds=[3.0, 30.0])
+        rows = run_campaign(cfg, parallelism=parallelism, **sweep).rows
+        cells = campaign_cells(cfg.resolve(), *sweep.values())
+        assert [(r.strategy, r.threshold_db, r.speed_kmh) for r in rows] == cells
+        for row, (strategy, threshold, speed) in zip(rows, cells):
+            episodes = [
+                run_episode(cfg, setup, strategy=strategy, threshold_db=threshold, speed_kmh=speed)
+                for setup in range(cfg.n_setups)
+            ]
+            se = np.array([e.mean_se for e in episodes])
+            ho = np.array([e.mean_handover_frequency for e in episodes])
+            expected = (
+                strategy, threshold, speed,
+                float(se.mean()), float(se.std(ddof=1) / np.sqrt(2)),
+                float(ho.mean()), float(ho.std(ddof=1) / np.sqrt(2)),
+                float(np.mean([e.ledger.total_ric for e in episodes])),
+                float(np.mean([e.ledger.total_inter_odu for e in episodes])),
+                cfg.n_setups,
+            )
+            assert [repr(v) for v in astuple(row)] == [repr(v) for v in expected]
+
+    def test_job_plan(self):
+        # Pure arithmetic: no pool is started.
+        cells = [("fixed", 2.0, 3.0), ("fixed", 2.0, 30.0), ("cellular", 2.0, 3.0),
+                 ("cellular", 2.0, 30.0), ("ubiquitous", 0.0, 3.0), ("ubiquitous", 0.0, 30.0)]
+        groups = [(3.0, 0, [0, 2, 4]), (3.0, 1, [0, 2, 4]), (30.0, 0, [1, 3, 5]), (30.0, 1, [1, 3, 5])]
+        assert plan_jobs(cells, 2, 1) == groups
+        assert plan_jobs(cells, 2, 4) == groups
+        # Two groups, five workers: each group splits into ceil(5 / 2) = 3 parts.
+        assert plan_jobs(cells, 1, 5) == [
+            (3.0, 0, [0]), (3.0, 0, [2]), (3.0, 0, [4]), (30.0, 0, [1]), (30.0, 0, [3]), (30.0, 0, [5])
+        ]
+        assert plan_jobs(cells, 1, 4) == [(3.0, 0, [0]), (3.0, 0, [2, 4]), (30.0, 0, [1]), (30.0, 0, [3, 5])]
+        # A group never splits into more parts than it has cells.
+        assert plan_jobs(cells[:2], 1, 8) == [(3.0, 0, [0]), (30.0, 0, [1])]
+        # Every (cell, setup) is in exactly one job.
+        for workers in range(1, 9):
+            for n_setups in (1, 2, 3):
+                covered = sorted((i, setup) for _, setup, members in plan_jobs(cells, n_setups, workers)
+                                 for i in members)
+                assert covered == sorted((i, s) for i in range(len(cells)) for s in range(n_setups))
+
+    @pytest.mark.parametrize("failing", STRATEGIES)
+    def test_cell_failure_stops_only_that_cell(self, monkeypatch, failing):
+        cfg = tiny_config(sim_time_s=2.0, n_setups=1, tau_p=2, n_mc=10).resolve()
+        solo = {s: run_episode(cfg, 0, strategy=s, threshold_db=2.0, speed_kmh=30.0) for s in STRATEGIES}
+        original = clustering.strategy_step
+
+        def strategy_step(state, *args):
+            handover, step = args[-3], args[-1]
+            if handover.strategy == failing and step == 2:
+                raise NumericalError("injected failure")
+            return original(state, *args)
+
+        monkeypatch.setattr(clustering, "strategy_step", strategy_step)
+        with pytest.raises(SimulationError) as solo_error:
+            run_episode(cfg, 0, strategy=failing, threshold_db=2.0, speed_kmh=30.0)
+        assert "step 2" in str(solo_error.value) and "injected failure" in str(solo_error.value)
+        with pytest.raises(SimulationError) as campaign_error:
+            run_campaign(cfg, strategies=STRATEGIES, thresholds=[2.0], speeds=[30.0])
+        assert str(campaign_error.value) == str(solo_error.value)
+
+        lanes = [simulate.resolve_cell(cfg, s, 2.0, 30.0)[:2] for s in STRATEGIES]
+        outcomes = simulate._run_lockstep(cfg, lanes, 30.0, simulate.episode_seed(cfg.seed, 0))
+        for strategy, outcome in zip(STRATEGIES, outcomes):
+            if strategy == failing:
+                assert isinstance(outcome, SimulationError)
+                assert str(outcome) == str(solo_error.value)
+            else:
+                assert episode_fields(outcome) == episode_fields(solo[strategy])
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_shared_failure_stops_every_cell(self, parallelism):
+        cfg = tiny_config(sigma_sf_db=5000.0, sim_time_s=1.0)
+        with pytest.raises(SimulationError) as error:
+            run_campaign(cfg, strategies=STRATEGIES, thresholds=[2.0, 3.0], speeds=[3.0, 30.0],
+                         parallelism=parallelism)
+        assert str(error.value) == (
+            "episode aborted at step 0 (strategy=fixed, speed=3 km/h): "
+            "large-scale gain of (O-RU 0, UE 1) is not finite: beta_db = 6193.69"
+        )
+        cfg = cfg.resolve()
+        lanes = [simulate.resolve_cell(cfg, s, 2.0, 30.0)[:2] for s in STRATEGIES]
+        outcomes = simulate._run_lockstep(cfg, lanes, 30.0, simulate.episode_seed(cfg.seed, 0))
+        assert all(isinstance(o, SimulationError) and "step 0" in str(o) for o in outcomes)
 
 
 class TestConfig:
