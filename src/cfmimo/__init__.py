@@ -38,6 +38,7 @@ from .combining import (
     EffectiveGainStats,
     GainMoments,
     lsfd_weights,
+    second_stage,
     simulate_gain_moments,
     stats_for_ue,
     uplink_sinr,

@@ -116,7 +116,10 @@ def _cmd_run(args) -> int:
             fh.write(_with_setup_column(r.ledger.to_csv() for r in results))
     mean_se = sum(r.mean_se for r in results) / len(results)
     mean_ho = sum(r.mean_handover_frequency for r in results) / len(results)
-    print(f"{len(results)} episode(s): mean SE {mean_se:.4f} bit/s/Hz, "
+    invalid = sum(r.invalid_samples for r in results)
+    samples = sum(r.se.size for r in results)
+    print(f"{len(results)} episode(s): mean SE {mean_se:.4f} bit/s/Hz "
+          f"({invalid} of {samples} SE samples invalid, left out of the mean), "
           f"handover frequency {mean_ho:.4f} 1/s, wrote {args.out}")
     return 0
 

@@ -19,6 +19,10 @@ Memory bound: at most three draw-sized (d, L, K, N) complex arrays are live at
 once along the draw pipeline (channels, pilot observations, estimates,
 combiners); every other temporary is a fraction of one. Draws are filled and
 scaled in place, and no stage writes into an array it was passed.
+
+The second stage (`second_stage`) solves the weights and scores the SINR of all
+UEs of one support size in one batch. `lsfd_weights` and `uplink_sinr` run the
+same kernel on one UE's `stats_for_ue` view and give the same bits.
 """
 
 from __future__ import annotations
@@ -174,6 +178,104 @@ def simulate_gain_moments(
     return serving_gain_moments(draws, serving, pilots.power_mw, sigma2_mw)
 
 
+def second_stage(moments: GainMoments, powers_mw: np.ndarray):
+    """Second-stage weights and spectral efficiency of every UE at once.
+
+    Returns (weights (K, L), se (K,)): per UE the weights of `lsfd_weights` on
+    the statistics of the UEs sharing a serving O-RU, embedded into L
+    dimensions, and se = log2(1 + gamma) of `uplink_sinr` charged with every
+    UE's interference. se is NaN where the sample is invalid, among them every
+    unserved UE, whose weights are zero.
+
+    UEs are batched by support size s, in chunks (`_chunk_rows`), through the
+    kernel of the one-UE entry points, whose arithmetic does not depend on the
+    batch: a UE gets the same bits alone as in any chunk. In the weight system,
+    UEs sharing no serving O-RU enter with power 0, which leaves the sequential
+    interferer sum of `_denominators` unchanged.
+    """
+    k_num, l_num = moments.mean_gain.shape
+    s_max = moments.second_moment.shape[-1]
+    weights = np.zeros((k_num, l_num), dtype=complex)
+    se = np.full(k_num, np.nan)
+    sizes = moments.serving.sum(axis=0)
+    for s in np.unique(sizes[sizes > 0]):
+        group = np.flatnonzero(sizes == s)
+        rows = _chunk_rows(k_num, s_max, s)
+        for start in range(0, group.size, rows):
+            ues = group[start : start + rows]
+            supports = np.nonzero(moments.serving[:, ues].T)[1].reshape(ues.size, s)
+            blocks = moments.second_moment[ues, :, :s, :s]
+            noise = moments.noise_diag[ues[:, None], supports]
+            mean = moments.mean_gain[ues[:, None], supports]
+            p_self = powers_mw[ues]
+            sharers = np.where(moments.share[ues], powers_mw, 0.0)
+            a = _solve_weights(blocks, sharers, noise, mean, p_self, ues, supports)
+            weights[ues[:, None], supports] = a
+            se[ues] = _sinr(a, blocks, powers_mw[None, :], noise, mean, p_self)[1]
+    return weights, se
+
+
+def _chunk_rows(k_num: int, s_max: int, s: int) -> int:
+    """UEs of support size ``s`` per chunk of `second_stage`: the two (rows, K, s, s)
+    temporaries of a chunk stay within one (K, K, S_max, S_max) block array."""
+    return max(1, k_num * s_max**2 // (2 * s * s))
+
+
+def _denominators(blocks: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """sum_i powers[:, i] blocks[:, i] + diag(noise), per row of a batch.
+
+    ``blocks`` is (G, I, s, s), ``powers`` (G, I) and ``noise`` (G, s). The
+    interferer sum runs over a real view whose innermost axis holds the real
+    and imaginary parts, so numpy adds the terms in order for every shape,
+    s = 1 included (a complex ``sum(axis=1)`` turns pairwise there), and a term
+    of power 0 leaves the sum unchanged.
+    """
+    terms = np.multiply(blocks, powers[:, :, None, None], order="C")
+    denom = terms.view(float).sum(axis=1).view(complex)
+    diag = np.arange(noise.shape[-1])
+    denom[:, diag, diag] += noise
+    return denom
+
+
+def _solve_weights(blocks, powers, noise, mean, p_self, ues, supports) -> np.ndarray:
+    """Weights p_k D_k^{-1} E[g_kk] on the support, per row, with D_k from
+    `_denominators`; a singular D_k raises NumericalError naming UE and support."""
+    denom = _denominators(blocks, powers, noise)
+    try:
+        solution = np.linalg.solve(denom, mean[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        for ue, support, matrix in zip(ues, supports, denom):
+            if _singular(matrix):
+                raise NumericalError(f"singular weight system of UE {ue} on O-RU support {support.tolist()}") from exc
+        raise
+    return p_self[:, None] * solution
+
+
+def _singular(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.solve(matrix, matrix[:, 0])
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _sinr(a, blocks, powers, noise, mean, p_self):
+    """(gamma, se) per row for weights ``a`` (G, s) on the support:
+    gamma = p_k |a^H m|^2 / a^H (D_k - p_k m m^H) a with m = E[g_kk], and
+    se = log2(1 + gamma). A non-positive or non-finite interference makes both NaN.
+
+    The products are elementwise and summed along the last axis, so a row's
+    bits do not depend on the others.
+    """
+    denom = _denominators(blocks, powers, noise)
+    denom -= p_self[:, None, None] * (mean[:, :, None] * mean.conj()[:, None, :])
+    signal = p_self * np.abs((a.conj() * mean).sum(axis=-1)) ** 2
+    interference = (a.conj() * (denom * a[:, None, :]).sum(axis=-1)).sum(axis=-1).real
+    valid = np.isfinite(interference) & (interference > 0.0)
+    gamma = np.divide(signal, interference, out=np.full_like(signal, np.nan), where=valid)
+    return gamma, np.log2(1.0 + gamma)
+
+
 @dataclass
 class EffectiveGainStats:
     """Effective-gain statistics for one UE, restricted to its interferer set."""
@@ -210,11 +312,17 @@ def stats_for_ue(moments: GainMoments, k: int, all_interferers: bool = False) ->
     )
 
 
-def _denominator(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray:
-    """F_k + sum_{i in interferers} p_i E[g_ki g_ki^H], restricted to the serving support."""
-    denom = np.tensordot(powers_mw[stats.interferers], stats.second_moments, 1)
-    denom[np.diag_indices(stats.support.size)] += stats.noise_diag[stats.support]
-    return denom
+def _one_ue(stats: EffectiveGainStats, powers_mw: np.ndarray):
+    """One UE as a one-row batch of the second-stage kernel:
+    (blocks, powers, noise, mean, p_self)."""
+    support = stats.support
+    return (
+        stats.second_moments[None],
+        powers_mw[stats.interferers][None],
+        stats.noise_diag[support][None],
+        stats.mean_gain[support][None],
+        powers_mw[[stats.ue]],
+    )
 
 
 def lsfd_weights(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray:
@@ -222,36 +330,24 @@ def lsfd_weights(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray
 
     Solves p_k (sum_{i in interferers} p_i E[g_ki g_ki^H] + F_k)^{-1} E[g_kk]
     on the serving support and embeds the result into L dimensions (zeros
-    elsewhere).
+    elsewhere); the one-UE case of `second_stage`.
     """
-    support = stats.support
-    if support.size == 0:
-        return np.zeros_like(stats.mean_gain)
-    rhs = stats.mean_gain[support]
-    try:
-        solution = np.linalg.solve(_denominator(stats, powers_mw), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular weight system on O-RU support {support.tolist()}") from exc
     weights = np.zeros_like(stats.mean_gain)
-    weights[support] = powers_mw[stats.ue] * solution
+    if stats.support.size:
+        weights[stats.support] = _solve_weights(
+            *_one_ue(stats, powers_mw), [stats.ue], stats.support[None]
+        )[0]
     return weights
 
 
 def uplink_sinr(weights: np.ndarray, stats: EffectiveGainStats, powers_mw: np.ndarray):
-    """Effective uplink SINR and spectral efficiency for one UE.
+    """Effective uplink SINR and spectral efficiency of any weights for one UE.
 
     gamma = p_k |a^H E[g_kk]|^2 /
             a^H (sum_i p_i E[g_ki g_ki^H] - p_k E[g_kk] E[g_kk]^H + F_k) a
-    and se = log2(1 + gamma). A non-positive or non-finite denominator marks the
-    sample invalid: (nan, nan) is returned.
+    and se = log2(1 + gamma), the one-UE case of `second_stage`'s scoring. A
+    non-positive or non-finite denominator marks the sample invalid: (nan, nan)
+    is returned.
     """
-    a = weights[stats.support]
-    mean = stats.mean_gain[stats.support]
-    p_k = powers_mw[stats.ue]
-    denom_mat = _denominator(stats, powers_mw) - p_k * np.outer(mean, mean.conj())
-    signal = p_k * np.abs(a.conj() @ mean) ** 2
-    interference = (a.conj() @ denom_mat @ a).real
-    if not np.isfinite(interference) or interference <= 0.0:
-        return float("nan"), float("nan")
-    gamma = float(signal / interference)
-    return gamma, float(np.log2(1.0 + gamma))
+    gamma, se = _sinr(weights[stats.support][None], *_one_ue(stats, powers_mw))
+    return float(gamma[0]), float(se[0])

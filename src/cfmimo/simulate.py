@@ -31,7 +31,7 @@ import numpy as np
 
 from . import clustering, geometry, signaling
 from .channel import ShadowFading, refresh_statistics
-from .combining import draw_estimates, lsfd_weights, serving_gain_moments, stats_for_ue, uplink_sinr
+from .combining import draw_estimates, second_stage, serving_gain_moments
 from .config import SimConfig
 from .errors import ConfigurationError, NumericalError, SimulationError
 from .pilots import PilotConfig
@@ -226,16 +226,12 @@ def _run_lockstep(
                     draws, lane.state.serving, pilot_cfg.power_mw, sigma2,
                     release_estimates=index == len(updated) - 1,
                 )
-                for k in range(dep.num_ues):
-                    # Weights use the statistics a primary O-DU can collect (UEs
-                    # sharing a serving O-RU); the achievable SE is charged with
-                    # interference from every UE.
-                    weights = lsfd_weights(stats_for_ue(moments, k), pilot_cfg.power_mw)
-                    eval_stats = stats_for_ue(moments, k, all_interferers=True)
-                    _, se_k = uplink_sinr(weights, eval_stats, pilot_cfg.power_mw)
-                    lane.se[step - 1, k] = cfg.prelog * se_k
-                    if np.isnan(se_k):
-                        lane.invalid += 1
+                # Weights use the statistics a primary O-DU can collect (UEs
+                # sharing a serving O-RU); the achievable SE is charged with
+                # interference from every UE.
+                _, se = second_stage(moments, pilot_cfg.power_mw)
+                lane.se[step - 1] = cfg.prelog * se
+                lane.invalid += int(np.isnan(se).sum())
                 delta = (
                     signaling.account_data_plane(lane.state, cfg.frame, topology.odu_of_oru)
                     + signaling.account_control_plane(step_events, lane.state, topology.odu_of_oru)

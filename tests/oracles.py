@@ -119,6 +119,38 @@ def full_gain_moments(combiners, h):
     return mean_gain, second_moment, combiner_power
 
 
+def second_stage_oracle(moments, powers_mw):
+    """Second-stage weights (K, L) and spectral efficiency (K,) one UE at a time.
+
+    Per served UE k on its support S_k: the weights solve
+    p_k (F_k + sum_{i sharing a serving O-RU} p_i E[g_ki g_ki^H])^{-1} E[g_kk]
+    with the interferer sum as a tensordot, and the SINR charges every UE,
+    gamma = p_k |a^H m|^2 / a^H (F_k + sum_i p_i E[g_ki g_ki^H] - p_k m m^H) a
+    with m = E[g_kk], through np.outer and dense products. se = log2(1 + gamma)
+    is NaN for an unserved UE and where the interference is not positive and
+    finite; unserved UEs get zero weights.
+    """
+    k_num, l_num = moments.mean_gain.shape
+    weights = np.zeros((k_num, l_num), dtype=complex)
+    se = np.full(k_num, np.nan)
+    for k in range(k_num):
+        support = np.flatnonzero(moments.serving[:, k])
+        s = support.size
+        if s == 0:
+            continue
+        blocks = moments.second_moment[k, :, :s, :s]
+        noise = np.diag(moments.noise_diag[k, support])
+        mean = moments.mean_gain[k, support]
+        sharers = np.flatnonzero(moments.share[k])
+        a = powers_mw[k] * np.linalg.solve(np.tensordot(powers_mw[sharers], blocks[sharers], 1) + noise, mean)
+        weights[k, support] = a
+        total = np.tensordot(powers_mw, blocks, 1) + noise - powers_mw[k] * np.outer(mean, mean.conj())
+        interference = (a.conj() @ total @ a).real
+        if np.isfinite(interference) and interference > 0.0:
+            se[k] = math.log2(1.0 + powers_mw[k] * abs(a.conj() @ mean) ** 2 / interference)
+    return weights, se
+
+
 def fixed_selection(gains, measurement_idx, serving_size: int):
     """Fixed-strategy serving cluster of one UE: the ``serving_size`` strongest
     O-RUs of its measurement cluster, equal gains going to the lower index.

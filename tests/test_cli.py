@@ -6,11 +6,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cfmimo
-from cfmimo import cli
+from cfmimo import cli, simulate
 from cfmimo.clustering import events_to_csv
+from cfmimo.combining import second_stage
 from cfmimo.config import SimConfig, apply_setting
 from cfmimo.errors import SimulationError
 from cfmimo.simulate import run_episode
@@ -90,6 +92,22 @@ class TestRun:
         lines = out1.read_text().strip().splitlines()
         assert lines[0] == "setup,step,ue,se_bits_per_hz"
         assert len(lines) == 1 + 4 * 4  # 4 steps x 4 UEs
+
+    def test_reports_invalid_samples_left_out_of_the_mean(self, tmp_path, capsys, monkeypatch):
+        def ue0_invalid(moments, powers_mw):
+            weights, se = second_stage(moments, powers_mw)
+            se[0] = np.nan
+            return weights, se
+
+        args = ["run", *TINY, "--setups", "2", "--seed", "7", "--out", str(tmp_path / "se.csv")]
+        assert cli.main(args) == 0
+        assert "(0 of 32 SE samples invalid, left out of the mean)" in capsys.readouterr().out
+        monkeypatch.setattr(simulate, "second_stage", ue0_invalid)
+        assert cli.main(args) == 0
+        # UE 0 of 4 in each of 4 steps of 2 episodes.
+        assert "(8 of 32 SE samples invalid, left out of the mean)" in capsys.readouterr().out
+        se = np.loadtxt(tmp_path / "se.csv", delimiter=",", skiprows=1)
+        assert np.isnan(se[se[:, 2] == 0, 3]).all() and np.isfinite(se[se[:, 2] != 0, 3]).all()
 
     def test_events_and_ledger_files(self, tmp_path):
         args = [

@@ -1,6 +1,8 @@
 """Local combiners, effective-gain statistics, second-stage weights, SINR."""
 
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +14,19 @@ from cfmimo.channel import (
     one_ring_covariance,
     sample_channels,
 )
+from cfmimo import combining
 from cfmimo.combining import (
     EffectiveGainStats,
     local_mmse_combiners,
     lsfd_weights,
+    second_stage,
     simulate_gain_moments,
     stats_for_ue,
     uplink_sinr,
 )
 from cfmimo.errors import NumericalError
 from cfmimo.pilots import PilotConfig, apply_filters, mmse_filters, observe_pilots
-from oracles import full_gain_moments
+from oracles import full_gain_moments, second_stage_oracle
 
 
 def make_stats(covs: np.ndarray) -> ChannelStatistics:
@@ -355,3 +359,81 @@ class TestUplinkSinr:
                 ses.append(se)
             deltas.append(ses[0] - ses[1])
         assert np.mean(deltas) > -1e-3
+
+
+def shared_pilot_moments(seed):
+    """Moments of 12 UEs on 8 O-RUs with pilot sharing (tau_p = 3), one unserved
+    UE and six support sizes, among them single-O-RU UEs with several sharers."""
+    rng = np.random.default_rng(seed)
+    l_num, k_num = 8, 12
+    stats = make_stats(ring_stack(rng, l_num, k_num, 2))
+    serving = np.zeros((l_num, k_num), dtype=bool)
+    for k, size in enumerate(rng.permutation([0, 1, 1, 1, 2, 2, 3, 3, 4, 5, 8, 8])):
+        serving[rng.choice(l_num, size, replace=False), k] = True
+    pilots = PilotConfig(3, np.arange(k_num) % 3, rng.uniform(0.5, 2.0, size=k_num))
+    return simulate_gain_moments(serving, stats, pilots, 0.2, 30, rng), pilots.power_mw
+
+
+def per_ue_trio(moments, powers):
+    """Weights and SE through the one-UE entry points, as the traced benchmark loop calls them."""
+    k_num = moments.share.shape[0]
+    weights = np.stack([lsfd_weights(stats_for_ue(moments, k), powers) for k in range(k_num)])
+    se = np.array([
+        uplink_sinr(weights[k], stats_for_ue(moments, k, all_interferers=True), powers)[1] for k in range(k_num)
+    ])
+    return weights, se
+
+
+def assert_same_bits(actual, expected):
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestSecondStage:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_ue_trio_bitwise(self, seed):
+        moments, powers = shared_pilot_moments(seed)
+        weights, se = second_stage(moments, powers)
+        trio_weights, trio_se = per_ue_trio(moments, powers)
+        assert_same_bits(weights, trio_weights)
+        assert_same_bits(se, trio_se)
+        sizes = moments.serving.sum(axis=0)
+        assert np.isnan(se[sizes == 0]).all() and not weights[sizes == 0].any()
+        assert np.isfinite(se[sizes > 0]).all()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_chunking_does_not_move_bits(self, monkeypatch, rows):
+        moments, powers = shared_pilot_moments(3)
+        weights, se = second_stage(moments, powers)
+        monkeypatch.setattr(combining, "_chunk_rows", lambda k_num, s_max, s: rows)
+        chunked_weights, chunked_se = second_stage(moments, powers)
+        assert_same_bits(chunked_weights, weights)
+        assert_same_bits(chunked_se, se)
+
+    def test_chunk_temporaries_within_one_block_array(self):
+        for k_num, s_max in ((40, 16), (12, 8), (3, 1)):
+            for s in range(1, s_max + 1):
+                rows = combining._chunk_rows(k_num, s_max, s)
+                assert rows >= 1
+                assert rows == 1 or 2 * rows * k_num * s * s <= k_num**2 * s_max**2
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_matches_dense_oracle(self, seed):
+        moments, powers = shared_pilot_moments(seed)
+        weights, se = second_stage(moments, powers)
+        oracle_weights, oracle_se = second_stage_oracle(moments, powers)
+        for k in range(se.size):
+            assert_close(weights[k], oracle_weights[k])
+        assert np.array_equal(np.isnan(se), np.isnan(oracle_se))
+        valid = ~np.isnan(se)
+        np.testing.assert_allclose(se[valid], oracle_se[valid], rtol=1e-12, atol=0)
+
+    def test_singular_support_names_the_ue(self):
+        moments, powers = shared_pilot_moments(7)
+        ue = int(np.flatnonzero(moments.serving.sum(axis=0) == 2)[0])
+        second_moment, noise_diag = moments.second_moment.copy(), moments.noise_diag.copy()
+        second_moment[ue] = 0.0
+        noise_diag[ue] = 0.0
+        singular = replace(moments, second_moment=second_moment, noise_diag=noise_diag)
+        support = np.flatnonzero(moments.serving[:, ue]).tolist()
+        with pytest.raises(NumericalError, match=re.escape(f"UE {ue} on O-RU support {support}")):
+            second_stage(singular, powers)
