@@ -10,15 +10,18 @@ support only: a step holds the draws, O(d L K N) entries for d draws, plus the
 O(K^2 S^2) moment blocks for serving clusters of at most S O-RUs, and never a
 per-draw gain array over all (O-RU, UE, UE) triples.
 
-The draws of channels, pilot observations and estimates (`draw_estimates`) do
-not depend on the serving clusters, so several serving maps can score their
-combiners and gains on one realization (`serving_gain_moments`);
-`simulate_gain_moments` is the composition of the two for one map.
+The channel and pilot-noise draws (`draw_estimates`) do not depend on the
+serving clusters, so several serving maps can score their combiners and gains
+on one realization (`serving_gain_moments`); the MMSE estimates are formed only
+for the (O-RU, UE) pairs some of these maps serve, and each map solves its
+combiners (`served_combiners`) and noise terms only for the pairs it serves.
+`simulate_gain_moments` is the composition for one map.
 
-Memory bound: at most three draw-sized (d, L, K, N) complex arrays are live at
-once along the draw pipeline (channels, pilot observations, estimates,
-combiners); every other temporary is a fraction of one. Draws are filled and
-scaled in place, and no stage writes into an array it was passed.
+Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
+channels and the per-(O-RU, pilot slot) pilot signals; the observations,
+estimates and combiners hold d N entries per needed or served pair, at most
+L K of them. Every other temporary is a fraction of a draw-sized array. Draws
+are filled and scaled in place, and no stage writes into an array it was passed.
 
 The second stage (`second_stage`) solves the weights and scores the SINR of all
 UEs of one support size in one batch. `lsfd_weights` and `uplink_sinr` run the
@@ -36,31 +39,91 @@ from .channel import ChannelStatistics, sample_channels
 from .errors import NumericalError
 
 
-def local_mmse_combiners(
-    serving: np.ndarray, h_hat: np.ndarray, error_covs: np.ndarray, powers_mw: np.ndarray, sigma2_mw: float
-) -> np.ndarray:
-    """Local MMSE combiners of every served (O-RU, UE) pair, per draw.
+@dataclass
+class ServedCombiners:
+    """Local combiners of the served (O-RU, UE) pairs of one serving map.
 
-    ``h_hat`` holds estimates (d, L, K, N) and ``error_covs`` their error
-    covariances (L, K, N, N). The combiner of UE k at O-RU l is
-    p_k (sum_{i in D_l} p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k,
-    with D_l the UEs O-RU l serves; it is zero where l does not serve k.
-    Besides ``h_hat`` and the result, one array of its size is live at a time.
+    ``values[:, column[l, k]]`` is the (d, N) combiner of UE k at O-RU l;
+    ``column`` is -1 where l does not serve k, whose combiner is zero.
     """
-    # Per-O-RU combiner Gram matrix over its served UEs, shared by all of them:
-    # the conjugate of (p-weighted conj(h_hat))^T h_hat.
-    weights = serving * powers_mw[None, :]  # (L, K)
-    scaled_conj = h_hat.conj()
-    scaled_conj *= weights[..., None]
-    gram = scaled_conj.swapaxes(-1, -2) @ h_hat  # (d, L, N, N)
-    del scaled_conj
-    np.conjugate(gram, out=gram)
-    gram += np.einsum("lk,lkmn->lmn", weights, error_covs)[None, ...]
-    gram += sigma2_mw * np.eye(h_hat.shape[-1])
 
-    combiners = np.linalg.solve(gram, h_hat.swapaxes(-1, -2)).swapaxes(-1, -2)  # (d, L, K, N)
-    combiners *= weights[None, :, :, None]
-    return combiners
+    values: np.ndarray  # (d, S, N) complex, S served pairs, stored antenna-major
+    column: np.ndarray  # (L, K) int
+
+
+def served_combiners(
+    serving: np.ndarray,
+    estimates: np.ndarray,
+    column: np.ndarray,
+    error_covs: np.ndarray,
+    powers_mw: np.ndarray,
+    sigma2_mw: float,
+) -> ServedCombiners:
+    """Local MMSE combiners of the (O-RU, UE) pairs a serving map serves, per draw.
+
+    The combiner of UE k at O-RU l is
+    p_k (sum_{i in D_l} p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k,
+    with D_l the UEs O-RU l serves; only l's served columns are solved. O-RUs
+    of equal load |D_l| are batched, so each (draw, O-RU) system is factored
+    once and solved for its own served UEs only.
+
+    ``estimates`` (d, P, N) holds the estimates of P pairs, ``estimates[:,
+    column[l, k]]`` that of UE k at O-RU l (the layout of `EstimationDraws`);
+    every served pair must be among them. ``error_covs`` (L, K, N, N) are the
+    estimation error covariances.
+
+    The Gram sums and the solves run on the served columns in ascending UE
+    order, and the result is written antenna-major, as a dense solve over all
+    K columns lays it out: each served column has the dense solve's bits, and
+    so do the sums over it (the noise terms of `serving_gain_moments`).
+    """
+    serving = np.asarray(serving, dtype=bool)
+    loads = serving.sum(axis=1)
+    k_num = serving.shape[1]
+    n_mc, _, n_ant = estimates.shape
+    if np.any(column[serving] < 0):
+        raise ValueError("the serving map serves (O-RU, UE) pairs that were not estimated")
+    weights = serving * powers_mw[None, :]  # (L, K), zero where l does not serve k
+    error_terms = np.einsum("lk,lkmn->lmn", weights, error_covs)
+
+    served_column = np.full(serving.shape, -1)
+    values = np.empty((n_mc, n_ant, int(loads.sum())), dtype=complex)  # antenna-major
+    start = 0
+    for load in np.unique(loads[loads > 0]):
+        orus = np.flatnonzero(loads == load)
+        ues = np.nonzero(serving[orus])[1].reshape(orus.size, load)  # (G, load), ascending
+        stop = start + ues.size
+        served_column[orus[:, None], ues] = np.arange(start, stop).reshape(ues.shape)
+        est = _take(estimates, column[orus[:, None], ues])  # (d, G, load, N)
+        # Per-O-RU Gram over its served UEs: the conjugate of (p-weighted conj(h_hat))^T h_hat.
+        terms, term_powers = est, powers_mw[ues]
+        if load == 1 < k_num:
+            # numpy forms a one-term product outside BLAS, with other bits than
+            # the BLAS sum over K terms; a zero second term keeps it in BLAS.
+            terms = np.concatenate((est, np.zeros_like(est)), axis=2)
+            term_powers = np.concatenate((term_powers, np.zeros_like(term_powers)), axis=1)
+        scaled_conj = terms.conj()
+        scaled_conj *= term_powers[..., None]
+        gram = scaled_conj.swapaxes(-1, -2) @ terms  # (d, G, N, N)
+        del scaled_conj, terms
+        np.conjugate(gram, out=gram)
+        gram += error_terms[orus][None]
+        gram += sigma2_mw * np.eye(n_ant)
+        solved = np.linalg.solve(gram, est.swapaxes(-1, -2))  # (d, G, N, load)
+        del est, gram
+        out = values[:, :, start:stop].reshape(n_mc, n_ant, *ues.shape).swapaxes(1, 2)  # (d, G, N, load)
+        np.multiply(solved, powers_mw[ues][None, :, None, :], out=out)
+        start = stop
+    return ServedCombiners(values.swapaxes(1, 2), served_column)
+
+
+def _take(array: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``array[:, index]``; a view, not a copy, when ``index`` is one ascending run,
+    as for a cell that serves every estimated pair."""
+    flat = index.ravel()
+    if flat.size and np.all(np.diff(flat) == 1):
+        return array[:, flat[0] : flat[-1] + 1].reshape(array.shape[:1] + index.shape + array.shape[2:])
+    return array[:, index]
 
 
 @dataclass
@@ -92,13 +155,18 @@ class GainMoments:
 class EstimationDraws:
     """One Monte-Carlo realization of the estimation chain, independent of the clusters.
 
-    It depends only on the channel statistics, the pilots and the random stream,
-    so every serving map of a step can score its gains on the same draws.
-    ``estimates`` is set to None once the last serving map has its combiners.
+    The draws depend only on the channel statistics, the pilots and the random
+    stream, so every serving map of a step can score its gains on them; the
+    estimates are formed for the needed (O-RU, UE) pairs only, those some
+    serving map of the step serves. ``estimates[:, column[l, k]]`` is the
+    (d, N) estimate of UE k at O-RU l, and ``column`` is -1 for a pair not
+    estimated. ``estimates`` is set to None once the last serving map has its
+    combiners.
     """
 
     channels: np.ndarray  # (d, L, K, N) true channels
-    estimates: np.ndarray | None  # (d, L, K, N) MMSE estimates
+    estimates: np.ndarray | None  # (d, P, N) MMSE estimates of the P needed pairs
+    column: np.ndarray  # (L, K) int
     error_covs: np.ndarray  # (L, K, N, N) estimation error covariances
 
 
@@ -108,15 +176,29 @@ def draw_estimates(
     sigma2_mw: float,
     n_mc: int,
     rng: np.random.Generator,
+    needed: np.ndarray,
 ) -> EstimationDraws:
     """True channels from the current covariances, decorrelated pilot observations
-    (shared noise per pilot slot) and their MMSE estimates, for ``n_mc`` draws."""
+    (shared noise per pilot slot) and the MMSE estimates of the ``needed``
+    (L, K) pairs, for ``n_mc`` draws.
+
+    Every channel and every (O-RU, pilot slot) noise vector is drawn, so the
+    random stream does not depend on ``needed``; the pilot observations are
+    gathered and filtered for the needed pairs only, one pair at a time, so an
+    estimate has the same bits whichever other pairs are needed.
+    """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
     filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
-    h_hat = pilots_mod.apply_filters(filters, pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng))
-    return EstimationDraws(h, h_hat, error_covs)
+    received, slot_of_ue = pilots_mod.slot_observations(h, pilots, sigma2_mw, rng)
+    orus, ues = np.nonzero(needed)
+    observations = received[:, orus, slot_of_ue[ues]]  # (d, P, N)
+    del received
+    h_hat = pilots_mod.apply_filters(filters[orus, ues], observations)
+    column = np.full(np.shape(needed), -1)
+    column[orus, ues] = np.arange(orus.size)
+    return EstimationDraws(h, h_hat, column, error_covs)
 
 
 def serving_gain_moments(
@@ -131,14 +213,14 @@ def serving_gain_moments(
     Nothing is written into ``draws``' arrays. With ``release_estimates`` the
     estimates are dropped from ``draws`` once the combiners are formed, since
     the gains need only the true channels and the combiners; the last serving
-    map of a step passes it, so the gain loop runs with two draw-sized arrays.
-    The effective gains of one UE are formed on its serving support at a time.
+    map of a step passes it. The effective gains of one UE are formed on its
+    serving support at a time.
     """
     serving = np.asarray(serving, dtype=bool)
     l_num, k_num = serving.shape
     h = draws.channels
     n_mc = h.shape[0]
-    combiners = local_mmse_combiners(serving, draws.estimates, draws.error_covs, powers_mw, sigma2_mw)
+    combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, powers_mw, sigma2_mw)
     if release_estimates:
         draws.estimates = None
 
@@ -149,13 +231,17 @@ def serving_gain_moments(
     for k, support in enumerate(supports):
         s = support.size
         # g_k[d, l, i] = v_{l,k}^H h_{l,i} over k's serving O-RUs l.
-        g_k = (h[:, support] @ combiners[:, support, k, :, None].conj())[..., 0]
+        v_k = combiners.values[:, combiners.column[support, k], :, None].conj()
+        g_k = (h[:, support] @ v_k)[..., 0]
         mean_gain[k, support] = g_k[:, :, k].sum(axis=0) / n_mc
         a = g_k.transpose(2, 1, 0)  # (K, s, d)
         second_moment[k, :, :s, :s] = a @ a.conj().swapaxes(-1, -2) / n_mc
-    power = np.einsum("dlkn,dlkn->kl", combiners.real, combiners.real)
-    power += np.einsum("dlkn,dlkn->kl", combiners.imag, combiners.imag)
-    noise_diag = sigma2_mw * power / n_mc
+    # Summed over draws, then antennas, per served pair (the values are antenna-major).
+    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
+    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
+    orus, ues = np.nonzero(serving)
+    noise_diag = np.zeros((k_num, l_num))
+    noise_diag[ues, orus] = sigma2_mw * power[combiners.column[orus, ues]] / n_mc
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
     return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc)
 
@@ -170,11 +256,11 @@ def simulate_gain_moments(
 ) -> GainMoments:
     """Joint Monte Carlo of channels, estimates, combiners, and effective gains.
 
-    Each draw regenerates the full estimation chain (`draw_estimates`), then the
-    per-O-RU local combiners over the served sets and the effective-gain moments
-    (`serving_gain_moments`).
+    Each draw regenerates the estimation chain for the served pairs
+    (`draw_estimates`), then the per-O-RU local combiners over the served sets
+    and the effective-gain moments (`serving_gain_moments`).
     """
-    draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng)
+    draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng, serving)
     return serving_gain_moments(draws, serving, pilots.power_mw, sigma2_mw)
 
 

@@ -43,10 +43,6 @@ class PilotConfig:
         if np.any(self.power_mw <= 0):
             raise ConfigurationError("power_mw entries must be > 0")
 
-    def sharers(self, k: int) -> np.ndarray:
-        """UEs transmitting the same pilot as UE k (k included)."""
-        return np.flatnonzero(self.pilot_index == self.pilot_index[k])
-
 
 def observe_pilots(
     channels: np.ndarray, pilots: PilotConfig, sigma2_mw: float, rng: np.random.Generator
@@ -55,11 +51,23 @@ def observe_pilots(
 
     ``channels`` has shape (..., L, K, N); the result matches it. UEs sharing a
     pilot see the same superposed signal and the same projected noise vector,
-    drawn once per (O-RU, pilot slot) with covariance sigma2 * I.
+    drawn once per (O-RU, pilot slot) with covariance sigma2 * I: the slot
+    signals of `slot_observations`, gathered per UE.
+    """
+    received, slot_of_ue = slot_observations(channels, pilots, sigma2_mw, rng)
+    return received[..., slot_of_ue, :]
 
-    Each UE's scaled channel is added into its slot of the noise buffer, which
-    is then gathered per UE once: besides ``channels`` and the result, one
-    (..., L, slots, N) array is live.
+
+def slot_observations(
+    channels: np.ndarray, pilots: PilotConfig, sigma2_mw: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Received pilot signal per (O-RU, pilot slot) and the slot of every UE.
+
+    ``channels`` has shape (..., L, K, N); the signals are (..., L, slots, N):
+    noise with covariance sigma2 * I drawn once per (O-RU, slot), plus
+    sqrt(tau_p p_k) h_k of every UE k on the slot. Each UE's scaled channel is
+    added into its slot of the noise buffer, so besides ``channels`` only the
+    result is live. UE k observes ``signals[..., slot_of_ue[k], :]``.
     """
     channels = np.asarray(channels)
     slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
@@ -68,7 +76,7 @@ def observe_pilots(
     received *= np.sqrt(sigma2_mw / 2.0)
     for k, slot in enumerate(slot_of_ue):
         received[..., slot, :] += scale[k] * channels[..., k, :]
-    return received[..., slot_of_ue, :]
+    return received, slot_of_ue
 
 
 def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):
@@ -97,5 +105,6 @@ def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):
 
 
 def apply_filters(filters: np.ndarray, observations: np.ndarray) -> np.ndarray:
-    """Batched h_hat = W y over leading draw axes: (L,K,N,N) x (...,L,K,N)."""
+    """Batched h_hat = W y over leading draw axes: (L,K,N,N) x (...,L,K,N), or
+    (P,N,N) x (...,P,N) for P gathered pairs; each pair is one matrix-vector product."""
     return (filters @ observations[..., None])[..., 0]

@@ -12,11 +12,12 @@ replays the same deployment and random streams (common random numbers), adding
 sweep cells never changes existing ones, and episodes are bit-reproducible
 regardless of execution order or parallelism. No strategy draws from the
 stream, so one driver, ``_run_lockstep``, runs all cells of a (setup, speed) in
-lockstep: motion, shadowing, channel statistics and the Monte-Carlo channel and
-estimate draws are computed once per step, and each cell runs only its cluster
-update, combiners, second stage and signaling on them. ``run_episode`` is its
-one-cell case, and a campaign runs one lockstep job per (speed, setup) group,
-so each cell's numbers are bit-identical to its own ``run_episode``.
+lockstep: motion, shadowing, channel statistics, the Monte-Carlo channel draws
+and the estimates of every (O-RU, UE) pair some cell serves are computed once
+per step, and each cell runs only its cluster update, combiners, second stage
+and signaling on them. ``run_episode`` is its one-cell case, and a campaign
+runs one lockstep job per (speed, setup) group, so each cell's numbers are
+bit-identical to its own ``run_episode``.
 """
 
 from __future__ import annotations
@@ -159,11 +160,12 @@ def _run_lockstep(
 
     No strategy draws from the episode's generator, so all cells see the same
     deployment, motion, shadowing, channel statistics and Monte-Carlo draws.
-    Each step does that work once; each cell then runs its own cluster update,
-    combiners and gain moments, second stage and signaling, and writes only
-    into its own arrays. Returns an EpisodeResult or a SimulationError per
-    cell, in order: a NumericalError in a cell's own stage ends that cell, one
-    in a shared stage ends every live cell.
+    Each step does that work once, after every cell's cluster update, and
+    estimates the pairs any cell serves; each cell then runs its own combiners
+    and gain moments, second stage and signaling, and writes only into its own
+    arrays. Returns an EpisodeResult or a SimulationError per cell, in order:
+    a NumericalError in a cell's own stage ends that cell, one in a shared
+    stage ends every live cell.
     """
     rng = np.random.default_rng(seed_seq)
     dep = cfg.deployment
@@ -214,11 +216,16 @@ def _run_lockstep(
                 _abort([lane], step, speed_kmh, exc)
         if not updated:
             continue
+        # Estimates are formed for the pairs some updated cell serves.
+        needed = np.logical_or.reduce([lane.state.serving for lane, _ in updated])
         try:
-            draws = draw_estimates(stats, pilot_cfg, sigma2, cfg.n_mc, rng)
+            draws = draw_estimates(stats, pilot_cfg, sigma2, cfg.n_mc, rng, needed)
         except NumericalError as exc:
             _abort([lane for lane, _ in updated], step, speed_kmh, exc)
             break
+        # The cell serving the most pairs runs last: it frees the shared
+        # estimates before its gain loop, beside the largest combiners.
+        updated.sort(key=lambda item: int(item[0].state.serving.sum()))
         for index, (lane, step_events) in enumerate(updated):
             try:
                 # The last cell frees the shared estimates before its gain loop.

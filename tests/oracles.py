@@ -103,6 +103,27 @@ def remote_serving_counts(serving, primary, odu_of_oru) -> np.ndarray:
     return counts
 
 
+def local_mmse_combiners(serving, h_hat, error_covs, powers_mw, sigma2_mw):
+    """Dense local MMSE combiners of every (O-RU, UE) pair, per draw: one solve
+    per (draw, O-RU) over all K columns, unserved ones zeroed afterwards.
+
+    ``h_hat`` holds estimates (d, L, K, N) and ``error_covs`` their error
+    covariances (L, K, N, N). The combiner of UE k at O-RU l is
+    p_k (sum_{i in D_l} p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k,
+    with D_l the UEs O-RU l serves; it is zero where l does not serve k.
+    """
+    weights = serving * powers_mw[None, :]  # (L, K)
+    scaled_conj = h_hat.conj()
+    scaled_conj *= weights[..., None]
+    gram = scaled_conj.swapaxes(-1, -2) @ h_hat  # (d, L, N, N)
+    np.conjugate(gram, out=gram)
+    gram += np.einsum("lk,lkmn->lmn", weights, error_covs)[None, ...]
+    gram += sigma2_mw * np.eye(h_hat.shape[-1])
+    combiners = np.linalg.solve(gram, h_hat.swapaxes(-1, -2)).swapaxes(-1, -2)  # (d, L, K, N)
+    combiners *= weights[None, :, :, None]
+    return combiners
+
+
 def full_gain_moments(combiners, h):
     """Effective-gain moments over every O-RU, from the full per-draw gain array.
 

@@ -17,16 +17,18 @@ from cfmimo.channel import (
 from cfmimo import combining
 from cfmimo.combining import (
     EffectiveGainStats,
-    local_mmse_combiners,
+    draw_estimates,
     lsfd_weights,
     second_stage,
+    served_combiners,
+    serving_gain_moments,
     simulate_gain_moments,
     stats_for_ue,
     uplink_sinr,
 )
 from cfmimo.errors import NumericalError
 from cfmimo.pilots import PilotConfig, apply_filters, mmse_filters, observe_pilots
-from oracles import full_gain_moments, second_stage_oracle
+from oracles import full_gain_moments, local_mmse_combiners, second_stage_oracle
 
 
 def make_stats(covs: np.ndarray) -> ChannelStatistics:
@@ -53,9 +55,17 @@ def ring_stack(rng, l_num, k_num, n_ant, beta_scale=1.0):
 
 
 def one_oru_combiners(h_hat, error_covs, powers, sigma2, serving=None):
-    """Combiners of one O-RU and one draw: (K, N) estimates -> (K, N) combiners."""
-    serving = np.ones((1, h_hat.shape[0]), dtype=bool) if serving is None else np.asarray([serving])
-    return local_mmse_combiners(serving, h_hat[None, None], error_covs[None], np.asarray(powers), sigma2)[0, 0]
+    """Combiners of one O-RU and one draw: (K, N) estimates -> (K, N) combiners,
+    zero rows for the UEs it does not serve."""
+    k_num = h_hat.shape[0]
+    serving = np.ones((1, k_num), dtype=bool) if serving is None else np.asarray([serving])
+    served = served_combiners(
+        serving, h_hat[None], np.arange(k_num)[None], error_covs[None], np.asarray(powers), sigma2
+    )
+    combiners = np.zeros_like(h_hat)
+    ues = np.flatnonzero(serving[0])
+    combiners[ues] = served.values[0, served.column[0, ues]]
+    return combiners
 
 
 class TestLpMmse:
@@ -87,6 +97,75 @@ class TestLpMmse:
         )
         v = one_oru_combiners(np.stack([h[0], h[1]]), np.stack([c[0], c[1]]), [p[0], p[1]], sigma2)
         assert abs(v[1, 0] - p[1] * h[1][0] / denominator) < 1e-12
+
+
+def served_sets(k_num, sets):
+    """(L, K) serving map from the served UE list of each O-RU."""
+    serving = np.zeros((len(sets), k_num), dtype=bool)
+    for l, ues in enumerate(sets):
+        serving[l, ues] = True
+    return serving
+
+
+# Six O-RUs and five UEs. In the first map UE 4 is unserved, O-RU 0 serves
+# nobody and O-RU 1 one UE; in the second O-RUs 0 and 5 serve every UE.
+SERVING_MAPS = (
+    served_sets(5, [[], [2], [0, 1, 3], [0, 3], [1, 2, 3], [0, 1]]),
+    served_sets(5, [[0, 1, 2, 3, 4], [1], [0, 4], [], [2, 3, 4], [0, 1, 2, 3, 4]]),
+)
+
+
+class TestServedCombiners:
+    """Served-column solves against the dense solve over all K columns."""
+
+    @pytest.mark.parametrize("tau_p", [5, 2])  # orthogonal pilots, and shared ones (tau_p < K)
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("n_ant", [2, 4])
+    def test_served_columns_match_dense_oracle_bitwise(self, tau_p, which, n_ant):
+        serving, other = SERVING_MAPS[which], SERVING_MAPS[1 - which]
+        l_num, k_num = serving.shape
+        rng = np.random.default_rng(20 + which)
+        stats = make_stats(ring_stack(rng, l_num, k_num, n_ant))
+        pilots = PilotConfig(tau_p, np.arange(k_num) % tau_p, rng.uniform(0.5, 2.0, size=k_num))
+        sigma2, n_mc = 0.2, 30
+
+        replay = np.random.default_rng(7)
+        filters, error_covs = mmse_filters(stats.covariance, pilots, sigma2)
+        h = sample_channels(stats.factor, n_mc, replay)
+        h_hat = apply_filters(filters, observe_pilots(h, pilots, sigma2, replay))
+        dense = local_mmse_combiners(serving, h_hat, error_covs, pilots.power_mw, sigma2)
+        power = np.einsum("dlkn,dlkn->kl", dense.real, dense.real)
+        power += np.einsum("dlkn,dlkn->kl", dense.imag, dense.imag)
+
+        orus, ues = np.nonzero(serving)
+        # The estimated pairs of a lockstep step are a superset of each cell's served pairs.
+        for needed in (serving, serving | other, np.ones_like(serving)):
+            draws = draw_estimates(stats, pilots, sigma2, n_mc, np.random.default_rng(7), needed)
+            assert_same_bits(draws.channels, h)
+            assert np.all(draws.column[~needed] == -1)
+            estimated = np.nonzero(needed)
+            assert_same_bits(draws.estimates[:, draws.column[estimated]], h_hat[:, estimated[0], estimated[1]])
+
+            served = served_combiners(
+                serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, sigma2
+            )
+            assert served.values.shape == (n_mc, serving.sum(), n_ant)
+            assert np.all(served.column[~serving] == -1)
+            assert_same_bits(served.values[:, served.column[orus, ues]], dense[:, orus, ues])
+
+            moments = serving_gain_moments(draws, serving, pilots.power_mw, sigma2)
+            assert_same_bits(moments.noise_diag, sigma2 * power / n_mc)
+
+    def test_unestimated_served_pair_raises(self):
+        serving = SERVING_MAPS[0]
+        rng = np.random.default_rng(3)
+        stats = make_stats(ring_stack(rng, *serving.shape, 2))
+        pilots = PilotConfig.uniform(serving.shape[1], 2, 1.0)
+        needed = serving.copy()
+        needed[2, 1] = False
+        draws = draw_estimates(stats, pilots, 0.2, 4, rng, needed)
+        with pytest.raises(ValueError, match="not estimated"):
+            serving_gain_moments(draws, serving, pilots.power_mw, 0.2)
 
 
 class TestEffectiveGainStats:
@@ -205,16 +284,21 @@ class TestSupportMoments:
             assert_close(weights[support], expected, rel=1e-10)
 
     @staticmethod
-    def _traced_reference_call(n_mc):
-        """Peak traced bytes of one call at the reference deployment: K=40, L=36, N=4, S=16."""
+    def _traced_reference_call(n_mc, opportunistic=False):
+        """Peak traced bytes of one call at the reference deployment, K=40, L=36, N=4:
+        every UE served by 16 O-RUs, or (``opportunistic``) every O-RU serving 4 UEs."""
         rng = np.random.default_rng(12)
         l_num, k_num, n_ant = 36, 40, 4
         beta = rng.uniform(0.2, 2.0, size=(l_num, k_num))
         aoa = rng.uniform(-np.pi, np.pi, size=beta.shape)
         stats = make_stats(one_ring_covariance(beta, aoa, np.deg2rad(10.0), n_ant, 0.5))
         serving = np.zeros((l_num, k_num), dtype=bool)
-        for k in range(k_num):
-            serving[rng.choice(l_num, 16, replace=False), k] = True
+        if opportunistic:
+            for l in range(l_num):
+                serving[l, rng.choice(k_num, 4, replace=False)] = True
+        else:
+            for k in range(k_num):
+                serving[rng.choice(l_num, 16, replace=False), k] = True
         pilots = PilotConfig.uniform(k_num, 100, 1.0)
         tracemalloc.start()
         try:
@@ -224,7 +308,8 @@ class TestSupportMoments:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert moments.second_moment.shape == (k_num, k_num, 16, 16)
+        s_max = serving.sum(axis=0).max()
+        assert moments.second_moment.shape == (k_num, k_num, s_max, s_max)
         return peak
 
     def test_peak_memory_below_full_gain_array(self):
@@ -238,6 +323,12 @@ class TestSupportMoments:
         # the draw pipeline keeps at most three of them live at once.
         peak = self._traced_reference_call(100)
         assert peak < 35e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_peak_memory_follows_served_pairs(self):
+        # At 4 UEs per O-RU only the channels and the pilot slot signals are
+        # draw-sized; observations, estimates and combiners cover 144 of 1440 pairs.
+        peak = self._traced_reference_call(100, opportunistic=True)
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def random_instance(rng, n_oru=3, n_ue=3, n_draws=60, support=None):

@@ -186,6 +186,8 @@ class TestCampaign:
 
 
 STRATEGIES = ["fixed", "opportunistic", "ubiquitous", "cellular"]
+STRATEGY_SWEEP = dict(strategies=STRATEGIES, thresholds=[2.0, 3.0], speeds=[3.0, 30.0])
+THRESHOLD_SWEEP = dict(strategies=["fixed", "opportunistic"], thresholds=[0.0, 0.5, 1.0, 2.0], speeds=[120.0])
 
 
 def episode_fields(result) -> tuple:
@@ -206,10 +208,19 @@ class TestLockstep:
     """All cells of one (setup, speed) run in lockstep on shared draws; each
     must still equal its own episode."""
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_campaign_equals_its_episodes(self, parallelism):
+    @pytest.mark.parametrize(
+        "parallelism, sweep",
+        [
+            pytest.param(1, STRATEGY_SWEEP, id="1"),
+            pytest.param(2, STRATEGY_SWEEP, id="2"),
+            # Eight cells of one job with differing served sets share each
+            # step's draws and the estimates of the union of those sets.
+            pytest.param(1, THRESHOLD_SWEEP, id="thresholds-1"),
+            pytest.param(2, THRESHOLD_SWEEP, id="thresholds-2"),
+        ],
+    )
+    def test_campaign_equals_its_episodes(self, parallelism, sweep):
         cfg = tiny_config(sim_time_s=1.0, n_setups=2, tau_p=2, n_mc=10)
-        sweep = dict(strategies=STRATEGIES, thresholds=[2.0, 3.0], speeds=[3.0, 30.0])
         rows = run_campaign(cfg, parallelism=parallelism, **sweep).rows
         cells = campaign_cells(cfg.resolve(), *sweep.values())
         assert [(r.strategy, r.threshold_db, r.speed_kmh) for r in rows] == cells
@@ -229,6 +240,35 @@ class TestLockstep:
                 cfg.n_setups,
             )
             assert [repr(v) for v in astuple(row)] == [repr(v) for v in expected]
+
+    def test_threshold_cells_serve_differing_sets(self, monkeypatch):
+        # The threshold case of test_campaign_equals_its_episodes must compare
+        # cells whose served sets differ within a step, on the union's estimates.
+        cfg = tiny_config(sim_time_s=1.0, n_setups=2, tau_p=2, n_mc=10).resolve()
+        needed, served = [], []
+        draw_estimates, serving_gain_moments = simulate.draw_estimates, simulate.serving_gain_moments
+
+        def record_needed(*args):
+            needed.append(args[-1].copy())
+            served.append([])
+            return draw_estimates(*args)
+
+        def record_served(draws, serving, *args, **kwargs):
+            served[-1].append(serving.copy())
+            return serving_gain_moments(draws, serving, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "draw_estimates", record_needed)
+        monkeypatch.setattr(simulate, "serving_gain_moments", record_served)
+        for setup in range(cfg.n_setups):
+            cells = [
+                simulate.resolve_cell(cfg, strategy, threshold, speed)[:2]
+                for strategy, threshold, speed in campaign_cells(cfg, *THRESHOLD_SWEEP.values())
+            ]
+            simulate._run_lockstep(cfg, cells, 120.0, episode_seed(cfg.seed, setup))
+        assert all(np.array_equal(n, np.logical_or.reduce(maps)) for n, maps in zip(needed, served))
+        # Two strategies alone give at most two distinct maps per step.
+        distinct = [len({m.tobytes() for m in maps}) for maps in served]
+        assert min(distinct) >= 2 and max(distinct) >= 4
 
     def test_job_plan(self):
         # Pure arithmetic: no pool is started.

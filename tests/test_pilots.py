@@ -22,13 +22,13 @@ class TestAssignment:
         assert len(np.unique(idx)) == 40
         cfg = PilotConfig(100, idx, np.full(40, 100.0))
         for k in range(40):
-            assert np.array_equal(cfg.sharers(k), [k])
+            assert np.array_equal(np.flatnonzero(cfg.pilot_index == cfg.pilot_index[k]), [k])
 
     def test_forced_reuse(self):
         idx = assign_pilots(3, 1)
         assert np.array_equal(idx, [0, 0, 0])
         cfg = PilotConfig(1, idx, np.full(3, 100.0))
-        assert np.array_equal(cfg.sharers(1), [0, 1, 2])
+        assert np.array_equal(np.flatnonzero(cfg.pilot_index == cfg.pilot_index[1]), [0, 1, 2])
 
     def test_exact_fit_is_bijection(self):
         idx = assign_pilots(7, 7)
