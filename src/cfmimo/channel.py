@@ -259,7 +259,7 @@ def one_ring_covariance(
     return np.asarray(beta_lin)[..., None, None] * _toeplitz_from_lags(coeff)
 
 
-def covariance_factor(cov: np.ndarray, clip_rel_tol: float = PSD_CLIP_REL_TOL) -> np.ndarray:
+def covariance_factor(cov: np.ndarray) -> np.ndarray:
     """Factor A with A A^H = R for stacked Hermitian PSD matrices.
 
     Tries batched Cholesky; on failure (rank-deficient or near-singular R) falls
@@ -273,7 +273,7 @@ def covariance_factor(cov: np.ndarray, clip_rel_tol: float = PSD_CLIP_REL_TOL) -
         pass
     w, v = np.linalg.eigh(cov)
     trace = np.trace(cov, axis1=-2, axis2=-1).real
-    floor = -clip_rel_tol * np.maximum(trace, np.finfo(float).tiny)
+    floor = -PSD_CLIP_REL_TOL * np.maximum(trace, np.finfo(float).tiny)
     if np.any(w < floor[..., None]):
         worst = float((w / np.maximum(trace[..., None], np.finfo(float).tiny)).min())
         raise NumericalError(f"covariance has negative eigenvalue beyond tolerance (min rel {worst:.3e})")
@@ -333,9 +333,7 @@ def refresh_statistics(
     overflows) raises NumericalError naming the first such pair; underflow to 0
     is allowed.
     """
-    dist, aoa = geometry.wrap_distance_and_angle(
-        topology.oru_positions, topology.orientation, ue_positions, topology.grid_side_m
-    )
+    dist, aoa = geometry.wrap_distance_and_angle(topology.oru_positions, ue_positions, topology.grid_side_m)
     beta_db = path_loss_db(dist, shadow.values_db, min_distance_m)
     with np.errstate(over="ignore"):  # reported below
         beta_lin = db_to_linear(beta_db)

@@ -96,9 +96,7 @@ class NeighborTable:
     """O-RU neighbor order under the torus metric, ties broken by index."""
 
     def __init__(self, topology: geometry.Topology):
-        dist = geometry.wrap_distance_matrix(
-            topology.oru_positions, topology.oru_positions, topology.grid_side_m
-        )
+        dist, _ = geometry.wrap_distance_and_angle(topology.oru_positions, topology.oru_positions, topology.grid_side_m)
         self.order = np.argsort(dist, axis=1, kind="stable")
 
     def measurement_set(self, primary: int, size: int) -> np.ndarray:

@@ -11,10 +11,12 @@ O(K^2 S^2) moment blocks for serving clusters of at most S O-RUs, and never a
 per-draw gain array over all (O-RU, UE, UE) triples.
 
 The channel and pilot-noise draws (`draw_estimates`) do not depend on the
-serving clusters, so several serving maps can score their combiners and gains
-on one realization (`serving_gain_moments`); the MMSE estimates are formed only
-for the (O-RU, UE) pairs some of these maps serve, and each map solves its
-combiners (`served_combiners`) and noise terms only for the pairs it serves.
+serving clusters, so several serving maps can score their combiners
+(`served_combiners`) and gains (`gain_moments`) on one realization; the MMSE
+estimates are formed only for the (O-RU, UE) pairs some of these maps serve,
+and each map solves its combiners and noise terms only for the pairs it
+serves. The caller owns the lifetimes: it drops the estimates once the last
+map has its combiners, and a map's combiners once its gains are formed.
 `simulate_gain_moments` is the composition for one map.
 
 Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
@@ -75,7 +77,7 @@ def served_combiners(
     The Gram sums and the solves run on the served columns in ascending UE
     order, and the result is written antenna-major, as a dense solve over all
     K columns lays it out: each served column has the dense solve's bits, and
-    so do the sums over it (the noise terms of `serving_gain_moments`).
+    so do the sums over it (the noise terms of `gain_moments`).
     """
     serving = np.asarray(serving, dtype=bool)
     loads = serving.sum(axis=1)
@@ -148,7 +150,6 @@ class GainMoments:
     noise_diag: np.ndarray  # (K, L) real
     share: np.ndarray  # (K, K) bool
     serving: np.ndarray  # (L, K) bool
-    n_mc: int
 
 
 @dataclass
@@ -160,8 +161,8 @@ class EstimationDraws:
     estimates are formed for the needed (O-RU, UE) pairs only, those some
     serving map of the step serves. ``estimates[:, column[l, k]]`` is the
     (d, N) estimate of UE k at O-RU l, and ``column`` is -1 for a pair not
-    estimated. ``estimates`` is set to None once the last serving map has its
-    combiners.
+    estimated. A driver may set ``estimates`` to None once the last serving map
+    has its combiners.
     """
 
     channels: np.ndarray  # (d, L, K, N) true channels
@@ -201,29 +202,18 @@ def draw_estimates(
     return EstimationDraws(h, h_hat, column, error_covs)
 
 
-def serving_gain_moments(
-    draws: EstimationDraws,
-    serving: np.ndarray,
-    powers_mw: np.ndarray,
-    sigma2_mw: float,
-    release_estimates: bool = True,
+def gain_moments(
+    channels: np.ndarray, combiners: ServedCombiners, serving: np.ndarray, sigma2_mw: float
 ) -> GainMoments:
-    """Local combiners of one serving map on shared draws, and its effective-gain moments.
+    """Effective-gain moments of one serving map from the true (d, L, K, N)
+    ``channels`` and the map's served combiners.
 
-    Nothing is written into ``draws``' arrays. With ``release_estimates`` the
-    estimates are dropped from ``draws`` once the combiners are formed, since
-    the gains need only the true channels and the combiners; the last serving
-    map of a step passes it. The effective gains of one UE are formed on its
-    serving support at a time.
+    Nothing is written into the arrays passed. The effective gains of one UE
+    are formed on its serving support at a time.
     """
     serving = np.asarray(serving, dtype=bool)
     l_num, k_num = serving.shape
-    h = draws.channels
-    n_mc = h.shape[0]
-    combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, powers_mw, sigma2_mw)
-    if release_estimates:
-        draws.estimates = None
-
+    n_mc = channels.shape[0]
     supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
     s_max = max(support.size for support in supports)
     mean_gain = np.zeros((k_num, l_num), dtype=complex)
@@ -232,7 +222,7 @@ def serving_gain_moments(
         s = support.size
         # g_k[d, l, i] = v_{l,k}^H h_{l,i} over k's serving O-RUs l.
         v_k = combiners.values[:, combiners.column[support, k], :, None].conj()
-        g_k = (h[:, support] @ v_k)[..., 0]
+        g_k = (channels[:, support] @ v_k)[..., 0]
         mean_gain[k, support] = g_k[:, :, k].sum(axis=0) / n_mc
         a = g_k.transpose(2, 1, 0)  # (K, s, d)
         second_moment[k, :, :s, :s] = a @ a.conj().swapaxes(-1, -2) / n_mc
@@ -243,7 +233,7 @@ def serving_gain_moments(
     noise_diag = np.zeros((k_num, l_num))
     noise_diag[ues, orus] = sigma2_mw * power[combiners.column[orus, ues]] / n_mc
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
-    return GainMoments(mean_gain, second_moment, noise_diag, share, serving, n_mc)
+    return GainMoments(mean_gain, second_moment, noise_diag, share, serving)
 
 
 def simulate_gain_moments(
@@ -258,10 +248,12 @@ def simulate_gain_moments(
 
     Each draw regenerates the estimation chain for the served pairs
     (`draw_estimates`), then the per-O-RU local combiners over the served sets
-    and the effective-gain moments (`serving_gain_moments`).
+    (`served_combiners`) and the effective-gain moments (`gain_moments`).
     """
     draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng, serving)
-    return serving_gain_moments(draws, serving, pilots.power_mw, sigma2_mw)
+    combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, sigma2_mw)
+    draws.estimates = None  # the gains need only the true channels and the combiners
+    return gain_moments(draws.channels, combiners, serving, sigma2_mw)
 
 
 def second_stage(moments: GainMoments, powers_mw: np.ndarray):

@@ -2,7 +2,8 @@
 
 The service area is a square of side ``grid_side_m`` treated as a torus: every
 distance/angle is evaluated against the nearest of the nine tile images of the
-target point (3 x 3 replication of the grid).
+target point (3 x 3 replication of the grid). One kernel, `wrap_distance_and_angle`,
+serves the channel refresh and the clustering's O-RU neighbor order.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ class DeploymentConfig:
 
 @dataclass
 class Topology:
-    """Generated O-RU layout: positions, owning O-DU per O-RU, array orientations."""
+    """Generated O-RU layout: positions and owning O-DU per O-RU."""
 
     oru_positions: np.ndarray  # (L, 2) meters
     odu_of_oru: np.ndarray  # (L,) int, O-RU index -> owning O-DU
-    orientation: np.ndarray  # (L,) radians, ULA axis direction per O-RU
     grid_side_m: float
 
     @property
@@ -81,9 +81,7 @@ def generate_deployment(config: DeploymentConfig, rng: np.random.Generator) -> T
     origins = np.array([[ (c % root) * sub, (c // root) * sub] for c in range(config.num_odus)])
     positions = (origins[:, None, :] + offsets).reshape(config.num_orus, 2)
     odu_of_oru = np.repeat(np.arange(config.num_odus), per_odu)
-    # All arrays ULAs along the x-axis; the field exists for later generalization.
-    orientation = np.zeros(config.num_orus)
-    return Topology(positions, odu_of_oru, orientation, config.grid_side_m)
+    return Topology(positions, odu_of_oru, config.grid_side_m)
 
 
 def fold(points: np.ndarray, grid_side: float) -> np.ndarray:
@@ -91,34 +89,21 @@ def fold(points: np.ndarray, grid_side: float) -> np.ndarray:
     return np.mod(points, grid_side)
 
 
-def wrap_distance_matrix(a: np.ndarray, b: np.ndarray, grid_side: float) -> np.ndarray:
-    """Pairwise torus distances between point sets ``a`` (n, 2) and ``b`` (m, 2)."""
-    images = b[None, :, :] + TILE_OFFSETS[:, None, :] * grid_side  # (9, m, 2)
-    d2 = ((images[:, None, :, :] - a[None, :, None, :]) ** 2).sum(axis=-1)  # (9, n, m)
-    return np.sqrt(d2.min(axis=0))
-
-
-def wrap_distance_and_angle(
-    oru_pos: np.ndarray, orientation: np.ndarray, ue_pos: np.ndarray, grid_side: float
-) -> tuple[np.ndarray, np.ndarray]:
+def wrap_distance_and_angle(oru_pos: np.ndarray, ue_pos: np.ndarray, grid_side: float) -> tuple[np.ndarray, np.ndarray]:
     """Torus distances and broadside azimuths for all (O-RU, UE) pairs.
 
-    Shapes (L,2),(L,),(K,2) -> two (L,K) arrays, both taken from the UE's nearest
-    torus image; the distances equal `wrap_distance_matrix` bit for bit. Angles
-    are measured from the broadside of an array whose axis points along
-    ``orientation``: a UE dead ahead of the array face gives 0, a UE along the
-    array axis +/- pi/2. Coincident points give 0 by convention.
+    Shapes (L,2),(K,2) -> two (L,K) arrays, both taken from the UE's nearest
+    torus image (displacement (dx, dy)). The angle is arctan2(dx, dy), measured
+    from the broadside of an array whose axis lies along x: a UE dead ahead of
+    the array face (+y) gives 0, a UE along the array axis +/- pi/2. Coincident
+    points give 0 by convention.
     """
     cand = ue_pos[None, None, :, :] + TILE_OFFSETS[:, None, None, :] * grid_side - oru_pos[None, :, None, :]
     d2 = (cand**2).sum(axis=-1)  # (9, L, K)
     best = d2.argmin(axis=0)[None]  # first minimum wins; offset order fixes the tie rule
     dist = np.sqrt(np.take_along_axis(d2, best, axis=0)[0])
     disp = np.take_along_axis(cand, best[..., None], axis=0)[0]
-    cos_t = np.cos(orientation)[:, None]
-    sin_t = np.sin(orientation)[:, None]
-    # Rotate into the array frame: x' along the array axis, y' along broadside.
-    dx = cos_t * disp[:, :, 0] + sin_t * disp[:, :, 1]
-    dy = -sin_t * disp[:, :, 0] + cos_t * disp[:, :, 1]
+    dx, dy = disp[:, :, 0], disp[:, :, 1]
     phi = np.arctan2(dx, dy)
     phi[(dx == 0.0) & (dy == 0.0)] = 0.0
     return dist, phi

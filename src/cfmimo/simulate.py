@@ -32,7 +32,7 @@ import numpy as np
 
 from . import clustering, geometry, signaling
 from .channel import ShadowFading, refresh_statistics
-from .combining import draw_estimates, second_stage, serving_gain_moments
+from .combining import draw_estimates, gain_moments, second_stage, served_combiners
 from .config import SimConfig
 from .errors import ConfigurationError, NumericalError, SimulationError
 from .pilots import PilotConfig
@@ -228,11 +228,14 @@ def _run_lockstep(
         updated.sort(key=lambda item: int(item[0].state.serving.sum()))
         for index, (lane, step_events) in enumerate(updated):
             try:
-                # The last cell frees the shared estimates before its gain loop.
-                moments = serving_gain_moments(
-                    draws, lane.state.serving, pilot_cfg.power_mw, sigma2,
-                    release_estimates=index == len(updated) - 1,
+                serving = lane.state.serving
+                combiners = served_combiners(
+                    serving, draws.estimates, draws.column, draws.error_covs, pilot_cfg.power_mw, sigma2
                 )
+                if index == len(updated) - 1:
+                    draws.estimates = None
+                moments = gain_moments(draws.channels, combiners, serving, sigma2)
+                del combiners  # not kept into the second stage
                 # Weights use the statistics a primary O-DU can collect (UEs
                 # sharing a serving O-RU); the achievable SE is charged with
                 # interference from every UE.

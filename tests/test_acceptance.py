@@ -3,7 +3,8 @@
 Each test covers one numbered criterion and prints one pass line. Desk-scale
 campaigns share setups across sweep cells (common random numbers), so ordering
 gaps are certified with the standard error of the per-setup paired differences.
-Episode results are memoized across criteria.
+Episode results are memoized across criteria; the cells one (speed, setup)
+still lacks run as one lockstep job.
 """
 
 import time
@@ -22,9 +23,10 @@ from cfmimo.clustering import (
 )
 from cfmimo.combining import EffectiveGainStats, lsfd_weights, uplink_sinr
 from cfmimo.config import SimConfig
+from cfmimo.errors import SimulationError
 from cfmimo.geometry import DeploymentConfig, generate_deployment
 from cfmimo.signaling import account_control_plane
-from cfmimo.simulate import run_campaign, run_episode
+from cfmimo.simulate import _run_lockstep, episode_seed, resolve_cell, run_campaign
 from oracles import mmse_estimate
 
 SEED = 7
@@ -50,17 +52,31 @@ def desk_config(serving=8, measurement=10, n_setups=5):
 _EPISODES: dict = {}
 
 
-def episode_stats(cfg_key, cfg, strategy, threshold, speed, setups):
-    """Per-setup (mean SE, mean handover frequency) arrays, memoized."""
-    out_se, out_ho = [], []
-    for setup in range(setups):
-        key = (cfg_key, strategy, threshold, speed, setup)
-        if key not in _EPISODES:
-            result = run_episode(cfg, setup, strategy=strategy, threshold_db=threshold, speed_kmh=speed)
-            _EPISODES[key] = (result.mean_se, result.mean_handover_frequency)
-        out_se.append(_EPISODES[key][0])
-        out_ho.append(_EPISODES[key][1])
-    return np.array(out_se), np.array(out_ho)
+def episode_stats(cfg_key, cfg, cells):
+    """Per-setup (mean SE, mean handover frequency) arrays of each requested
+    (strategy, threshold, speed, setups) cell, memoized.
+
+    The cells a (speed, setup) still lacks run as one lockstep job, which gives
+    every cell the bits of its own ``run_episode``.
+    """
+    resolved = cfg.resolve()
+    lacking: dict = {}
+    for strategy, threshold, speed, setups in cells:
+        for setup in range(setups):
+            if (cfg_key, strategy, threshold, speed, setup) not in _EPISODES:
+                lacking.setdefault((speed, setup), []).append((strategy, threshold))
+    for (speed, setup), job in lacking.items():
+        lanes = [resolve_cell(resolved, strategy, threshold, speed)[:2] for strategy, threshold in job]
+        outcomes = _run_lockstep(resolved, lanes, float(speed), episode_seed(resolved.seed, setup))
+        for (strategy, threshold), outcome in zip(job, outcomes):
+            if isinstance(outcome, SimulationError):
+                raise outcome
+            _EPISODES[cfg_key, strategy, threshold, speed, setup] = (outcome.mean_se, outcome.mean_handover_frequency)
+    stats = []
+    for strategy, threshold, speed, setups in cells:
+        se, ho = zip(*(_EPISODES[cfg_key, strategy, threshold, speed, setup] for setup in range(setups)))
+        stats.append((np.array(se), np.array(ho)))
+    return stats
 
 
 def paired_gap(a: np.ndarray, b: np.ndarray):
@@ -74,12 +90,9 @@ def test_criterion_1_se_ordering_at_walking_speed():
     setups), K=10, L=16, C=4, N=4, |serving|=8, within 10 minutes."""
     start = time.perf_counter()
     cfg = desk_config()
-    cells = {
-        "ubiquitous": episode_stats("desk", cfg, "ubiquitous", None, 3.0, 5)[0],
-        "fixed": episode_stats("desk", cfg, "fixed", 2.0, 3.0, 5)[0],
-        "opportunistic": episode_stats("desk", cfg, "opportunistic", 2.0, 3.0, 5)[0],
-        "cellular": episode_stats("desk", cfg, "cellular", None, 3.0, 5)[0],
-    }
+    thresholds = {"ubiquitous": None, "fixed": 2.0, "opportunistic": 2.0, "cellular": None}
+    stats = episode_stats("desk", cfg, [(strategy, thr, 3.0, 5) for strategy, thr in thresholds.items()])
+    cells = {strategy: se for strategy, (se, _) in zip(thresholds, stats)}
     for upper, lower in [
         ("ubiquitous", "fixed"),
         ("fixed", "cellular"),
@@ -117,13 +130,11 @@ def test_criterion_2_speed_robustness():
         seed=SEED,
         speeds_kmh=(3.0,),
     )
-    ubiq_3 = episode_stats("desk-k20", cfg_dense, "ubiquitous", None, 3.0, 10)[0]
-    ubiq_120 = episode_stats("desk-k20", cfg_dense, "ubiquitous", None, 120.0, 10)[0]
+    cells = [("ubiquitous", None, 3.0, 10), ("ubiquitous", None, 120.0, 10), ("fixed", 3.0, 3.0, 30), ("fixed", 3.0, 120.0, 30)]
+    ubiq_3, ubiq_120, fixed_3, fixed_120 = (se for se, _ in episode_stats("desk-k20", cfg_dense, cells))
     variation = abs(ubiq_3.mean() - ubiq_120.mean()) / ubiq_3.mean()
     assert variation < 0.15, f"ubiquitous varies {variation:.1%} between 3 and 120 km/h"
 
-    fixed_3 = episode_stats("desk-k20", cfg_dense, "fixed", 3.0, 3.0, 30)[0]
-    fixed_120 = episode_stats("desk-k20", cfg_dense, "fixed", 3.0, 120.0, 30)[0]
     gap, stderr = paired_gap(fixed_3, fixed_120)
     assert gap > 2 * stderr, f"fixed(3dB) speed drop {gap:.4f} <= 2x stderr {stderr:.4f}"
     print(
@@ -139,11 +150,8 @@ def test_criterion_3_handover_frequency_trends():
     error of the paired per-setup differences."""
     cfg = desk_config()
     speeds = [3.0, 30.0, 60.0, 120.0]
-    freq = {}
-    for strategy in ("fixed", "opportunistic"):
-        for thr in (2.0, 3.0):
-            for speed in speeds:
-                freq[(strategy, thr, speed)] = episode_stats("desk", cfg, strategy, thr, speed, 5)[1]
+    keys = [(strategy, thr, speed) for strategy in ("fixed", "opportunistic") for thr in (2.0, 3.0) for speed in speeds]
+    freq = {key: ho for key, (_, ho) in zip(keys, episode_stats("desk", cfg, [key + (5,) for key in keys]))}
     for strategy in ("fixed", "opportunistic"):
         for thr in (2.0, 3.0):
             for lo, hi in zip(speeds, speeds[1:]):

@@ -47,7 +47,7 @@ def grid_topology(l_num=16, odus=4, side=1000.0, seed=0):
 def line_topology(l_num):
     """``l_num`` O-RUs 10 m apart on one O-DU."""
     positions = np.stack([10.0 * np.arange(l_num), np.zeros(l_num)], axis=1)
-    return Topology(positions, np.zeros(l_num, dtype=int), np.zeros(l_num), 10.0 * max(l_num, 1))
+    return Topology(positions, np.zeros(l_num, dtype=int), 10.0 * max(l_num, 1))
 
 
 def fixed_t0(gains, serving_size=1):
@@ -95,7 +95,7 @@ class TestMeasurementCluster:
         side = 400.0
         xs = np.arange(4) * 100.0 + 50.0
         positions = np.array([[x, y] for y in xs for x in xs])
-        topo = Topology(positions, np.repeat(np.arange(4), 4), np.zeros(16), side)
+        topo = Topology(positions, np.repeat(np.arange(4), 4), side)
         got = set(NeighborTable(topo).measurement_set(0, 5).tolist())
         assert got == {0, 1, 3, 4, 12}
 
@@ -192,7 +192,7 @@ class TestOpportunisticInit:
     def test_single_antenna_primary_fills_capacity(self):
         # N=1: an O-RU whose capacity is taken by a primary UE takes nobody else.
         positions = np.array([[10.0, 10.0], [90.0, 90.0]])
-        topo = Topology(positions, np.array([0, 0]), np.zeros(2), 100.0)
+        topo = Topology(positions, np.array([0, 0]), 100.0)
         beta = np.array([[1.0, 0.5], [0.4, 0.9]])
         cfg = HandoverConfig("opportunistic", 2.0, 1, 2)
         state = initial_clusters(beta, topo, cfg, 1)
@@ -202,7 +202,7 @@ class TestOpportunisticInit:
 
     def test_two_orus_two_ues_full_load(self):
         positions = np.array([[10.0, 10.0], [90.0, 90.0]])
-        topo = Topology(positions, np.array([0, 0]), np.zeros(2), 100.0)
+        topo = Topology(positions, np.array([0, 0]), 100.0)
         beta = np.array([[1.0, 0.5], [0.4, 0.9]])
         cfg = HandoverConfig("opportunistic", 2.0, 2, 2)
         state = initial_clusters(beta, topo, cfg, 2)
@@ -211,7 +211,7 @@ class TestOpportunisticInit:
     def test_primary_overflow_spills_to_next_best(self):
         # Three single-antenna O-RUs, three UEs all strongest on O-RU 0.
         positions = np.array([[10.0, 50.0], [50.0, 50.0], [90.0, 50.0]])
-        topo = Topology(positions, np.zeros(3, dtype=int), np.zeros(3), 100.0)
+        topo = Topology(positions, np.zeros(3, dtype=int), 100.0)
         beta = np.array(
             [[1.00, 0.90, 0.80],
              [0.50, 0.60, 0.40],
@@ -225,7 +225,7 @@ class TestOpportunisticInit:
 
     def test_infeasible_load_rejected(self):
         positions = np.array([[10.0, 50.0]])
-        topo = Topology(positions, np.zeros(1, dtype=int), np.zeros(1), 100.0)
+        topo = Topology(positions, np.zeros(1, dtype=int), 100.0)
         cfg = HandoverConfig("opportunistic", 2.0, 1, 1)
         with pytest.raises(ConfigurationError):
             initial_clusters(np.ones((1, 2)), topo, cfg, 1)
@@ -385,9 +385,9 @@ class TestCellularHandover:
         topo = generate_deployment(dep, rng)
         position = np.array([[250.0, 250.0]])  # center of O-DU 0's subsquare
         from cfmimo.channel import ShadowFading, path_loss_db
-        from cfmimo.geometry import wrap_distance_matrix
+        from cfmimo.geometry import wrap_distance_and_angle
 
-        dist = wrap_distance_matrix(topo.oru_positions, position, side)
+        dist, _ = wrap_distance_and_angle(topo.oru_positions, position, side)
         shadow = ShadowFading.initial(16, 1, 4.0, 0.05, rng)
         beta = db_to_linear(path_loss_db(dist, shadow.values_db))
         state = baseline(CELLULAR, beta, topo)

@@ -18,10 +18,10 @@ from cfmimo import combining
 from cfmimo.combining import (
     EffectiveGainStats,
     draw_estimates,
+    gain_moments,
     lsfd_weights,
     second_stage,
     served_combiners,
-    serving_gain_moments,
     simulate_gain_moments,
     stats_for_ue,
     uplink_sinr,
@@ -153,7 +153,7 @@ class TestServedCombiners:
             assert np.all(served.column[~serving] == -1)
             assert_same_bits(served.values[:, served.column[orus, ues]], dense[:, orus, ues])
 
-            moments = serving_gain_moments(draws, serving, pilots.power_mw, sigma2)
+            moments = gain_moments(draws.channels, served, serving, sigma2)
             assert_same_bits(moments.noise_diag, sigma2 * power / n_mc)
 
     def test_unestimated_served_pair_raises(self):
@@ -165,7 +165,7 @@ class TestServedCombiners:
         needed[2, 1] = False
         draws = draw_estimates(stats, pilots, 0.2, 4, rng, needed)
         with pytest.raises(ValueError, match="not estimated"):
-            serving_gain_moments(draws, serving, pilots.power_mw, 0.2)
+            served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, 0.2)
 
 
 class TestEffectiveGainStats:

@@ -13,21 +13,23 @@ from cfmimo.geometry import (
     uniform_headings,
     uniform_positions,
     wrap_distance_and_angle,
-    wrap_distance_matrix,
 )
 from oracles import step_ue, wrap_distance
 
 
+def distances(a, b, side):
+    """Pairwise torus distances of point sets ``a`` and ``b`` through the batched kernel."""
+    return wrap_distance_and_angle(np.asarray(a, float), np.asarray(b, float), side)[0]
+
+
 def distance(a, b, side):
     """Torus distance of one point pair through the batched kernel."""
-    return float(wrap_distance_matrix(np.array([a], float), np.array([b], float), side)[0, 0])
+    return float(distances([a], [b], side)[0, 0])
 
 
-def angle(oru, orientation, ue, side):
+def angle(oru, ue, side):
     """Broadside azimuth of one (O-RU, UE) pair through the batched kernel."""
-    _, phi = wrap_distance_and_angle(
-        np.array([oru], float), np.array([orientation]), np.array([ue], float), side
-    )
+    _, phi = wrap_distance_and_angle(np.array([oru], float), np.array([ue], float), side)
     return float(phi[0, 0])
 
 
@@ -94,21 +96,18 @@ class TestWrapDistance:
         side = 1000.0
         a = rng.uniform(0, side, size=(40, 2))
         b = rng.uniform(0, side, size=(25, 2))
-        mat = wrap_distance_matrix(a, b, side)
+        mat = distances(a, b, side)
         for i in range(40):
             for j in range(25):
                 assert mat[i, j] == pytest.approx(wrap_distance(a[i], b[j], side), abs=1e-9)
                 assert mat[i, j] <= math.hypot(*(b[j] - a[i])) + 1e-9
 
     def test_matrix_agrees_with_scalar(self):
-        # Each entry is the single-pair value, bit for bit, and the refresh
-        # kernel gives the same distances as the clustering one.
+        # Each entry is the single-pair value, bit for bit.
         rng = np.random.default_rng(8)
         a = rng.uniform(0, 200, size=(5, 2))
         b = rng.uniform(0, 200, size=(7, 2))
-        mat = wrap_distance_matrix(a, b, 200.0)
-        dist, _ = wrap_distance_and_angle(a, np.zeros(5), b, 200.0)
-        assert np.array_equal(dist, mat)
+        mat = distances(a, b, 200.0)
         for i in range(5):
             for j in range(7):
                 assert mat[i, j] == distance(a[i], b[j], 200.0)
@@ -117,33 +116,32 @@ class TestWrapDistance:
         rng = np.random.default_rng(9)
         a = rng.uniform(0, 300, size=(50, 2))
         b = rng.uniform(0, 300, size=(30, 2))
-        assert wrap_distance_matrix(a, b, 300.0) == pytest.approx(wrap_distance_matrix(b, a, 300.0).T)
+        assert distances(a, b, 300.0) == pytest.approx(distances(b, a, 300.0).T)
 
 
 class TestWrapAngle:
     def test_broadside_is_zero(self):
         for d in (1.0, 50.0, 400.0):
-            assert angle((500, 500), 0.0, (500, 500 + d), 1000.0) == pytest.approx(0.0)
+            assert angle((500, 500), (500, 500 + d), 1000.0) == pytest.approx(0.0)
 
     def test_array_axis_is_half_pi(self):
-        assert angle((500, 500), 0.0, (600, 500), 1000.0) == pytest.approx(math.pi / 2)
-        assert angle((500, 500), 0.0, (400, 500), 1000.0) == pytest.approx(-math.pi / 2)
+        assert angle((500, 500), (600, 500), 1000.0) == pytest.approx(math.pi / 2)
+        assert angle((500, 500), (400, 500), 1000.0) == pytest.approx(-math.pi / 2)
 
     def test_coincident_is_zero(self):
-        assert angle((10, 10), 0.0, (10, 10), 100.0) == 0.0
+        assert angle((10, 10), (10, 10), 100.0) == 0.0
 
     def test_wrapped_image_used(self):
         # Nearest image of the UE lies through the boundary: displacement is -20 in x.
-        phi = angle((10, 500), 0.0, (990, 500), 1000.0)
+        phi = angle((10, 500), (990, 500), 1000.0)
         assert phi == pytest.approx(-math.pi / 2)
 
     def test_against_nine_image_brute_force(self):
         rng = np.random.default_rng(11)
         side = 400.0
         orus = rng.uniform(0, side, size=(6, 2))
-        orientations = rng.uniform(0, 2 * math.pi, size=6)
         ues = rng.uniform(0, side, size=(9, 2))
-        _, phi = wrap_distance_and_angle(orus, orientations, ues, side)
+        _, phi = wrap_distance_and_angle(orus, ues, side)
         for l in range(6):
             for k in range(9):
                 best, best_d = None, np.inf
@@ -153,10 +151,7 @@ class TestWrapAngle:
                         d = math.hypot(*disp)
                         if d < best_d - 1e-12:
                             best_d, best = d, disp
-                ca, sa = math.cos(orientations[l]), math.sin(orientations[l])
-                dx = ca * best[0] + sa * best[1]
-                dy = -sa * best[0] + ca * best[1]
-                assert phi[l, k] == pytest.approx(math.atan2(dx, dy), abs=1e-9)
+                assert phi[l, k] == pytest.approx(math.atan2(best[0], best[1]), abs=1e-9)
 
 
 class TestMobility:

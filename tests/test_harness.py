@@ -246,19 +246,19 @@ class TestLockstep:
         # cells whose served sets differ within a step, on the union's estimates.
         cfg = tiny_config(sim_time_s=1.0, n_setups=2, tau_p=2, n_mc=10).resolve()
         needed, served = [], []
-        draw_estimates, serving_gain_moments = simulate.draw_estimates, simulate.serving_gain_moments
+        draw_estimates, gain_moments = simulate.draw_estimates, simulate.gain_moments
 
         def record_needed(*args):
             needed.append(args[-1].copy())
             served.append([])
             return draw_estimates(*args)
 
-        def record_served(draws, serving, *args, **kwargs):
+        def record_served(channels, combiners, serving, sigma2):
             served[-1].append(serving.copy())
-            return serving_gain_moments(draws, serving, *args, **kwargs)
+            return gain_moments(channels, combiners, serving, sigma2)
 
         monkeypatch.setattr(simulate, "draw_estimates", record_needed)
-        monkeypatch.setattr(simulate, "serving_gain_moments", record_served)
+        monkeypatch.setattr(simulate, "gain_moments", record_served)
         for setup in range(cfg.n_setups):
             cells = [
                 simulate.resolve_cell(cfg, strategy, threshold, speed)[:2]
@@ -269,6 +269,32 @@ class TestLockstep:
         # Two strategies alone give at most two distinct maps per step.
         distinct = [len({m.tobytes() for m in maps}) for maps in served]
         assert min(distinct) >= 2 and max(distinct) >= 4
+
+    def test_estimates_released_only_for_the_largest_cell(self, monkeypatch):
+        # Within a step, only the gain moments of the cell serving the most
+        # pairs run after the driver has dropped the shared estimates.
+        cfg = tiny_config(sim_time_s=1.0, n_setups=1, tau_p=2, n_mc=10).resolve()
+        draws, calls = [], []
+        draw_estimates, gain_moments = simulate.draw_estimates, simulate.gain_moments
+
+        def record_draws(*args):
+            draws.append(draw_estimates(*args))
+            calls.append([])
+            return draws[-1]
+
+        def record_release(channels, combiners, serving, sigma2):
+            calls[-1].append((int(serving.sum()), draws[-1].estimates is None))
+            return gain_moments(channels, combiners, serving, sigma2)
+
+        monkeypatch.setattr(simulate, "draw_estimates", record_draws)
+        monkeypatch.setattr(simulate, "gain_moments", record_release)
+        cells = [simulate.resolve_cell(cfg, strategy, 2.0, 3.0)[:2] for strategy in STRATEGIES]
+        simulate._run_lockstep(cfg, cells, 3.0, episode_seed(cfg.seed, 0))
+        assert len(calls) == cfg.n_steps
+        for step in calls:
+            assert len(step) == len(STRATEGIES)
+            assert [released for _, released in step] == [False] * (len(step) - 1) + [True]
+            assert step[-1][0] == max(pairs for pairs, _ in step)
 
     def test_job_plan(self):
         # Pure arithmetic: no pool is started.
