@@ -71,15 +71,15 @@ class ShadowFading:
 
     def evolve(self, speeds_mps: np.ndarray, ts_s: float, rng: np.random.Generator) -> "ShadowFading":
         """One AR(1) step: F <- rho F + sqrt(1 - rho^2) * N(0, sigma^2), rho per UE."""
-        rho = np.exp(-self.alpha_per_m * np.asarray(speeds_mps) * ts_s)[None, :]
+        rho = shadow_correlation(self.alpha_per_m, speeds_mps, ts_s)[None, :]
         innovation = self.sigma_db * rng.standard_normal(self.values_db.shape)
         new_values = rho * self.values_db + np.sqrt(1.0 - rho**2) * innovation
         return replace(self, values_db=new_values)
 
 
-def shadow_correlation(alpha_per_m: float, speed_mps: float, ts_s: float) -> float:
-    """AR(1) coefficient exp(-alpha * v * T_s) for one sampling interval."""
-    return float(np.exp(-alpha_per_m * speed_mps * ts_s))
+def shadow_correlation(alpha_per_m: float, speed_mps, ts_s: float):
+    """AR(1) coefficient exp(-alpha * v * T_s) for one sampling interval, per speed."""
+    return np.exp(-alpha_per_m * np.asarray(speed_mps) * ts_s)
 
 
 def path_loss_db(distance_m, shadow_db=0.0, min_distance_m: float = DEFAULT_MIN_DISTANCE_M):
@@ -90,10 +90,6 @@ def path_loss_db(distance_m, shadow_db=0.0, min_distance_m: float = DEFAULT_MIN_
 
 def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
-
-
-def linear_to_db(value_lin):
-    return 10.0 * np.log10(np.asarray(value_lin, dtype=float))
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,8 @@ knowledge of the uplink large-scale gain (reciprocity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import deepcopy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,14 +121,8 @@ class ClusterState:
     serving_odu: np.ndarray | None = None  # (K,) int, cellular only
 
     def copy(self) -> "ClusterState":
-        return replace(
-            self,
-            primary=self.primary.copy(),
-            measurement=self.measurement.copy(),
-            serving=self.serving.copy(),
-            reference_power=self.reference_power.copy(),
-            serving_odu=None if self.serving_odu is None else self.serving_odu.copy(),
-        )
+        """A state that shares no array with this one."""
+        return deepcopy(self)
 
     @property
     def num_orus(self) -> int:
@@ -136,9 +131,6 @@ class ClusterState:
     @property
     def num_ues(self) -> int:
         return self.serving.shape[1]
-
-    def serving_cluster(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.serving[:, k])
 
     def primary_counts(self) -> np.ndarray:
         return np.bincount(self.primary, minlength=self.num_orus)

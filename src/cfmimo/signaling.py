@@ -14,7 +14,7 @@ Four counter classes are tracked per step and cumulatively:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,12 +55,7 @@ class LedgerDelta:
         )
 
     def __add__(self, other: "LedgerDelta") -> "LedgerDelta":
-        return LedgerDelta(
-            self.fronthaul + other.fronthaul,
-            self.inter_odu + other.inter_odu,
-            self.ric + other.ric,
-            self.stats_msgs + other.stats_msgs,
-        )
+        return LedgerDelta(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(LedgerDelta)))
 
 
 class SignalingLedger:
@@ -73,12 +68,7 @@ class SignalingLedger:
         self.steps: list[tuple[int, LedgerDelta]] = []
 
     def record(self, step: int, delta: LedgerDelta) -> None:
-        if (
-            np.any(delta.fronthaul < 0)
-            or np.any(delta.inter_odu < 0)
-            or np.any(delta.ric < 0)
-            or np.any(delta.stats_msgs < 0)
-        ):
+        if any(np.any(getattr(delta, f.name) < 0) for f in fields(LedgerDelta)):
             raise ConfigurationError("ledger deltas must be non-negative")
         self.steps.append((step, delta))
         self.cumulative = self.cumulative + delta

@@ -26,7 +26,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,13 +76,8 @@ class EpisodeResult:
     def handover_frequency(self) -> np.ndarray:
         """Handovers per second for every UE, under the strategy's own definition."""
         kind = clustering.HANDOVER_KINDS[self.strategy]
-        num_ues = self.se.shape[1]
-        counts = np.zeros(num_ues)
-        if kind is not None:
-            for event in self.events:
-                if event.kind == kind:
-                    counts[event.ue] += 1
-        return counts / self.sim_time_s
+        ues = np.array([event.ue for event in self.events if event.kind == kind], dtype=int)
+        return np.bincount(ues, minlength=self.se.shape[1]) / self.sim_time_s
 
     @property
     def mean_handover_frequency(self) -> float:
@@ -282,16 +277,14 @@ class CellAggregate:
 class AggregateResult:
     rows: list
 
-    CSV_HEADER = "strategy,threshold_db,speed_kmh,mean_se,se_stderr,ho_freq,ho_stderr,ric_msgs,inter_odu_samples"
+    CSV_HEADER = ",".join(f.name for f in fields(CellAggregate) if f.name != "n_setups")
 
     def to_csv(self) -> str:
+        columns = self.CSV_HEADER.split(",")
         lines = [self.CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.strategy},{r.threshold_db:.17g},{r.speed_kmh:.17g},{r.mean_se:.17g},"
-                f"{r.se_stderr:.17g},{r.ho_freq:.17g},{r.ho_stderr:.17g},"
-                f"{r.ric_msgs:.17g},{r.inter_odu_samples:.17g}"
-            )
+            values = [getattr(r, name) for name in columns]
+            lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in values))
         return "\n".join(lines) + "\n"
 
     def row(self, strategy: str, threshold_db: float | None = None, speed_kmh: float | None = None):
@@ -349,20 +342,18 @@ def plan_jobs(cells, n_setups: int, workers: int) -> list:
     return jobs
 
 
+def _campaign_outcome(result: EpisodeResult) -> tuple:
+    """What a campaign averages over setups, in CellAggregate's order: mean SE,
+    handover frequency, RIC and inter-O-DU totals."""
+    return (result.mean_se, result.mean_handover_frequency, result.ledger.total_ric, result.ledger.total_inter_odu)
+
+
 def _lockstep_job(args):
-    """Campaign outcomes of one job: (mean SE, handover frequency, RIC and
-    inter-O-DU totals) or the SimulationError, per cell."""
+    """Campaign outcome or SimulationError of each cell of one job."""
     config, speed, setup, cells = args
     lanes = [resolve_cell(config, strategy, threshold, speed)[:2] for strategy, threshold, _ in cells]
     return [
-        outcome
-        if isinstance(outcome, SimulationError)
-        else (
-            outcome.mean_se,
-            outcome.mean_handover_frequency,
-            float(outcome.ledger.total_ric),
-            float(outcome.ledger.total_inter_odu),
-        )
+        outcome if isinstance(outcome, SimulationError) else _campaign_outcome(outcome)
         for outcome in _run_lockstep(config, lanes, speed, episode_seed(config.seed, setup))
     ]
 
@@ -408,26 +399,16 @@ def run_campaign(
     for (_, setup, members), result in zip(jobs, results):
         outcomes.update(((idx, setup), outcome) for idx, outcome in zip(members, result))
     rows = []
-    for idx, (strategy, threshold, speed) in enumerate(cells):
+    for idx, cell in enumerate(cells):
         block = [outcomes[idx, setup] for setup in range(cfg.n_setups)]
         for outcome in block:
             if isinstance(outcome, SimulationError):
                 raise outcome
-        se_values = np.array([b[0] for b in block])
-        ho_values = np.array([b[1] for b in block])
-        ric_values = np.array([b[2] for b in block])
-        inter_values = np.array([b[3] for b in block])
+        se, ho, ric, inter = np.array(block, dtype=float).T
         rows.append(
             CellAggregate(
-                strategy,
-                threshold,
-                speed,
-                float(se_values.mean()),
-                _stderr(se_values),
-                float(ho_values.mean()),
-                _stderr(ho_values),
-                float(ric_values.mean()),
-                float(inter_values.mean()),
+                *cell,
+                float(se.mean()), _stderr(se), float(ho.mean()), _stderr(ho), float(ric.mean()), float(inter.mean()),
                 cfg.n_setups,
             )
         )

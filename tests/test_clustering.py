@@ -1,5 +1,7 @@
 """Cluster formation, handover triggers, and baselines."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -109,16 +111,17 @@ class TestMeasurementCluster:
 class TestFixedCluster:
     def test_top_gains_and_reference_power(self):
         state = fixed_t0([10.0, 5.0, 8.0, 2.0], serving_size=2)
-        assert state.serving_cluster(0).tolist() == [0, 2]
+        assert np.flatnonzero(state.serving[:, 0]).tolist() == [0, 2]
         assert state.reference_power[0] == pytest.approx(18.0)
 
     def test_full_selection(self):
         state = fixed_t0([1.0, 2.0, 3.0], serving_size=3)
-        assert state.serving_cluster(0).tolist() == [0, 1, 2]
+        assert np.flatnonzero(state.serving[:, 0]).tolist() == [0, 1, 2]
         assert state.reference_power[0] == pytest.approx(6.0)
 
     def test_ties_take_lowest_indices(self):
-        assert fixed_t0(np.full(5, 2.0), serving_size=3).serving_cluster(0).tolist() == [0, 1, 2]
+        state = fixed_t0(np.full(5, 2.0), serving_size=3)
+        assert np.flatnonzero(state.serving[:, 0]).tolist() == [0, 1, 2]
 
 
 def fixed_state(beta_lin, topo, serving_size=4, measurement_size=8, threshold=3.0):
@@ -153,7 +156,7 @@ class TestFixedHandover:
         out, events = fixed_handover_step(state, shifted, neighbors, cfg, 4)
         assert all(e.t == 4 for e in events)
         for k in range(6):
-            members = out.serving_cluster(k)
+            members = np.flatnonzero(out.serving[:, k])
             assert out.reference_power[k] == pytest.approx(shifted[members, k].sum())
             assert out.serving[out.primary[k], k]
             assert out.measurement[:, k].sum() == cfg.measurement_size
@@ -520,10 +523,29 @@ class TestAgainstOracles:
 
 
 def assert_states_equal(got, want):
-    assert got.strategy == want.strategy
-    for name in ("primary", "measurement", "serving", "reference_power", "serving_odu"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+    for field in fields(ClusterState):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_copy_shares_no_array(strategy):
+    """Writing into any array of a copy leaves the original state as formed."""
+    topo = grid_topology()
+    beta_lin = db_to_linear(-70.0 - 40.0 * np.random.default_rng(3).random((topo.num_orus, 5)))
+    cfg = HandoverConfig(strategy, 2.0, 4, 8)
+    state = initial_clusters(beta_lin, topo, cfg, 4)
+    arrays = [f.name for f in fields(ClusterState) if isinstance(getattr(state, f.name), np.ndarray)]
+    assert ("serving_odu" in arrays) == (strategy == CELLULAR)
+    for name in arrays:
+        duplicate = state.copy()
+        assert_states_equal(duplicate, state)
+        written = getattr(duplicate, name)
+        written[...] = ~written if written.dtype == bool else -1
+        assert_states_equal(state, initial_clusters(beta_lin, topo, cfg, 4))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -554,4 +576,4 @@ def test_strategies_keep_their_invariants(strategy, layout, n_ant, threshold, se
         state.validate(n_ant)
         assert {e.kind for e in events} <= STRATEGY_KINDS[strategy]
         for k in {e.ue for e in events if e.kind == FIXED_RECLUSTER}:
-            assert state.reference_power[k] == beta_lin[state.serving_cluster(k), k].sum()
+            assert state.reference_power[k] == beta_lin[np.flatnonzero(state.serving[:, k]), k].sum()

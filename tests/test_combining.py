@@ -10,7 +10,6 @@ import pytest
 from cfmimo.channel import (
     ChannelStatistics,
     covariance_factor,
-    linear_to_db,
     one_ring_covariance,
     sample_channels,
 )
@@ -35,7 +34,7 @@ def make_stats(covs: np.ndarray) -> ChannelStatistics:
     """ChannelStatistics from a raw (L, K, N, N) covariance stack."""
     beta_lin = np.trace(covs, axis1=-2, axis2=-1).real / covs.shape[-1]
     return ChannelStatistics(
-        beta_db=linear_to_db(beta_lin),
+        beta_db=10 * np.log10(beta_lin),
         beta_lin=beta_lin,
         aoa_rad=np.zeros(covs.shape[:2]),
         covariance=covs,

@@ -1,7 +1,7 @@
 """Episode/campaign drivers, configuration handling, seed derivation."""
 
 import os
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from cfmimo.geometry import DeploymentConfig
 from cfmimo.signaling import FrameConfig
 from cfmimo.simulate import (
     AggregateResult,
+    CellAggregate,
     campaign_cells,
     episode_seed,
     episodes_to_csv,
@@ -147,6 +148,19 @@ class TestCampaign:
             [float(x) for x in parts[1:]]
         row = result.row("fixed", 2.0, 30.0)
         assert row.n_setups == 2
+
+    def test_csv_renders_every_aggregate_field(self):
+        result = AggregateResult([
+            CellAggregate("fixed", 2.0, 30.0, 1 / 3, 0.1, 0.2, 1e-20, 7.0, 2 / 3, 5),
+            CellAggregate("cellular", 0.5, 3.0, np.pi, 0.0, 1.0, 2.0, 0.0, 12.0, 5),
+        ])
+        names = [f.name for f in fields(CellAggregate) if f.name != "n_setups"]
+        header, *lines = result.to_csv().splitlines()
+        assert header == AggregateResult.CSV_HEADER == ",".join(names)
+        assert header == "strategy,threshold_db,speed_kmh,mean_se,se_stderr,ho_freq,ho_stderr,ric_msgs,inter_odu_samples"
+        assert len(lines) == len(result.rows)
+        for row, line in zip(result.rows, lines):
+            assert line.split(",") == [row.strategy] + [f"{value:.17g}" for value in astuple(row)[1:-1]]
 
     def test_single_setup_equals_episode(self):
         cfg = tiny_config(n_setups=1, sim_time_s=1.0)

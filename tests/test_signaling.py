@@ -1,5 +1,7 @@
 """Exact counting of data-plane samples and control-plane messages."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -178,10 +180,11 @@ class TestLedger:
         merged = a + b
         assert merged.fronthaul[0] == 12
 
-    def test_negative_delta_rejected(self):
+    @pytest.mark.parametrize("counter", [f.name for f in fields(LedgerDelta)])
+    def test_negative_delta_rejected(self, counter):
         ledger = SignalingLedger(1, 1)
         bad = LedgerDelta.zeros(1, 1)
-        bad.ric[0] = -1
+        getattr(bad, counter).flat[0] = -1
         with pytest.raises(ConfigurationError):
             ledger.record(0, bad)
 
