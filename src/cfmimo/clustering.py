@@ -62,12 +62,15 @@ class HandoverConfig:
     measurement_size: int = 25
     cellular_hysteresis_db: float = 2.0
 
+    # The hysteresis margins in dB; a margin of +inf never triggers.
+    MARGINS = ("threshold_db", "cellular_hysteresis_db")
+
     def validate(self, num_orus: int) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if not (self.threshold_db >= 0 and self.cellular_hysteresis_db >= 0):
-            got = f"{self.threshold_db:g} and {self.cellular_hysteresis_db:g}"
-            raise ConfigurationError(f"threshold_db and cellular_hysteresis_db must be >= 0 dB, got {got}")
+        for name in self.MARGINS:
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be >= 0 dB, got {getattr(self, name):g}")
         if not (1 <= self.serving_size <= self.measurement_size <= num_orus):
             raise ConfigurationError(
                 "need 1 <= serving_size <= measurement_size <= num_orus "

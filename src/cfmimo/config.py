@@ -4,14 +4,18 @@ Every field carries its unit in the name. The defaults reproduce the reference
 scenario: 40 UEs, 36 four-antenna O-RUs under 9 O-DUs on a 1 x 1 km grid,
 -94 dBm noise, 100-symbol pilots, 0.5 s sampling, 16-O-RU serving clusters,
 10 s episodes, 25 setups, 10 degree angular spread.
+
+Flat keys are the dataclass fields (four renamed in ``_RENAMED``); sweep-cell values are checked by the
+rules of the keys they override, a margin of inf never hands over, sim_time_s is a whole number of samples.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from .clustering import HandoverConfig
@@ -70,52 +74,43 @@ class SimConfig:
     def resolve(self) -> "SimConfig":
         """Validate and normalize; clamps the measurement size to the O-RU count."""
         for key, (section, attr, parser) in _FIELDS.items():
-            if parser in (float, _parse_speeds):
-                value = _field_value(self, section, attr)
-                values = value if parser is _parse_speeds else (value,)
-                if not all(math.isfinite(v) for v in values):
-                    raise ConfigurationError(f"{key} must be finite, got {value!r}")
-        cfg = replace(
-            self,
-            handover=replace(
-                self.handover,
-                measurement_size=min(self.handover.measurement_size, self.deployment.num_orus),
-            ),
-        )
+            value = _field_value(self, section, attr)
+            values = value if parser is _parse_speeds else (value,)
+            margin = attr in HandoverConfig.MARGINS  # +inf is a margin that never triggers
+            if parser in (float, _parse_speeds) and not all(
+                math.isfinite(v) or (margin and v == math.inf) for v in values
+            ):
+                raise ConfigurationError(f"{key} must be finite{' or +inf' if margin else ''}, got {value!r}")
+            op, bound = _LOWER_BOUNDS.get(key, (None, None))
+            if op and not (values and all(_COMPARE[op](v, bound) for v in values)):
+                raise ConfigurationError(f"{key} must be {op} {bound}, got {value!r}")
+        if not math.isclose(self.n_steps * self.ts_s, self.sim_time_s, rel_tol=1e-9):
+            raise ConfigurationError(
+                f"sim_time_s must be a whole number of sample_time_s, got {self.sim_time_s!r} and {self.ts_s!r}"
+            )
+        measurement_size = min(self.handover.measurement_size, self.deployment.num_orus)
+        cfg = replace(self, handover=replace(self.handover, measurement_size=measurement_size))
         try:
             cfg.deployment.validate()
             cfg.handover.validate(cfg.deployment.num_orus)
-            cfg.frame.validate()
         except ConfigurationError as exc:
             raise ConfigurationError(_with_key_names(str(exc))) from None
-        if cfg.ts_s <= 0:
-            raise ConfigurationError("sample_time_s must be > 0")
-        if cfg.sim_time_s <= 0 or cfg.n_steps < 1:
-            raise ConfigurationError("sim_time_s must cover at least one step")
-        if not cfg.speeds_kmh or any(v < 0 for v in cfg.speeds_kmh):
-            raise ConfigurationError("speeds_kmh must be a non-empty list of values >= 0")
-        if cfg.n_setups < 1:
-            raise ConfigurationError("n_setups must be >= 1")
-        if cfg.n_mc < 1:
-            raise ConfigurationError("n_mc must be >= 1")
-        if cfg.tau_p < 1:
-            raise ConfigurationError("tau_p must be >= 1")
-        if cfg.power_mw <= 0:
-            raise ConfigurationError("power_mw must be > 0")
-        if cfg.sigma_sf_db < 0:
-            raise ConfigurationError("sigma_sf_db must be >= 0")
-        if cfg.shadow_alpha_per_m <= 0:
-            raise ConfigurationError("shadow_alpha_per_m must be > 0")
-        if cfg.angle_spread_deg < 0:
-            raise ConfigurationError("angle_spread_deg must be >= 0")
-        if cfg.antenna_spacing_wl <= 0:
-            raise ConfigurationError("antenna_spacing_wl must be > 0")
-        if cfg.min_distance_m <= 0:
-            raise ConfigurationError("min_distance_m must be > 0")
         return cfg
 
 
-# Flat file keys -> (section, attribute, parser). Units are part of the key names.
+# Lower bounds of FrameConfig and of SimConfig's scalars, by flat key. The
+# deployment and handover rules relate several fields and stay with their classes.
+_LOWER_BOUNDS = {
+    **dict.fromkeys(("tau_u", "blocks_per_step", "n_setups", "n_mc", "tau_p"), (">=", 1)),
+    **dict.fromkeys(("speeds_kmh", "sigma_sf_db", "angle_spread_deg"), (">=", 0)),
+    **dict.fromkeys(
+        ("sample_time_s", "sim_time_s", "power_mw", "shadow_alpha_per_m", "antenna_spacing_wl", "min_distance_m"),
+        (">", 0),
+    ),
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -136,43 +131,30 @@ def parse_list(text: str, name: str, item=float) -> tuple:
 _parse_speeds = partial(parse_list, name="speeds_kmh")
 
 
+# Flat keys that differ from their attribute's name.
+_RENAMED = {
+    "serving_size": "serving_cluster_size",
+    "measurement_size": "measurement_cluster_size",
+    "ts_s": "sample_time_s",
+    "sigma2_ul_dbm": "noise_dbm",
+}
+# Parsers by annotation text (every config module postpones its annotations).
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "tuple": _parse_speeds}
+_SECTIONS = {"deployment": DeploymentConfig, "handover": HandoverConfig, "frame": FrameConfig}
+
+# Flat file keys -> (section, attribute, parser): the sections' fields, then SimConfig's own.
 _FIELDS = {
-    "grid_side_m": ("deployment", "grid_side_m", float),
-    "num_orus": ("deployment", "num_orus", int),
-    "num_odus": ("deployment", "num_odus", int),
-    "antennas_per_oru": ("deployment", "antennas_per_oru", int),
-    "num_ues": ("deployment", "num_ues", int),
-    "strategy": ("handover", "strategy", str),
-    "threshold_db": ("handover", "threshold_db", float),
-    "serving_cluster_size": ("handover", "serving_size", int),
-    "measurement_cluster_size": ("handover", "measurement_size", int),
-    "cellular_hysteresis_db": ("handover", "cellular_hysteresis_db", float),
-    "tau_u": ("frame", "tau_u", int),
-    "blocks_per_step": ("frame", "blocks_per_step", int),
-    "sample_time_s": (None, "ts_s", float),
-    "sim_time_s": (None, "sim_time_s", float),
-    "speeds_kmh": (None, "speeds_kmh", _parse_speeds),
-    "n_setups": (None, "n_setups", int),
-    "n_mc": (None, "n_mc", int),
-    "seed": (None, "seed", int),
-    "tau_p": (None, "tau_p", int),
-    "power_mw": (None, "power_mw", float),
-    "noise_dbm": (None, "sigma2_ul_dbm", float),
-    "sigma_sf_db": (None, "sigma_sf_db", float),
-    "shadow_alpha_per_m": (None, "shadow_alpha_per_m", float),
-    "angle_spread_deg": (None, "angle_spread_deg", float),
-    "antenna_spacing_wl": (None, "antenna_spacing_wl", float),
-    "min_distance_m": (None, "min_distance_m", float),
-    "se_prelog": (None, "se_prelog", _parse_bool),
-    "check_quadrature": (None, "check_quadrature", _parse_bool),
+    _RENAMED.get(f.name, f.name): (section, f.name, _PARSERS[f.type])
+    for section, cls in [*_SECTIONS.items(), (None, SimConfig)]
+    for f in fields(cls)
+    if f.name not in _SECTIONS
 }
 
 
 def _with_key_names(message: str) -> str:
     """``message`` with every attribute name that differs from its key replaced by the key."""
-    for key, (_, attr, _) in _FIELDS.items():
-        if attr != key:
-            message = re.sub(rf"\b{attr}\b", key, message)
+    for attr, key in _RENAMED.items():
+        message = re.sub(rf"\b{attr}\b", key, message)
     return message
 
 

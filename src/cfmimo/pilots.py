@@ -35,14 +35,6 @@ class PilotConfig:
     def uniform(cls, num_ues: int, tau_p: int, power_mw: float) -> "PilotConfig":
         return cls(tau_p, assign_pilots(num_ues, tau_p), np.full(num_ues, float(power_mw)))
 
-    def validate(self) -> None:
-        if self.tau_p < 1:
-            raise ConfigurationError("tau_p must be >= 1")
-        if np.any(self.pilot_index < 0) or np.any(self.pilot_index >= self.tau_p):
-            raise ConfigurationError("pilot_index entries must lie in [0, tau_p)")
-        if np.any(self.power_mw <= 0):
-            raise ConfigurationError("power_mw entries must be > 0")
-
 
 def observe_pilots(
     channels: np.ndarray, pilots: PilotConfig, sigma2_mw: float, rng: np.random.Generator

@@ -29,12 +29,6 @@ class FrameConfig:
     tau_u: int = 100
     blocks_per_step: int = 1
 
-    def validate(self) -> None:
-        if self.tau_u < 1:
-            raise ConfigurationError("tau_u must be >= 1")
-        if self.blocks_per_step < 1:
-            raise ConfigurationError("blocks_per_step must be >= 1")
-
 
 @dataclass
 class LedgerDelta:

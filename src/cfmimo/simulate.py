@@ -23,7 +23,6 @@ bit-identical to its own ``run_episode``.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -33,7 +32,7 @@ import numpy as np
 from . import clustering, geometry, signaling
 from .channel import ShadowFading, refresh_statistics
 from .combining import draw_estimates, gain_moments, second_stage, served_combiners
-from .config import SimConfig
+from .config import SimConfig, apply_setting
 from .errors import ConfigurationError, NumericalError, SimulationError
 from .pilots import PilotConfig
 
@@ -85,25 +84,24 @@ class EpisodeResult:
 
 
 def resolve_cell(config: SimConfig, strategy=None, threshold_db=None, speed_kmh=None):
-    """Validated (handover config, reported threshold, speed) of one sweep cell
-    of a resolved configuration.
+    """Resolved (handover config, reported threshold, speed) of one sweep cell.
 
-    Unset values take the configuration's. The threshold is the handover margin
-    of fixed and opportunistic, the hysteresis of cellular, and 0 for the
-    ubiquitous baseline, which has no handover.
+    Unset values take the configuration's. Each cell value is set on the key it
+    overrides and checked by that key's rules in ``SimConfig.resolve``: the
+    threshold is the handover margin of fixed and opportunistic, the hysteresis
+    of cellular, and 0 for the ubiquitous baseline, which has no handover; the
+    speed is a one-entry ``speeds_kmh``.
     """
-    strategy = config.handover.strategy if strategy is None else strategy
-    speed = float(config.speeds_kmh[0] if speed_kmh is None else speed_kmh)
-    if not 0 <= speed < math.inf:
-        raise ConfigurationError(f"speed must be finite and >= 0 km/h, got {speed:g}")
-    key = "cellular_hysteresis_db" if strategy == clustering.CELLULAR else "threshold_db"
-    if strategy == clustering.UBIQUITOUS:
-        threshold = 0.0
-    else:
-        threshold = float(getattr(config.handover, key) if threshold_db is None else threshold_db)
-    handover = replace(config.handover, strategy=strategy, **{key: threshold})
-    handover.validate(config.deployment.num_orus)
-    return handover, threshold, speed
+    cfg = config if strategy is None else apply_setting(config, "strategy", strategy)
+    key = "cellular_hysteresis_db" if cfg.handover.strategy == clustering.CELLULAR else "threshold_db"
+    if cfg.handover.strategy == clustering.UBIQUITOUS:
+        threshold_db = 0.0
+    if threshold_db is not None:
+        cfg = apply_setting(cfg, key, float(threshold_db))
+    if speed_kmh is not None:
+        cfg = apply_setting(cfg, "speeds_kmh", (float(speed_kmh),))
+    cfg = cfg.resolve()
+    return cfg.handover, float(getattr(cfg.handover, key)), float(cfg.speeds_kmh[0])
 
 
 def run_episode(
@@ -114,9 +112,8 @@ def run_episode(
     speed_kmh: float | None = None,
 ) -> EpisodeResult:
     """Run one episode; cell parameters default to the configuration's values."""
-    cfg = config.resolve()
-    handover_cfg, threshold, speed = resolve_cell(cfg, strategy, threshold_db, speed_kmh)
-    (outcome,) = _run_lockstep(cfg, [(handover_cfg, threshold)], speed, episode_seed(cfg.seed, setup))
+    handover_cfg, threshold, speed = resolve_cell(config, strategy, threshold_db, speed_kmh)
+    (outcome,) = _run_lockstep(config, [(handover_cfg, threshold)], speed, episode_seed(config.seed, setup))
     if isinstance(outcome, SimulationError):
         raise outcome
     return outcome
@@ -160,7 +157,8 @@ def _run_lockstep(
     and gain moments, second stage and signaling, and writes only into its own
     arrays. Returns an EpisodeResult or a SimulationError per cell, in order:
     a NumericalError in a cell's own stage ends that cell, one in a shared
-    stage ends every live cell.
+    stage ends every live cell. The cells and the speed come resolved from
+    ``resolve_cell``; ``cfg`` supplies only settings that resolving leaves as they are.
     """
     rng = np.random.default_rng(seed_seq)
     dep = cfg.deployment
@@ -312,10 +310,11 @@ def campaign_cells(config: SimConfig, strategies, thresholds, speeds):
 
 
 def pool_size(parallelism: int, num_jobs: int) -> int:
-    """Worker processes for a campaign: at most one per job and one per core."""
+    """Worker processes for a campaign: at most one per job and one per core this process may run on."""
     if parallelism < 1:
         raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
-    return min(parallelism, num_jobs, os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(parallelism, num_jobs, cores)
 
 
 def plan_jobs(cells, n_setups: int, workers: int) -> list:

@@ -145,6 +145,40 @@ class TestRun:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "run_cell,setting,sweep_cell,code",
+        [
+            *[
+                pytest.param(
+                    ["--threshold-db", x], ["--set", f"threshold_db={x}"], ["--threshold-db", f"2,{x}"], code,
+                    id=f"threshold_db={x}",
+                )
+                for x, code in (("inf", 0), ("nan", 2), ("-1", 2))
+            ],
+            # A sweep's threshold axis does not apply to cellular cells.
+            *[
+                pytest.param(
+                    ["--strategy", "cellular", "--threshold-db", x],
+                    ["--strategy", "cellular", "--set", f"cellular_hysteresis_db={x}"], None, code,
+                    id=f"cellular_hysteresis_db={x}",
+                )
+                for x, code in (("inf", 0), ("nan", 2), ("-1", 2))
+            ],
+            *[
+                pytest.param(["--speed-kmh", x], ["--set", f"speeds_kmh={x}"], ["--speeds", x], 2, id=f"speeds_kmh={x}")
+                for x in ("inf", "-30")
+            ],
+        ],
+    )
+    def test_cell_flag_agrees_with_the_key_it_overrides(self, tmp_path, capsys, run_cell, setting, sweep_cell, code):
+        verdicts = []
+        for command, extra in (("run", run_cell), ("run", setting), ("sweep", sweep_cell)):
+            if extra is not None:
+                exit_code = cli.main([command, *TINY, "--setups", "1", *extra, "--out", str(tmp_path / "out.csv")])
+                verdicts.append((exit_code, capsys.readouterr().err))
+        assert verdicts[0][0] == code
+        assert all(verdict == verdicts[0] for verdict in verdicts)
+
+    @pytest.mark.parametrize(
         "setting",
         [
             "sigma_sf_db=nan", "min_distance_m=nan", "angle_spread_deg=nan", "power_mw=nan",

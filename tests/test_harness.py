@@ -175,13 +175,24 @@ class TestCampaign:
         with pytest.raises(ConfigurationError):
             run_campaign(tiny_config(), strategies=["mesh"], thresholds=[1.0], speeds=[3.0])
 
-    def test_pool_size(self):
+    def test_bad_threshold_rejected_before_any_episode(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an episode ran before every sweep cell was checked")
+
+        monkeypatch.setattr(simulate, "_run_lockstep", never)
+        with pytest.raises(ConfigurationError, match="threshold_db must be finite or \\+inf, got nan"):
+            run_campaign(tiny_config(), strategies=["fixed"], thresholds=[2.0, float("nan")], speeds=[3.0])
+
+    def test_pool_size(self, monkeypatch):
         # Pure arithmetic: no pool is started, however large the request.
-        cores = os.cpu_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert pool_size(1, 10) == 1
-        assert pool_size(10**6, 3) == min(3, cores)
-        assert pool_size(10**6, 10**6) == cores
+        assert pool_size(10**6, 2) == 2
+        assert pool_size(10**6, 10**6) == 3  # the cores this process may run on, not the host's
         assert pool_size(2, 0) == 0
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert pool_size(10**6, 10**6) == 8
         for bad in (0, -3):
             with pytest.raises(ConfigurationError, match="parallelism"):
                 pool_size(bad, 5)
@@ -464,6 +475,14 @@ class TestConfig:
         cfg = config_mod.apply_setting(tiny_config(), key, value)
         with pytest.raises(ConfigurationError):
             cfg.resolve()
+
+    @pytest.mark.parametrize("sim_time_s,ts_s", [(1.25, 0.5), (0.7, 0.5)])
+    def test_partial_last_sample_rejected(self, sim_time_s, ts_s):
+        with pytest.raises(ConfigurationError, match="sim_time_s must be a whole number of sample_time_s"):
+            tiny_config(sim_time_s=sim_time_s, ts_s=ts_s).resolve()
+
+    def test_whole_number_of_samples_accepted(self):
+        assert tiny_config(sim_time_s=0.3, ts_s=0.1).resolve().n_steps == 3
 
     def test_prelog_factor(self):
         cfg = tiny_config(se_prelog=True, tau_p=100)

@@ -37,8 +37,6 @@ class TestAssignment:
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
             assign_pilots(0, 4)
-        with pytest.raises(ConfigurationError):
-            PilotConfig(4, np.array([0, 5]), np.array([1.0, 1.0])).validate()
 
 
 class TestObservation:

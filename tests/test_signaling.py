@@ -13,6 +13,7 @@ from cfmimo.clustering import (
     ClusterState,
     HandoverEvent,
 )
+from cfmimo.config import SimConfig, apply_setting
 from cfmimo.errors import ConfigurationError
 from cfmimo.signaling import (
     FrameConfig,
@@ -204,5 +205,6 @@ class TestLedger:
         assert "7,stats,1,0,2" in lines
 
     def test_frame_validation(self):
-        with pytest.raises(ConfigurationError):
-            FrameConfig(tau_u=0).validate()
+        for key in ("tau_u", "blocks_per_step"):
+            with pytest.raises(ConfigurationError, match=f"{key} must be >= 1, got 0"):
+                apply_setting(SimConfig(), key, "0").resolve()
