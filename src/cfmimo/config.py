@@ -6,7 +6,7 @@ scenario: 40 UEs, 36 four-antenna O-RUs under 9 O-DUs on a 1 x 1 km grid,
 10 s episodes, 25 setups, 10 degree angular spread.
 
 Flat keys are the dataclass fields (four renamed in ``_RENAMED``); sweep-cell values are checked by the
-rules of the keys they override, a margin of inf never hands over, sim_time_s is a whole number of samples.
+rules of the keys they override, a margin of inf never hands over, sim_time_s is at most MAX_STEPS whole samples.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .geometry import DeploymentConfig
 from .signaling import FrameConfig
 
 ENV_CONFIG_PATH = "CFMIMO_CONFIG"
+MAX_STEPS = 100_000  # steps per episode; every cell keeps an (n_steps, K) SE array
 
 
 @dataclass
@@ -84,6 +85,10 @@ class SimConfig:
             op, bound = _LOWER_BOUNDS.get(key, (None, None))
             if op and not (values and all(_COMPARE[op](v, bound) for v in values)):
                 raise ConfigurationError(f"{key} must be {op} {bound}, got {value!r}")
+        if not self.sim_time_s / self.ts_s <= MAX_STEPS:  # an overflow to inf included
+            raise ConfigurationError(
+                f"sim_time_s / sample_time_s must be at most {MAX_STEPS} steps, got {self.sim_time_s!r} / {self.ts_s!r}"
+            )
         if not math.isclose(self.n_steps * self.ts_s, self.sim_time_s, rel_tol=1e-9):
             raise ConfigurationError(
                 f"sim_time_s must be a whole number of sample_time_s, got {self.sim_time_s!r} and {self.ts_s!r}"

@@ -57,18 +57,30 @@ def slot_observations(
 
     ``channels`` has shape (..., L, K, N); the signals are (..., L, slots, N):
     noise with covariance sigma2 * I drawn once per (O-RU, slot), plus
-    sqrt(tau_p p_k) h_k of every UE k on the slot. Each UE's scaled channel is
-    added into its slot of the noise buffer, so besides ``channels`` only the
-    result is live. UE k observes ``signals[..., slot_of_ue[k], :]``.
+    sqrt(tau_p p_k) h_k of every UE k on the slot, added into the noise buffer
+    in reuse rounds (round r adds the r-th UE of every slot, so a slot sums its
+    UEs in ascending order) with temporaries of about one O-RU's (..., K, N)
+    channels. UE k observes ``signals[..., slot_of_ue[k], :]``.
     """
     channels = np.asarray(channels)
     slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
-    scale = np.sqrt(pilots.tau_p * pilots.power_mw)  # (K,)
+    scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # (K,), cast once, not per add
     received = complex_normal_draws(channels.shape[:-2] + (slots.size, channels.shape[-1]), rng)
     received *= np.sqrt(sigma2_mw / 2.0)
-    for k, slot in enumerate(slot_of_ue):
-        received[..., slot, :] += scale[k] * channels[..., k, :]
+    rank = np.tril(slot_of_ue[:, None] == slot_of_ue, -1).sum(axis=1)  # UEs before k on k's slot
+    for r in range(rank.max(initial=-1) + 1):
+        ues = np.flatnonzero(rank == r)
+        block = max(1, slot_of_ue.size // ues.size)  # O-RUs per add
+        ues, dest = index_run(ues), index_run(slot_of_ue[ues])  # slices for round-robin pilots
+        for start in range(0, channels.shape[-3], block):
+            orus = slice(start, start + block)
+            received[..., orus, dest, :] += scale[ues, None] * channels[..., orus, ues, :]
     return received, slot_of_ue
+
+
+def index_run(index: np.ndarray):
+    """``index``, or the slice it spans when it is one ascending run: indexing with that takes a view."""
+    return slice(index[0], index[-1] + 1) if index.size and (index[1:] - index[:-1] == 1).all() else index
 
 
 def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):

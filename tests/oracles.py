@@ -90,6 +90,22 @@ def observe_pilots(channels, pilots, sigma2_mw: float, rng) -> np.ndarray:
     return (superposed + noise)[..., slot_of_ue, :]
 
 
+def slot_observations(channels, pilots, sigma2_mw: float, rng):
+    """Received pilot signal per (O-RU, pilot slot) and the slot of every UE, one UE at a time.
+
+    ``channels`` is (..., L, K, N). Noise with covariance sigma2 * I is drawn
+    once per (O-RU, slot), and each UE's sqrt(tau_p p_k) h_k is added into its
+    slot in ascending k.
+    """
+    slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
+    scale = np.sqrt(pilots.tau_p * pilots.power_mw)
+    shape = channels.shape[:-2] + (slots.size, channels.shape[-1])
+    received = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(sigma2_mw / 2.0)
+    for k, slot in enumerate(slot_of_ue):
+        received[..., slot, :] += scale[k] * channels[..., k, :]
+    return received, slot_of_ue
+
+
 def remote_serving_counts(serving, primary, odu_of_oru) -> np.ndarray:
     """(C, C) count of UEs per (serving O-DU, primary O-DU) pair of distinct O-DUs,
     one UE and one serving O-DU at a time."""
@@ -138,6 +154,38 @@ def full_gain_moments(combiners, h):
     second_moment = np.einsum("dlki,dmki->kilm", g, g.conj()) / n_mc
     combiner_power = np.einsum("dlkn,dlkn->kl", combiners, combiners.conj()).real / n_mc
     return mean_gain, second_moment, combiner_power
+
+
+def gathered_gain_moments(channels, combiners, serving, sigma2_mw: float):
+    """Effective-gain moments on the serving supports, one UE at a time from a
+    copy of the channels at its serving O-RUs.
+
+    ``channels`` are the (d, L, K, N) draws and ``combiners`` a
+    `combining.ServedCombiners`. Per UE k with ascending support S_k (s_k
+    O-RUs), g_k[d, j, i] = v_{S_k[j],k}^H h_{S_k[j],i} over the gathered
+    channels h[:, S_k]. Returns (mean_gain (K, L), second_moment (K, K, S_max,
+    S_max), noise_diag (K, L)) in the layout of `combining.GainMoments`, with
+    the interferer Grams of A = g_k.transpose(2, 1, 0) as one product A A^H / d.
+    """
+    l_num, k_num = serving.shape
+    n_mc = channels.shape[0]
+    supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
+    s_max = max(support.size for support in supports)
+    mean_gain = np.zeros((k_num, l_num), dtype=complex)
+    second_moment = np.zeros((k_num, k_num, s_max, s_max), dtype=complex)
+    for k, support in enumerate(supports):
+        s = support.size
+        v_k = combiners.values[:, combiners.column[support, k], :, None].conj()
+        g_k = (channels[:, support] @ v_k)[..., 0]
+        mean_gain[k, support] = g_k[:, :, k].sum(axis=0) / n_mc
+        a = g_k.transpose(2, 1, 0)  # (K, s, d)
+        second_moment[k, :, :s, :s] = a @ a.conj().swapaxes(-1, -2) / n_mc
+    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
+    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
+    orus, ues = np.nonzero(serving)
+    noise_diag = np.zeros((k_num, l_num))
+    noise_diag[ues, orus] = sigma2_mw * power[combiners.column[orus, ues]] / n_mc
+    return mean_gain, second_moment, noise_diag
 
 
 def second_stage_oracle(moments, powers_mw):

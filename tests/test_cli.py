@@ -53,6 +53,12 @@ class TestValidate:
         assert cli.main(["validate", "--set", "sample_time_s=0"]) == 2
         assert "sample_time_s must be > 0" in capsys.readouterr().err
 
+    # A step count that overflows to inf, and a finite one above the cap.
+    @pytest.mark.parametrize("setting", ["sample_time_s=1e-310", "sim_time_s=1e12"])
+    def test_episode_length_over_cap_exits_2(self, capsys, setting):
+        assert cli.main(["validate", "--set", setting]) == 2
+        assert "sim_time_s / sample_time_s must be at most 100000 steps" in capsys.readouterr().err
+
     def test_cluster_size_error_names_its_keys(self, capsys):
         assert cli.main(["validate", "--set", "serving_cluster_size=40"]) == 2
         err = capsys.readouterr().err

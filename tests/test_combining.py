@@ -27,7 +27,7 @@ from cfmimo.combining import (
 )
 from cfmimo.errors import NumericalError
 from cfmimo.pilots import PilotConfig, apply_filters, mmse_filters, observe_pilots
-from oracles import full_gain_moments, local_mmse_combiners, second_stage_oracle
+from oracles import full_gain_moments, gathered_gain_moments, local_mmse_combiners, second_stage_oracle
 
 
 def make_stats(covs: np.ndarray) -> ChannelStatistics:
@@ -328,6 +328,61 @@ class TestSupportMoments:
         # draw-sized; observations, estimates and combiners cover 144 of 1440 pairs.
         peak = self._traced_reference_call(100, opportunistic=True)
         assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestGainKernel:
+    """`gain_moments` against the per-UE gather of the channels (`oracles.gathered_gain_moments`)."""
+
+    @staticmethod
+    def _served(serving, n_mc, seed, n_ant=2):
+        l_num, k_num = serving.shape
+        rng = np.random.default_rng(seed)
+        stats = make_stats(ring_stack(rng, l_num, k_num, n_ant))
+        pilots = PilotConfig(2, np.arange(k_num) % 2, rng.uniform(0.5, 2.0, size=k_num))  # tau_p < K
+        draws = draw_estimates(stats, pilots, 0.2, n_mc, rng, serving)
+        combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, 0.2)
+        return draws.channels, combiners
+
+    # Supports of 0 to 6 O-RUs, several single-O-RU UEs, and ubiquitous serving.
+    @pytest.mark.parametrize(
+        "serving",
+        [
+            served_sets(5, [[1], [0, 2], [2], [2, 3], [0, 2, 3], [2]]),
+            SERVING_MAPS[0],
+            served_sets(5, [[0], [1], [2], [3], [4], []]),
+            np.ones((6, 5), dtype=bool),
+        ],
+        ids=["unserved-and-single", "mixed", "all-single", "ubiquitous"],
+    )
+    @pytest.mark.parametrize("n_mc", [1, 7, 100])
+    def test_matches_gather_oracle_bitwise(self, serving, n_mc):
+        channels, combiners = self._served(serving, n_mc, seed=n_mc)
+        before = channels.copy(), combiners.values.copy()
+        moments = gain_moments(channels, combiners, serving, 0.2)
+        mean_gain, second_moment, noise_diag = gathered_gain_moments(channels, combiners, serving, 0.2)
+        assert_same_bits(moments.mean_gain, mean_gain)
+        assert_same_bits(moments.second_moment, second_moment)
+        assert_same_bits(moments.noise_diag, noise_diag)
+        assert_same_bits(channels, before[0])
+        assert_same_bits(combiners.values.copy(), before[1])
+
+    def test_no_channel_copy_at_reference_deployment(self):
+        # Ubiquitous serving at K=40, L=36, N=4, n_mc=100: every UE's support
+        # is every O-RU, so a per-UE gather of the channels alone would take
+        # one draw-sized (d, L, K, N) array, 9.2 MB.
+        l_num, k_num, n_mc = 36, 40, 100
+        serving = np.ones((l_num, k_num), dtype=bool)
+        channels, combiners = self._served(serving, n_mc, seed=5, n_ant=4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            moments = gain_moments(channels, combiners, serving, 0.2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (moments.mean_gain, moments.second_moment, moments.noise_diag, moments.share))
+        assert peak - returned < channels.nbytes, f"{(peak - returned) / 1e6:.1f} MB besides the result"
 
 
 def random_instance(rng, n_oru=3, n_ue=3, n_draws=60, support=None):

@@ -484,6 +484,12 @@ class TestConfig:
     def test_whole_number_of_samples_accepted(self):
         assert tiny_config(sim_time_s=0.3, ts_s=0.1).resolve().n_steps == 3
 
+    def test_episode_length_capped(self):
+        cap = config_mod.MAX_STEPS
+        assert tiny_config(sim_time_s=cap * 0.5, ts_s=0.5).resolve().n_steps == cap
+        with pytest.raises(ConfigurationError, match=f"sim_time_s / sample_time_s must be at most {cap} steps"):
+            tiny_config(sim_time_s=(cap + 1) * 0.5, ts_s=0.5).resolve()
+
     def test_prelog_factor(self):
         cfg = tiny_config(se_prelog=True, tau_p=100)
         assert cfg.prelog == pytest.approx(100 / 200)

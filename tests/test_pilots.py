@@ -5,7 +5,9 @@ import pytest
 
 from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
 from cfmimo.errors import ConfigurationError
-from cfmimo.pilots import PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots
+from cfmimo.pilots import (
+    PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots, slot_observations,
+)
 import oracles
 from oracles import mmse_estimate
 
@@ -75,6 +77,26 @@ class TestObservation:
             np.testing.assert_allclose(y, expected, rtol=1e-14, atol=0)
         assert draws.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(h, h_before)
+
+    # Orthogonal pilots, round-robin reuse (one to six UEs per slot), and
+    # permuted assignments, whose reuse rounds are not runs of UEs or slots.
+    @pytest.mark.parametrize(
+        "tau_p,permuted", [(8, False), (1, False), (3, False), (6, False), (3, True), (6, True), (8, True)]
+    )
+    def test_slot_signals_match_loop_oracle_bitwise(self, tau_p, permuted):
+        rng = np.random.default_rng(tau_p + 10 * permuted)
+        k_num = 7
+        h = rng.standard_normal((4, 5, k_num, 3)) + 1j * rng.standard_normal((4, 5, k_num, 3))
+        index = rng.permutation(k_num) % tau_p if permuted else assign_pilots(k_num, tau_p)
+        cfg = PilotConfig(tau_p, index, rng.uniform(0.5, 2.0, size=k_num))
+        draws, reference = np.random.default_rng(13), np.random.default_rng(13)
+        h_before = h.copy()
+        received, slot_of_ue = slot_observations(h, cfg, 0.3, draws)
+        expected, expected_slots = oracles.slot_observations(h, cfg, 0.3, reference)
+        assert np.array_equal(received.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(slot_of_ue, expected_slots)
+        assert draws.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(h.view(np.uint64), h_before.view(np.uint64))
 
     def test_full_matrix_identity(self):
         # Building the tau_p-symbol received block and decorrelating it is
