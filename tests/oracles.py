@@ -20,6 +20,24 @@ def wrap_distance(a, b, grid_side: float) -> float:
     )
 
 
+def wrap_distance_and_angle(a, b, grid_side: float):
+    """Torus distance and broadside azimuth of the pair (``a``, ``b``) by a search over the nine tile images of ``b``.
+
+    Each image's displacement is (b + offset * side) - a and its squared length
+    dx * dx + dy * dy. The images are tried direct first, and a later one
+    replaces the best only when strictly nearer, so a tie keeps the earlier
+    image. The azimuth is arctan2(dx, dy), 0 for coincident points.
+    """
+    best = None
+    for i, j in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        dx = (b[0] + i * grid_side) - a[0]
+        dy = (b[1] + j * grid_side) - a[1]
+        if best is None or dx * dx + dy * dy < best[0]:
+            best = (dx * dx + dy * dy, dx, dy)
+    d2, dx, dy = best
+    return np.sqrt(d2), 0.0 if dx == 0.0 and dy == 0.0 else np.arctan2(dx, dy)
+
+
 def step_ue(position, speed_mps: float, heading_rad: float, ts_s: float) -> np.ndarray:
     """One UE moved speed * ts_s along its heading, not folded onto the torus."""
     delta = speed_mps * ts_s
@@ -44,6 +62,27 @@ def mmse_estimate(cov, sharer_covs, observation, tau_p: int, powers_mw, k_local:
     filt = np.sqrt(tau_p * p_k) * np.linalg.solve(gram, cov).conj().T
     error_cov = cov - np.sqrt(tau_p * p_k) * filt @ cov
     return filt @ observation, 0.5 * (error_cov + error_cov.conj().T)
+
+
+def mmse_filters(cov, pilots, sigma2_mw: float):
+    """Per-(O-RU, UE) MMSE filters and error covariances, with each pilot slot's Gram built one UE at a time.
+
+    ``cov`` is (L, K, N, N). Psi of a slot starts at zero and adds
+    tau_p p_k R_k of its UEs in ascending k before sigma2 I; the filter of UE k
+    is sqrt(tau_p p_k) (Psi^{-1} R_k)^H and the error covariance
+    R_k - tau_p p_k R_k Psi^{-1} R_k, made Hermitian.
+    """
+    l_num, k_num, n, _ = cov.shape
+    slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
+    tau_p = pilots.tau_p
+    gram = np.zeros((l_num, slots.size, n, n), dtype=complex)
+    for k in range(k_num):
+        gram[:, slot_of_ue[k]] += tau_p * pilots.power_mw[k] * cov[:, k]
+    gram += sigma2_mw * np.eye(n)
+    solved = np.linalg.solve(gram[:, slot_of_ue], cov)
+    filters = np.sqrt(tau_p * pilots.power_mw)[None, :, None, None] * solved.conj().swapaxes(-1, -2)
+    error_covs = cov - np.sqrt(tau_p * pilots.power_mw)[None, :, None, None] * filters @ cov
+    return filters, 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))
 
 
 def ring_lag_oracle(phi: float, spread_rad: float, num_antennas: int, spacing_wl: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from cfmimo.geometry import (
     wrap_distance_and_angle,
 )
 from oracles import step_ue, wrap_distance
+from oracles import wrap_distance_and_angle as nine_image_search
 
 
 def distances(a, b, side):
@@ -137,21 +138,28 @@ class TestWrapAngle:
         assert phi == pytest.approx(-math.pi / 2)
 
     def test_against_nine_image_brute_force(self):
+        # Distance and azimuth of every pair equal a nine-image search's, bit for bit.
         rng = np.random.default_rng(11)
-        side = 400.0
-        orus = rng.uniform(0, side, size=(6, 2))
-        ues = rng.uniform(0, side, size=(9, 2))
-        _, phi = wrap_distance_and_angle(orus, ues, side)
-        for l in range(6):
-            for k in range(9):
-                best, best_d = None, np.inf
-                for i in (-1, 0, 1):
-                    for j in (-1, 0, 1):
-                        disp = ues[k] + np.array([i, j]) * side - orus[l]
-                        d = math.hypot(*disp)
-                        if d < best_d - 1e-12:
-                            best_d, best = d, disp
-                assert phi[l, k] == pytest.approx(math.atan2(best[0], best[1]), abs=1e-9)
+        for side in (400.0, 1000.0, 3.7):
+            orus = rng.uniform(0, side, size=(30, 2))
+            ues = rng.uniform(0, side, size=(40, 2))
+            dist, phi = wrap_distance_and_angle(orus, ues, side)
+            expected = np.array([[nine_image_search(a, b, side) for b in ues] for a in orus])
+            assert np.array_equal(dist, expected[..., 0])
+            assert np.array_equal(phi, expected[..., 1])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_half_side_tie_takes_direct_image(self, axis, sign):
+        # Both images lie exactly half a side away along one axis: the direct one is used.
+        oru = np.array([50.0, 50.0])
+        ue = oru.copy()
+        ue[axis] += sign * 50.0
+        ue[1 - axis] += 10.0
+        direct = ue - oru
+        assert distance(oru, ue, 100.0) == math.hypot(*direct)
+        assert angle(oru, ue, 100.0) == math.atan2(*direct)
+        assert (distance(oru, ue, 100.0), angle(oru, ue, 100.0)) == nine_image_search(oru, ue, 100.0)
 
 
 class TestMobility:

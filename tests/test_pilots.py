@@ -18,6 +18,22 @@ def dft_pilots(tau_p):
     return np.exp(-2j * np.pi * np.outer(n, n) / tau_p)
 
 
+# Orthogonal pilots, round-robin reuse (one to six of seven UEs per slot), and
+# permuted assignments, whose reuse rounds are not runs of UEs or slots.
+REUSE_CASES = [(8, False), (1, False), (3, False), (6, False), (3, True), (6, True), (8, True)]
+
+
+def reuse_case(tau_p, permuted, rng, k_num=7):
+    """Pilot configuration of one REUSE_CASES entry, with random powers."""
+    index = rng.permutation(k_num) % tau_p if permuted else assign_pilots(k_num, tau_p)
+    return PilotConfig(tau_p, index, rng.uniform(0.5, 2.0, size=k_num))
+
+
+def bits(array):
+    """The raw 64-bit words of a float or complex array."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
 class TestAssignment:
     def test_distinct_when_enough_pilots(self):
         idx = assign_pilots(40, 100)
@@ -78,17 +94,11 @@ class TestObservation:
         assert draws.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(h, h_before)
 
-    # Orthogonal pilots, round-robin reuse (one to six UEs per slot), and
-    # permuted assignments, whose reuse rounds are not runs of UEs or slots.
-    @pytest.mark.parametrize(
-        "tau_p,permuted", [(8, False), (1, False), (3, False), (6, False), (3, True), (6, True), (8, True)]
-    )
+    @pytest.mark.parametrize("tau_p,permuted", REUSE_CASES)
     def test_slot_signals_match_loop_oracle_bitwise(self, tau_p, permuted):
         rng = np.random.default_rng(tau_p + 10 * permuted)
-        k_num = 7
-        h = rng.standard_normal((4, 5, k_num, 3)) + 1j * rng.standard_normal((4, 5, k_num, 3))
-        index = rng.permutation(k_num) % tau_p if permuted else assign_pilots(k_num, tau_p)
-        cfg = PilotConfig(tau_p, index, rng.uniform(0.5, 2.0, size=k_num))
+        h = rng.standard_normal((4, 5, 7, 3)) + 1j * rng.standard_normal((4, 5, 7, 3))
+        cfg = reuse_case(tau_p, permuted, rng)
         draws, reference = np.random.default_rng(13), np.random.default_rng(13)
         h_before = h.copy()
         received, slot_of_ue = slot_observations(h, cfg, 0.3, draws)
@@ -228,6 +238,15 @@ class TestMmseConsistency:
             assert np.abs(c - c.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(c).min() > -1e-12
             assert np.linalg.eigvalsh(r - c).min() > -1e-12
+
+    @pytest.mark.parametrize("tau_p,permuted", REUSE_CASES)
+    def test_filters_match_gram_loop_oracle_bitwise(self, tau_p, permuted):
+        rng = np.random.default_rng(20 + tau_p + 10 * permuted)
+        a = rng.standard_normal((5, 7, 3, 3)) + 1j * rng.standard_normal((5, 7, 3, 3))
+        cov = a @ a.conj().swapaxes(-1, -2)
+        cfg = reuse_case(tau_p, permuted, rng)
+        for got, expected in zip(mmse_filters(cov, cfg, 0.3), oracles.mmse_filters(cov, cfg, 0.3)):
+            assert np.array_equal(bits(got), bits(expected))
 
     def test_filters_match_single_pair_op(self):
         rng = np.random.default_rng(7)
