@@ -3,8 +3,8 @@
 Subcommands: ``run`` (episodes of one sweep cell, long-format SE CSV), ``sweep``
 (full campaign, aggregate CSV) and ``validate`` (print the resolved
 configuration). Exit codes: 0 success, 2 configuration error (the message names
-the offending field, flag or output path), 3 runtime numerical error with
-episode/step context.
+the offending field, flag or output path), 3 runtime error (a numerical
+failure, or a step that runs out of memory) with episode/step context.
 """
 
 from __future__ import annotations

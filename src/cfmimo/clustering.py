@@ -65,7 +65,7 @@ class HandoverConfig:
     # The hysteresis margins in dB; a margin of +inf never triggers.
     MARGINS = ("threshold_db", "cellular_hysteresis_db")
 
-    def validate(self, num_orus: int) -> None:
+    def validate(self, num_orus: int, num_ues: int, antennas_per_oru: int) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         for name in self.MARGINS:
@@ -75,6 +75,11 @@ class HandoverConfig:
             raise ConfigurationError(
                 "need 1 <= serving_size <= measurement_size <= num_orus "
                 f"(got {self.serving_size}, {self.measurement_size}, {num_orus})"
+            )
+        if self.strategy == OPPORTUNISTIC and num_ues > num_orus * antennas_per_oru:  # a primary O-RU per UE
+            raise ConfigurationError(
+                "opportunistic needs num_ues <= num_orus * antennas_per_oru, "
+                f"got {num_ues} > {num_orus} * {antennas_per_oru}"
             )
 
 
@@ -170,8 +175,8 @@ def initial_clusters(
     neighbors: NeighborTable | None = None,
 ) -> ClusterState:
     """Form the t=0 cluster state for the configured strategy."""
-    cfg.validate(topology.num_orus)
     l_num, k_num = beta_lin.shape
+    cfg.validate(l_num, k_num, n_antennas)
     everywhere = np.ones((l_num, k_num), dtype=bool)
     state = ClusterState(
         cfg.strategy,
@@ -193,8 +198,6 @@ def initial_clusters(
         return state
     # Opportunistic: each UE in turn claims its strongest O-RU with spare primary
     # capacity; every O-RU then fills its remaining capacity.
-    if k_num > l_num * n_antennas:
-        raise ConfigurationError(f"{k_num} UEs cannot all obtain a primary O-RU: capacity is {l_num * n_antennas}")
     counts = np.zeros(l_num, dtype=int)
     for k in ues:
         ranked = _ranked(beta_lin[:, k], np.arange(l_num))

@@ -195,9 +195,9 @@ def draw_estimates(
         raise NumericalError("n_mc must be >= 1")
     filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
-    received, slot_of_ue = pilots_mod.slot_observations(h, pilots, sigma2_mw, rng)
+    received = pilots_mod.slot_observations(h, pilots, sigma2_mw, rng)
     orus, ues = np.nonzero(needed)
-    observations = received[:, orus, slot_of_ue[ues]]  # (d, P, N)
+    observations = received[:, orus, pilots.slot_of_ue[ues]]  # (d, P, N)
     del received
     h_hat = pilots_mod.apply_filters(filters[orus, ues], observations)
     column = np.full(np.shape(needed), -1)

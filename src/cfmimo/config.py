@@ -97,7 +97,7 @@ class SimConfig:
         cfg = replace(self, handover=replace(self.handover, measurement_size=measurement_size))
         try:
             cfg.deployment.validate()
-            cfg.handover.validate(cfg.deployment.num_orus)
+            cfg.handover.validate(cfg.deployment.num_orus, cfg.deployment.num_ues, cfg.deployment.antennas_per_oru)
         except ConfigurationError as exc:
             raise ConfigurationError(_with_key_names(str(exc))) from None
         return cfg

@@ -1,9 +1,10 @@
 """Deployment geometry, wrap-around (torus) metrics, and straight-line UE mobility.
 
 The service area is a square of side ``grid_side_m`` treated as a torus: every
-distance/angle is evaluated against the nearest of the nine tile images of the
-target point (3 x 3 replication of the grid). One kernel, `wrap_distance_and_angle`,
-serves the channel refresh and the clustering's O-RU neighbor order.
+distance/angle is evaluated against the target point's nearest image, taken per
+axis by rounding the displacement to whole grid sides. One kernel,
+`wrap_distance_and_angle`, serves the channel refresh and the clustering's O-RU
+neighbor order; a nine-image search is its test oracle.
 """
 
 from __future__ import annotations
@@ -14,13 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-
-# Tile offsets in units of the grid side, fixed order so argmin tie-breaks are
-# deterministic. Offset (0, 0) comes first: exact ties resolve to the direct image.
-TILE_OFFSETS = np.array(
-    [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]],
-    dtype=float,
-)
 
 
 @dataclass
@@ -84,11 +78,6 @@ def generate_deployment(config: DeploymentConfig, rng: np.random.Generator) -> T
     return Topology(positions, odu_of_oru, config.grid_side_m)
 
 
-def fold(points: np.ndarray, grid_side: float) -> np.ndarray:
-    """Fold coordinates onto the torus [0, grid_side)^2."""
-    return np.mod(points, grid_side)
-
-
 def wrap_distance_and_angle(oru_pos: np.ndarray, ue_pos: np.ndarray, grid_side: float) -> tuple[np.ndarray, np.ndarray]:
     """Torus distances and broadside azimuths for all (O-RU, UE) pairs.
 
@@ -96,13 +85,12 @@ def wrap_distance_and_angle(oru_pos: np.ndarray, ue_pos: np.ndarray, grid_side: 
     torus image (displacement (dx, dy)). The angle is arctan2(dx, dy), measured
     from the broadside of an array whose axis lies along x: a UE dead ahead of
     the array face (+y) gives 0, a UE along the array axis +/- pi/2. Coincident
-    points give 0 by convention.
+    points give 0 by convention. An exact half-side displacement rounds half to
+    even, to the direct image.
     """
-    cand = ue_pos[None, None, :, :] + TILE_OFFSETS[:, None, None, :] * grid_side - oru_pos[None, :, None, :]
-    d2 = (cand**2).sum(axis=-1)  # (9, L, K)
-    best = d2.argmin(axis=0)[None]  # first minimum wins; offset order fixes the tie rule
-    dist = np.sqrt(np.take_along_axis(d2, best, axis=0)[0])
-    disp = np.take_along_axis(cand, best[..., None], axis=0)[0]
+    oru = oru_pos[:, None, :]
+    disp = (ue_pos - grid_side * np.round((ue_pos - oru) / grid_side)) - oru  # (L, K, 2)
+    dist = np.sqrt((disp**2).sum(axis=-1))
     dx, dy = disp[:, :, 0], disp[:, :, 1]
     phi = np.arctan2(dx, dy)
     phi[(dx == 0.0) & (dy == 0.0)] = 0.0
@@ -116,7 +104,7 @@ def advance_positions(
     if ts_s <= 0:
         raise ConfigurationError("ts_s must be > 0")
     step = (speeds * ts_s)[:, None] * np.stack([np.cos(headings), np.sin(headings)], axis=1)
-    return fold(positions + step, grid_side)
+    return np.mod(positions + step, grid_side)
 
 
 def uniform_positions(n: int, grid_side: float, rng: np.random.Generator) -> np.ndarray:

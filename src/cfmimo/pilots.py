@@ -3,7 +3,8 @@
 The simulator works directly on the decorrelated per-UE pilot observation
 y = sum_{i sharing the pilot} sqrt(tau_p p_i) h_i + noise, which is a sufficient
 statistic for the tau_p-symbol pilot block; the full received pilot matrix is
-only ever built in test oracles.
+only ever built in test oracles, as are per-UE loops over the pilot slots: the
+slot signals and the per-slot MMSE Gram add one reuse round at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ def assign_pilots(num_ues: int, tau_p: int) -> np.ndarray:
 
 @dataclass
 class PilotConfig:
-    """Pilot block length, per-UE pilot index, and per-UE transmit power (mW)."""
+    """Pilot block length, per-UE pilot index, and per-UE transmit power (mW).
+
+    Derived once from the index: ``slot_of_ue``, each UE's pilot slot (the pilots
+    in use numbered 0, 1, ... in ascending order), and ``reuse_rounds``, the (UEs,
+    their slots) index runs of each round; round r holds the r-th UE of every slot.
+    """
 
     tau_p: int
     pilot_index: np.ndarray  # (K,) int in [0, tau_p)
@@ -34,6 +40,12 @@ class PilotConfig:
     @classmethod
     def uniform(cls, num_ues: int, tau_p: int, power_mw: float) -> "PilotConfig":
         return cls(tau_p, assign_pilots(num_ues, tau_p), np.full(num_ues, float(power_mw)))
+
+    def __post_init__(self):
+        self.slot_of_ue = np.unique(self.pilot_index, return_inverse=True)[1]
+        rank = np.tril(self.slot_of_ue[:, None] == self.slot_of_ue, -1).sum(axis=1)  # UEs before k on k's slot
+        rounds = [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
+        self.reuse_rounds = [(index_run(ues), index_run(self.slot_of_ue[ues])) for ues in rounds]
 
 
 def observe_pilots(
@@ -46,36 +58,31 @@ def observe_pilots(
     drawn once per (O-RU, pilot slot) with covariance sigma2 * I: the slot
     signals of `slot_observations`, gathered per UE.
     """
-    received, slot_of_ue = slot_observations(channels, pilots, sigma2_mw, rng)
-    return received[..., slot_of_ue, :]
+    return slot_observations(channels, pilots, sigma2_mw, rng)[..., pilots.slot_of_ue, :]
 
 
 def slot_observations(
     channels: np.ndarray, pilots: PilotConfig, sigma2_mw: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Received pilot signal per (O-RU, pilot slot) and the slot of every UE.
+) -> np.ndarray:
+    """Received pilot signal per (O-RU, pilot slot).
 
     ``channels`` has shape (..., L, K, N); the signals are (..., L, slots, N):
     noise with covariance sigma2 * I drawn once per (O-RU, slot), plus
     sqrt(tau_p p_k) h_k of every UE k on the slot, added into the noise buffer
-    in reuse rounds (round r adds the r-th UE of every slot, so a slot sums its
-    UEs in ascending order) with temporaries of about one O-RU's (..., K, N)
-    channels. UE k observes ``signals[..., slot_of_ue[k], :]``.
+    one reuse round at a time with temporaries of about one O-RU's (..., K, N)
+    channels. UE k observes ``signals[..., pilots.slot_of_ue[k], :]``.
     """
     channels = np.asarray(channels)
-    slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
     scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # (K,), cast once, not per add
-    received = complex_normal_draws(channels.shape[:-2] + (slots.size, channels.shape[-1]), rng)
+    received = complex_normal_draws(channels.shape[:-2] + (pilots.slot_of_ue.max() + 1, channels.shape[-1]), rng)
     received *= np.sqrt(sigma2_mw / 2.0)
-    rank = np.tril(slot_of_ue[:, None] == slot_of_ue, -1).sum(axis=1)  # UEs before k on k's slot
-    for r in range(rank.max(initial=-1) + 1):
-        ues = np.flatnonzero(rank == r)
-        block = max(1, slot_of_ue.size // ues.size)  # O-RUs per add
-        ues, dest = index_run(ues), index_run(slot_of_ue[ues])  # slices for round-robin pilots
+    for ues, dest in pilots.reuse_rounds:
+        amplitude = scale[ues, None]
+        block = max(1, scale.size // amplitude.shape[0])  # O-RUs per add
         for start in range(0, channels.shape[-3], block):
             orus = slice(start, start + block)
-            received[..., orus, dest, :] += scale[ues, None] * channels[..., orus, ues, :]
-    return received, slot_of_ue
+            received[..., orus, dest, :] += amplitude * channels[..., orus, ues, :]
+    return received
 
 
 def index_run(index: np.ndarray):
@@ -88,24 +95,23 @@ def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):
 
     ``cov`` is the (L, K, N, N) covariance stack. Returns (filters, error_covs)
     of the same shape: h_hat = filters[l, k] @ y[l, k]. The regularized pilot
-    Gram matrix is shared by all UEs on one pilot slot, so it is built per slot.
+    Gram matrix is shared by all UEs on one pilot slot, so it is built per slot,
+    one reuse round at a time.
 
     The estimate is sqrt(tau_p p_k) R Psi^{-1} y with
     Psi = sum_i tau_p p_i R_i + sigma2 I over the UEs sharing k's pilot, and
     the error covariance is R - tau_p p_k R Psi^{-1} R.
     """
-    l_num, k_num, n, _ = cov.shape
-    slots, slot_of_ue = np.unique(pilots.pilot_index, return_inverse=True)
-    tau_p = pilots.tau_p
-    gram = np.zeros((l_num, slots.size, n, n), dtype=complex)
-    for k in range(k_num):
-        gram[:, slot_of_ue[k]] += tau_p * pilots.power_mw[k] * cov[:, k]
+    l_num, _, n, _ = cov.shape
+    gram = np.zeros((l_num, pilots.slot_of_ue.max() + 1, n, n), dtype=complex)
+    for ues, dest in pilots.reuse_rounds:
+        gram[:, dest] += (pilots.tau_p * pilots.power_mw[ues])[:, None, None] * cov[:, ues]
     gram += sigma2_mw * np.eye(n)
-    solved = np.linalg.solve(gram[:, slot_of_ue], cov)  # Psi^{-1} R per (l, k)
-    filters = np.sqrt(tau_p * pilots.power_mw)[None, :, None, None] * solved.conj().swapaxes(-1, -2)
-    error_covs = cov - np.sqrt(tau_p * pilots.power_mw)[None, :, None, None] * filters @ cov
-    error_covs = 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))
-    return filters, error_covs
+    solved = np.linalg.solve(gram[:, pilots.slot_of_ue], cov)  # Psi^{-1} R per (l, k)
+    amplitude = np.sqrt(pilots.tau_p * pilots.power_mw)[None, :, None, None]
+    filters = amplitude * solved.conj().swapaxes(-1, -2)
+    error_covs = cov - amplitude * filters @ cov
+    return filters, 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))
 
 
 def apply_filters(filters: np.ndarray, observations: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one episode; cell parameters default to the configuration's values."""
     handover_cfg, threshold, speed = resolve_cell(config, strategy, threshold_db, speed_kmh)
-    (outcome,) = _run_lockstep(config, [(handover_cfg, threshold)], speed, episode_seed(config.seed, setup))
+    (outcome,) = _run_lockstep(config, [(handover_cfg, threshold)], speed, setup)
     if isinstance(outcome, SimulationError):
         raise outcome
     return outcome
@@ -133,21 +133,20 @@ class _Lane:
     error: SimulationError | None = None
 
 
-def _abort(lanes, step: int, speed_kmh: float, exc: NumericalError) -> None:
+_STEP_FAILURES = (NumericalError, MemoryError)  # what ends a step's lanes; numpy's MemoryError names the size
+
+
+def _abort(lanes, step: int, replay: str, exc: Exception) -> None:
+    """End ``lanes`` at ``step``; ``replay`` names the speed, seed and setup that reproduce the episode."""
     for lane in lanes:
         lane.error = SimulationError(
             f"episode aborted at step {step} "
-            f"(strategy={lane.handover.strategy}, speed={speed_kmh:g} km/h): {exc}"
+            f"(strategy={lane.handover.strategy}, threshold={lane.threshold_db:g} dB, {replay}): {exc}"
         )
         lane.error.__cause__ = exc
 
 
-def _run_lockstep(
-    cfg: SimConfig,
-    cells: list,
-    speed_kmh: float,
-    seed_seq: np.random.SeedSequence,
-) -> list:
+def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> list:
     """Episodes of one setup and speed for every (handover config, threshold) cell.
 
     No strategy draws from the episode's generator, so all cells see the same
@@ -156,11 +155,13 @@ def _run_lockstep(
     estimates the pairs any cell serves; each cell then runs its own combiners
     and gain moments, second stage and signaling, and writes only into its own
     arrays. Returns an EpisodeResult or a SimulationError per cell, in order:
-    a NumericalError in a cell's own stage ends that cell, one in a shared
-    stage ends every live cell. The cells and the speed come resolved from
-    ``resolve_cell``; ``cfg`` supplies only settings that resolving leaves as they are.
+    a NumericalError or MemoryError in a cell's own stage ends that cell, one
+    in a shared stage ends every live cell. The cells and the speed come
+    resolved from ``resolve_cell``; ``cfg`` supplies only settings that
+    resolving leaves as they are.
     """
-    rng = np.random.default_rng(seed_seq)
+    rng = np.random.default_rng(episode_seed(cfg.seed, setup))
+    replay = f"speed={speed_kmh:g} km/h, seed={cfg.seed}, setup={setup}"
     dep = cfg.deployment
     n_antennas = dep.antennas_per_oru
     sigma2 = cfg.sigma2_mw
@@ -190,8 +191,8 @@ def _run_lockstep(
                 positions = geometry.advance_positions(positions, speeds, headings, cfg.ts_s, dep.grid_side_m)
                 shadow = shadow.evolve(speeds, cfg.ts_s, rng)
             stats = refresh_statistics(topology, positions, shadow, *channel_args)
-        except NumericalError as exc:
-            _abort(live, step, speed_kmh, exc)
+        except _STEP_FAILURES as exc:
+            _abort(live, step, replay, exc)
             break
         updated = []
         for lane in live:
@@ -205,16 +206,16 @@ def _run_lockstep(
                     lane.state, stats.beta_db, stats.beta_lin, topology, neighbors, lane.handover, n_antennas, step
                 )
                 updated.append((lane, step_events))
-            except NumericalError as exc:
-                _abort([lane], step, speed_kmh, exc)
+            except _STEP_FAILURES as exc:
+                _abort([lane], step, replay, exc)
         if not updated:
             continue
         # Estimates are formed for the pairs some updated cell serves.
         needed = np.logical_or.reduce([lane.state.serving for lane, _ in updated])
         try:
             draws = draw_estimates(stats, pilot_cfg, sigma2, cfg.n_mc, rng, needed)
-        except NumericalError as exc:
-            _abort([lane for lane, _ in updated], step, speed_kmh, exc)
+        except _STEP_FAILURES as exc:
+            _abort([lane for lane, _ in updated], step, replay, exc)
             break
         # The cell serving the most pairs runs last: it frees the shared
         # estimates before its gain loop, beside the largest combiners.
@@ -242,8 +243,8 @@ def _run_lockstep(
                 )
                 lane.ledger.record(step, delta)
                 lane.events.extend(step_events)
-            except NumericalError as exc:
-                _abort([lane], step, speed_kmh, exc)
+            except _STEP_FAILURES as exc:
+                _abort([lane], step, replay, exc)
         del draws  # the true channels are not kept into the next step
     return [
         lane.error
@@ -353,7 +354,7 @@ def _lockstep_job(args):
     lanes = [resolve_cell(config, strategy, threshold, speed)[:2] for strategy, threshold, _ in cells]
     return [
         outcome if isinstance(outcome, SimulationError) else _campaign_outcome(outcome)
-        for outcome in _run_lockstep(config, lanes, speed, episode_seed(config.seed, setup))
+        for outcome in _run_lockstep(config, lanes, speed, setup)
     ]
 
 

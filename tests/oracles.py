@@ -11,15 +11,6 @@ import numpy as np
 from scipy.special import jv
 
 
-def wrap_distance(a, b, grid_side: float) -> float:
-    """Torus distance: minimum Euclidean distance over the 9 tile images of ``b``."""
-    return min(
-        math.hypot(b[0] + i * grid_side - a[0], b[1] + j * grid_side - a[1])
-        for i in (-1, 0, 1)
-        for j in (-1, 0, 1)
-    )
-
-
 def wrap_distance_and_angle(a, b, grid_side: float):
     """Torus distance and broadside azimuth of the pair (``a``, ``b``) by a search over the nine tile images of ``b``.
 

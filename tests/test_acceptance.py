@@ -26,7 +26,7 @@ from cfmimo.config import SimConfig
 from cfmimo.errors import SimulationError
 from cfmimo.geometry import DeploymentConfig, generate_deployment
 from cfmimo.signaling import account_control_plane
-from cfmimo.simulate import _run_lockstep, episode_seed, resolve_cell, run_campaign
+from cfmimo.simulate import _run_lockstep, resolve_cell, run_campaign
 from oracles import mmse_estimate
 
 SEED = 7
@@ -67,7 +67,7 @@ def episode_stats(cfg_key, cfg, cells):
                 lacking.setdefault((speed, setup), []).append((strategy, threshold))
     for (speed, setup), job in lacking.items():
         lanes = [resolve_cell(resolved, strategy, threshold, speed)[:2] for strategy, threshold in job]
-        outcomes = _run_lockstep(resolved, lanes, float(speed), episode_seed(resolved.seed, setup))
+        outcomes = _run_lockstep(resolved, lanes, float(speed), setup)
         for (strategy, threshold), outcome in zip(job, outcomes):
             if isinstance(outcome, SimulationError):
                 raise outcome

@@ -49,6 +49,12 @@ class TestValidate:
         assert cli.main(["validate", "--set", "num_orus=7"]) == 2
         assert "num_orus" in capsys.readouterr().err
 
+    def test_opportunistic_over_capacity_exits_2(self, capsys):
+        # 200 UEs cannot each have a primary O-RU among 36 four-antenna O-RUs.
+        assert cli.main(["validate", "--set", "strategy=opportunistic", "--set", "num_ues=200"]) == 2
+        assert "num_ues <= num_orus * antennas_per_oru" in capsys.readouterr().err
+        assert cli.main(["validate", "--set", "strategy=opportunistic", "--set", "num_ues=144"]) == 0
+
     def test_bad_value_names_its_key(self, capsys):
         assert cli.main(["validate", "--set", "sample_time_s=0"]) == 2
         assert "sample_time_s must be > 0" in capsys.readouterr().err
@@ -219,6 +225,21 @@ class TestRun:
         assert cli.main(args) == 3
         assert "episode aborted at step 0" in capsys.readouterr().err
 
+    # One stage behind each guard of the lockstep driver, shared or per cell.
+    @pytest.mark.parametrize(
+        "module,stage,step",
+        [(simulate, "refresh_statistics", 0), (simulate.clustering, "strategy_step", 1),
+         (simulate, "draw_estimates", 1), (simulate, "gain_moments", 1)],
+    )
+    def test_step_out_of_memory_exits_3(self, monkeypatch, tmp_path, capsys, module, stage, step):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.99 TiB for an array")
+
+        monkeypatch.setattr(module, stage, out_of_memory)
+        assert cli.main(["run", *TINY, "--setups", "1", "--out", str(tmp_path / "se.csv")]) == 3
+        err = capsys.readouterr().err
+        assert f"episode aborted at step {step}" in err and "Unable to allocate 9.99 TiB" in err
+
     def test_overflowing_gain_exits_3(self, tmp_path, capsys):
         # 10^(beta_db / 10) overflows under this shadowing; the run must not go on with inf gains.
         args = ["run", *TINY, "--setups", "1", "--set", "sigma_sf_db=1e300", "--out", str(tmp_path / "se.csv")]
@@ -269,6 +290,16 @@ class TestSweep:
         args = ["sweep", *TINY, flag, "--out", str(tmp_path / "s.csv")]
         assert cli.main(args) == 2
         assert named in capsys.readouterr().err
+
+    def test_opportunistic_cell_over_capacity_exits_2_before_any_episode(self, monkeypatch, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("an episode ran before every cell was checked")
+
+        monkeypatch.setattr(simulate, "_run_lockstep", never)
+        args = ["sweep", *TINY, "--set", "num_ues=17", "--strategy", "fixed,opportunistic",
+                "--out", str(tmp_path / "s.csv")]
+        assert cli.main(args) == 2
+        assert "num_ues <= num_orus * antennas_per_oru" in capsys.readouterr().err
 
     def test_bad_output_path_exits_2_before_any_episode(self, monkeypatch, tmp_path, capsys):
         def never(*args, **kwargs):

@@ -30,7 +30,7 @@ from cfmimo.errors import ConfigurationError
 from cfmimo.geometry import DeploymentConfig, Topology, generate_deployment
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cellular_handover, fixed_selection, wrap_distance
+from oracles import cellular_handover, fixed_selection, wrap_distance_and_angle
 
 # Event kinds each strategy may emit.
 STRATEGY_KINDS = {
@@ -86,7 +86,7 @@ class TestMeasurementCluster:
         for primary in range(topo.num_orus):
             got = set(neighbors.measurement_set(primary, 5).tolist())
             dist = [
-                (wrap_distance(topo.oru_positions[primary], topo.oru_positions[l], topo.grid_side_m), l)
+                (wrap_distance_and_angle(topo.oru_positions[primary], topo.oru_positions[l], topo.grid_side_m)[0], l)
                 for l in range(topo.num_orus)
             ]
             expected = {l for _, l in sorted(dist)[:5]}
@@ -230,7 +230,7 @@ class TestOpportunisticInit:
         positions = np.array([[10.0, 50.0]])
         topo = Topology(positions, np.zeros(1, dtype=int), 100.0)
         cfg = HandoverConfig("opportunistic", 2.0, 1, 1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"num_ues <= num_orus \* antennas_per_oru.*2 > 1 \* 1"):
             initial_clusters(np.ones((1, 2)), topo, cfg, 1)
 
 
@@ -442,10 +442,10 @@ class TestHandoverConfig:
     )
     def test_nan_threshold_rejected(self, cfg):
         with pytest.raises(ConfigurationError, match="nan"):
-            cfg.validate(16)
+            cfg.validate(16, 10, 4)
 
     def test_infinite_threshold_accepted(self):
-        HandoverConfig(FIXED, np.inf, 4, 8, np.inf).validate(16)
+        HandoverConfig(FIXED, np.inf, 4, 8, np.inf).validate(16, 10, 4)
 
 
 def random_instance(rng):

@@ -289,7 +289,7 @@ class TestLockstep:
                 simulate.resolve_cell(cfg, strategy, threshold, speed)[:2]
                 for strategy, threshold, speed in campaign_cells(cfg, *THRESHOLD_SWEEP.values())
             ]
-            simulate._run_lockstep(cfg, cells, 120.0, episode_seed(cfg.seed, setup))
+            simulate._run_lockstep(cfg, cells, 120.0, setup)
         assert all(np.array_equal(n, np.logical_or.reduce(maps)) for n, maps in zip(needed, served))
         # Two strategies alone give at most two distinct maps per step.
         distinct = [len({m.tobytes() for m in maps}) for maps in served]
@@ -314,7 +314,7 @@ class TestLockstep:
         monkeypatch.setattr(simulate, "draw_estimates", record_draws)
         monkeypatch.setattr(simulate, "gain_moments", record_release)
         cells = [simulate.resolve_cell(cfg, strategy, 2.0, 3.0)[:2] for strategy in STRATEGIES]
-        simulate._run_lockstep(cfg, cells, 3.0, episode_seed(cfg.seed, 0))
+        simulate._run_lockstep(cfg, cells, 3.0, 0)
         assert len(calls) == cfg.n_steps
         for step in calls:
             assert len(step) == len(STRATEGIES)
@@ -363,7 +363,7 @@ class TestLockstep:
         assert str(campaign_error.value) == str(solo_error.value)
 
         lanes = [simulate.resolve_cell(cfg, s, 2.0, 30.0)[:2] for s in STRATEGIES]
-        outcomes = simulate._run_lockstep(cfg, lanes, 30.0, simulate.episode_seed(cfg.seed, 0))
+        outcomes = simulate._run_lockstep(cfg, lanes, 30.0, 0)
         for strategy, outcome in zip(STRATEGIES, outcomes):
             if strategy == failing:
                 assert isinstance(outcome, SimulationError)
@@ -378,12 +378,12 @@ class TestLockstep:
             run_campaign(cfg, strategies=STRATEGIES, thresholds=[2.0, 3.0], speeds=[3.0, 30.0],
                          parallelism=parallelism)
         assert str(error.value) == (
-            "episode aborted at step 0 (strategy=fixed, speed=3 km/h): "
+            "episode aborted at step 0 (strategy=fixed, threshold=2 dB, speed=3 km/h, seed=5, setup=0): "
             "large-scale gain of (O-RU 0, UE 1) is not finite: beta_db = 6193.69"
         )
         cfg = cfg.resolve()
         lanes = [simulate.resolve_cell(cfg, s, 2.0, 30.0)[:2] for s in STRATEGIES]
-        outcomes = simulate._run_lockstep(cfg, lanes, 30.0, simulate.episode_seed(cfg.seed, 0))
+        outcomes = simulate._run_lockstep(cfg, lanes, 30.0, 0)
         assert all(isinstance(o, SimulationError) and "step 0" in str(o) for o in outcomes)
 
 

@@ -101,10 +101,10 @@ class TestObservation:
         cfg = reuse_case(tau_p, permuted, rng)
         draws, reference = np.random.default_rng(13), np.random.default_rng(13)
         h_before = h.copy()
-        received, slot_of_ue = slot_observations(h, cfg, 0.3, draws)
+        received = slot_observations(h, cfg, 0.3, draws)
         expected, expected_slots = oracles.slot_observations(h, cfg, 0.3, reference)
         assert np.array_equal(received.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(slot_of_ue, expected_slots)
+        assert np.array_equal(cfg.slot_of_ue, expected_slots)
         assert draws.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(h.view(np.uint64), h_before.view(np.uint64))
 
