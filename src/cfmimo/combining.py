@@ -6,12 +6,16 @@ Monte Carlo over joint draws of (true channel, channel estimate). Entries for
 O-RUs outside a UE's serving cluster are exactly zero throughout: a combiner is
 only computed where the UE is served, and everything downstream inherits that
 support. The moments are therefore formed and stored on each UE's serving
-support only: a step holds the draws, O(d L K N) entries for d draws, plus the
-O(K^2 S^2) moment blocks for serving clusters of at most S O-RUs, and never a
-per-draw gain array over all (O-RU, UE, UE) triples nor a per-UE copy of the
-channels: the gains of one UE at a time go into one reused (K, S, d) buffer. At
-the reference scenario (n_mc=100) `gain_moments` takes ~42 ms per step for a
-fixed cell and ~109 ms for a ubiquitous one (~57 and ~164 ms with the copy).
+support only, and only the two that the second stage solves: a step holds the
+draws, O(d L K N) entries for d draws, plus two (K, S, S) moments for serving
+clusters of at most S O-RUs. A UE's (K, s, s) interferer Grams are reduced
+into its moments as soon as they are formed, so the K^2 S^2 interferer blocks
+are never held at once, nor is a per-draw gain array over all (O-RU, UE, UE)
+triples or a per-UE copy of the channels: the gains of one UE at a time go
+into one reused (K, S, d) buffer. At the reference scenario (n_mc=100)
+`gain_moments` takes ~37 ms per step for a fixed cell and ~118 ms for a
+ubiquitous one, and `second_stage` ~0.6 and ~1.8 ms (~4.4 and ~21 ms when it
+gathered (K, K, S, S) blocks).
 
 The channel and pilot-noise draws (`draw_estimates`) do not depend on the
 serving clusters, so several serving maps can score their combiners
@@ -25,12 +29,15 @@ map has its combiners, and a map's combiners once its gains are formed.
 Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
 channels and the per-(O-RU, pilot slot) pilot signals; the observations,
 estimates and combiners hold d N entries per needed or served pair, at most
-L K of them. Every other temporary is a fraction of a draw-sized array. Draws
-are filled and scaled in place, and no stage writes into an array it was passed.
+L K of them. Every other temporary is a fraction of a draw-sized array, except
+one UE's (K, s, s) Grams and their power-weighted copies, which outgrow it only
+when s^2 > d L N (ubiquitous serving at small n_mc). Draws are filled and
+scaled in place, and no stage writes into an array it was passed.
 
 The second stage (`second_stage`) solves the weights and scores the SINR of all
-UEs of one support size in one batch. `lsfd_weights` and `uplink_sinr` run the
-same kernel on one UE's `stats_for_ue` view and give the same bits.
+UEs of one support size in one batch, straight from their (G, s, s) moments.
+`lsfd_weights` and `uplink_sinr` run the same kernel on one UE's
+`stats_for_ue` view and give the same bits.
 """
 
 from __future__ import annotations
@@ -133,25 +140,25 @@ def _take(array: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GainMoments:
-    """Monte-Carlo effective-gain moments for every UE at once, on serving supports.
+    """What the second stage solves, for every UE at once, on serving supports.
 
-    With S_k the ascending serving O-RUs of UE k (s_k of them) and g_ki[l] =
-    v_{l,k}^H h_{l,i}:
+    With S_k the ascending serving O-RUs of UE k (s_k of them), g_ki[l] =
+    v_{l,k}^H h_{l,i}, p_i the transmit powers given to `gain_moments` and
+    F_k = diag(sigma2 E[||v_{l,k}||^2]) on S_k:
 
-    mean_gain[k, l]                  = E[g_kk[l]], zero for l outside S_k
-    second_moment[k, i, :s_k, :s_k]  = E[g_ki g_ki^H] restricted to S_k x S_k;
-                                       the padding up to S_max is zero
-    noise_diag[k, l]                 = sigma2 * E[||v_{l,k}||^2]
-    share[k, i]                      = True when UEs k and i share at least one serving O-RU
+    mean_gain[k, l]               = E[g_kk[l]], zero for l outside S_k
+    second_moment[k, :s_k, :s_k]  = sum over every UE i of p_i E[g_ki g_ki^H] + F_k,
+                                    the denominator of the SINR
+    sharer_moment[k, :s_k, :s_k]  = the same sum over the UEs sharing a serving
+                                    O-RU with k (k included), which the weights solve
 
-    Off the support every moment is exactly zero, so the padded layout loses
-    nothing; it takes K^2 S_max^2 complex entries instead of K^2 L^2.
+    Both moments are restricted to S_k x S_k, and the padding up to S_max is
+    zero; each takes K S_max^2 complex entries.
     """
 
     mean_gain: np.ndarray  # (K, L) complex
-    second_moment: np.ndarray  # (K, K, S_max, S_max) complex
-    noise_diag: np.ndarray  # (K, L) real
-    share: np.ndarray  # (K, K) bool
+    second_moment: np.ndarray  # (K, S_max, S_max) complex
+    sharer_moment: np.ndarray  # (K, S_max, S_max) complex
     serving: np.ndarray  # (L, K) bool
 
 
@@ -206,41 +213,66 @@ def draw_estimates(
 
 
 def gain_moments(
-    channels: np.ndarray, combiners: ServedCombiners, serving: np.ndarray, sigma2_mw: float
+    channels: np.ndarray, combiners: ServedCombiners, serving: np.ndarray, sigma2_mw: float, powers_mw: np.ndarray
 ) -> GainMoments:
     """Effective-gain moments of one serving map from the true (d, L, K, N)
-    ``channels`` and the map's served combiners.
+    ``channels``, the map's served combiners and the UEs' transmit powers.
 
     Nothing is written into the arrays passed, and the channels are not copied:
     each serving O-RU l of UE k writes v_{l,k}^H h_{l,i} of every UE i into a
-    (K, S_max, d) buffer that all UEs reuse, whose rows are BLAS-ready for the Grams.
+    (K, S_max, d) buffer that all UEs reuse, whose rows are BLAS-ready for the
+    Grams. UE k's (K, s, s) Grams E[g_ki g_ki^H] are reduced on the spot into
+    its two moments (`_denominators`), so no interferer block outlives its UE.
     """
     serving = np.asarray(serving, dtype=bool)
     l_num, k_num = serving.shape
     n_mc = channels.shape[0]
     supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
     s_max = max(support.size for support in supports)
+    share = (serving.T.astype(int) @ serving.astype(int)) > 0
+    # Row 0 weighs every UE; row 1 the UEs sharing a serving O-RU, the others with power 0.
+    powers = np.stack((np.broadcast_to(powers_mw, share.shape), np.where(share, powers_mw, 0.0)), axis=1)
+    rows = np.where(share.all(axis=1), 1, 2)  # a UE that every UE shares with needs row 0 only
+    # Summed over draws, then antennas, per served pair (the values are antenna-major).
+    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
+    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
+    noise = sigma2_mw * power / n_mc  # the diagonal of F_k, per served pair
     mean_gain = np.zeros((k_num, l_num), dtype=complex)
-    second_moment = np.zeros((k_num, k_num, s_max, s_max), dtype=complex)
+    second_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
+    sharer_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
     gains = np.zeros((k_num, s_max, n_mc), dtype=complex)  # [i, j, d]: g_ki at O-RU S_k[j]
     for k, support in enumerate(supports):
         s = support.size
-        v_k = combiners.values[:, combiners.column[support, k], :, None].conj()  # (d, s, N, 1)
+        columns = combiners.column[support, k]
+        v_k = combiners.values[:, columns, :, None].conj()  # (d, s, N, 1)
         for j, l in enumerate(support):
             np.matmul(channels[:, l], v_k[:, j], out=gains[:, j].T[..., None])
         mean_gain[k, support] = gains[k, :s].sum(axis=-1) / n_mc
         # numpy sends a one-row Gram to BLAS's dot, whose rounding depends on the stride; the draws
         # go K entries apart there, as in the (d, s, K) gains of oracles.gathered_gain_moments.
         a = np.ascontiguousarray(gains[:, 0].T).T[:, None] if s == 1 else gains[:, :s]
-        np.divide(a @ a.conj().swapaxes(-1, -2), n_mc, out=second_moment[k, :, :s, :s])
-    # Summed over draws, then antennas, per served pair (the values are antenna-major).
-    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
-    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
-    orus, ues = np.nonzero(serving)
-    noise_diag = np.zeros((k_num, l_num))
-    noise_diag[ues, orus] = sigma2_mw * power[combiners.column[orus, ues]] / n_mc
-    share = (serving.T.astype(int) @ serving.astype(int)) > 0
-    return GainMoments(mean_gain, second_moment, noise_diag, share, serving)
+        blocks = a @ a.conj().swapaxes(-1, -2)
+        blocks /= n_mc
+        moments = _denominators(blocks, powers[k, : rows[k]], noise[columns])
+        second_moment[k, :s, :s] = moments[0]
+        sharer_moment[k, :s, :s] = moments[-1]
+    return GainMoments(mean_gain, second_moment, sharer_moment, serving)
+
+
+def _denominators(blocks: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """sum_i powers[r, i] blocks[i] + diag(noise), per row r of ``powers``.
+
+    ``blocks`` is (K, s, s), ``powers`` (R, K) and ``noise`` (s,). The products
+    are elementwise, and the interferer sum runs over a real view whose
+    innermost axis holds the real and imaginary parts, so numpy adds the terms
+    in order for every shape, s = 1 included (a complex ``sum`` turns pairwise
+    there), and a term of power 0 leaves the sum unchanged.
+    """
+    terms = np.multiply(blocks, powers[:, :, None, None], order="C")
+    denom = terms.view(float).sum(axis=1).view(complex)
+    s = noise.size
+    denom.reshape(len(powers), s * s)[:, :: s + 1] += noise
+    return denom
 
 
 def simulate_gain_moments(
@@ -255,77 +287,47 @@ def simulate_gain_moments(
 
     Each draw regenerates the estimation chain for the served pairs
     (`draw_estimates`), then the per-O-RU local combiners over the served sets
-    (`served_combiners`) and the effective-gain moments (`gain_moments`).
+    (`served_combiners`) and the effective-gain moments (`gain_moments`), with
+    the pilot powers as the transmit powers.
     """
     draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng, serving)
     combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, sigma2_mw)
     draws.estimates = None  # the gains need only the true channels and the combiners
-    return gain_moments(draws.channels, combiners, serving, sigma2_mw)
+    return gain_moments(draws.channels, combiners, serving, sigma2_mw, pilots.power_mw)
 
 
 def second_stage(moments: GainMoments, powers_mw: np.ndarray):
     """Second-stage weights and spectral efficiency of every UE at once.
 
     Returns (weights (K, L), se (K,)): per UE the weights of `lsfd_weights` on
-    the statistics of the UEs sharing a serving O-RU, embedded into L
-    dimensions, and se = log2(1 + gamma) of `uplink_sinr` charged with every
-    UE's interference. se is NaN where the sample is invalid, among them every
-    unserved UE, whose weights are zero.
+    the sharer moment, embedded into L dimensions, and se = log2(1 + gamma) of
+    `uplink_sinr` on the moment over every UE. se is NaN where the sample is
+    invalid, among them every unserved UE, whose weights are zero.
 
-    UEs are batched by support size s, in chunks (`_chunk_rows`), through the
-    kernel of the one-UE entry points, whose arithmetic does not depend on the
-    batch: a UE gets the same bits alone as in any chunk. In the weight system,
-    UEs sharing no serving O-RU enter with power 0, which leaves the sequential
-    interferer sum of `_denominators` unchanged.
+    UEs are batched by support size s, straight from their (G, s, s) moments,
+    through the kernel of the one-UE entry points, whose arithmetic does not
+    depend on the batch: a UE gets the same bits alone as in any batch.
+    ``powers_mw`` gives only p_k here; the interferer powers are those the
+    moments were formed with.
     """
     k_num, l_num = moments.mean_gain.shape
-    s_max = moments.second_moment.shape[-1]
     weights = np.zeros((k_num, l_num), dtype=complex)
     se = np.full(k_num, np.nan)
     sizes = moments.serving.sum(axis=0)
     for s in np.unique(sizes[sizes > 0]):
-        group = np.flatnonzero(sizes == s)
-        rows = _chunk_rows(k_num, s_max, s)
-        for start in range(0, group.size, rows):
-            ues = group[start : start + rows]
-            supports = np.nonzero(moments.serving[:, ues].T)[1].reshape(ues.size, s)
-            blocks = moments.second_moment[ues, :, :s, :s]
-            noise = moments.noise_diag[ues[:, None], supports]
-            mean = moments.mean_gain[ues[:, None], supports]
-            p_self = powers_mw[ues]
-            sharers = np.where(moments.share[ues], powers_mw, 0.0)
-            a = _solve_weights(blocks, sharers, noise, mean, p_self, ues, supports)
-            weights[ues[:, None], supports] = a
-            se[ues] = _sinr(a, blocks, powers_mw[None, :], noise, mean, p_self)[1]
+        ues = np.flatnonzero(sizes == s)
+        supports = np.nonzero(moments.serving[:, ues].T)[1].reshape(ues.size, s)
+        mean = moments.mean_gain[ues[:, None], supports]
+        p_self = powers_mw[ues]
+        a = _solve_weights(moments.sharer_moment[ues, :s, :s], mean, p_self, ues, supports)
+        weights[ues[:, None], supports] = a
+        se[ues] = _sinr(a, moments.second_moment[ues, :s, :s], mean, p_self)[1]
     return weights, se
 
 
-def _chunk_rows(k_num: int, s_max: int, s: int) -> int:
-    """UEs of support size ``s`` per chunk of `second_stage`: the two (rows, K, s, s)
-    temporaries of a chunk stay within one (K, K, S_max, S_max) block array."""
-    return max(1, k_num * s_max**2 // (2 * s * s))
-
-
-def _denominators(blocks: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """sum_i powers[:, i] blocks[:, i] + diag(noise), per row of a batch.
-
-    ``blocks`` is (G, I, s, s), ``powers`` (G, I) and ``noise`` (G, s). The
-    interferer sum runs over a real view whose innermost axis holds the real
-    and imaginary parts, so numpy adds the terms in order for every shape,
-    s = 1 included (a complex ``sum(axis=1)`` turns pairwise there), and a term
-    of power 0 leaves the sum unchanged.
-    """
-    terms = np.multiply(blocks, powers[:, :, None, None], order="C")
-    denom = terms.view(float).sum(axis=1).view(complex)
-    diag = np.arange(noise.shape[-1])
-    denom[:, diag, diag] += noise
-    return denom
-
-
-def _solve_weights(blocks, powers, noise, mean, p_self, ues, supports) -> np.ndarray:
-    """Weights p_k D_k^{-1} E[g_kk] on the support, per row, with D_k from
-    `_denominators`; a singular D_k raises NumericalError naming UE and support."""
-    denom = _denominators(blocks, powers, noise)
+def _solve_weights(denom, mean, p_self, ues, supports) -> np.ndarray:
+    """Weights p_k D_k^{-1} E[g_kk] on the support, per row of the (G, s, s)
+    sharer moments ``denom``; a singular D_k raises NumericalError naming UE and support."""
     try:
         solution = np.linalg.solve(denom, mean[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -344,16 +346,16 @@ def _singular(matrix: np.ndarray) -> bool:
     return False
 
 
-def _sinr(a, blocks, powers, noise, mean, p_self):
-    """(gamma, se) per row for weights ``a`` (G, s) on the support:
+def _sinr(a, moment, mean, p_self):
+    """(gamma, se) per row for weights ``a`` (G, s) on the support and the
+    (G, s, s) moments D_k over every UE:
     gamma = p_k |a^H m|^2 / a^H (D_k - p_k m m^H) a with m = E[g_kk], and
     se = log2(1 + gamma). A non-positive or non-finite interference makes both NaN.
 
     The products are elementwise and summed along the last axis, so a row's
     bits do not depend on the others.
     """
-    denom = _denominators(blocks, powers, noise)
-    denom -= p_self[:, None, None] * (mean[:, :, None] * mean.conj()[:, None, :])
+    denom = moment - p_self[:, None, None] * (mean[:, :, None] * mean.conj()[:, None, :])
     signal = p_self * np.abs((a.conj() * mean).sum(axis=-1)) ** 2
     interference = (a.conj() * (denom * a[:, None, :]).sum(axis=-1)).sum(axis=-1).real
     valid = np.isfinite(interference) & (interference > 0.0)
@@ -363,64 +365,42 @@ def _sinr(a, blocks, powers, noise, mean, p_self):
 
 @dataclass
 class EffectiveGainStats:
-    """Effective-gain statistics for one UE, restricted to its interferer set."""
+    """One UE's view of `GainMoments`: its support, mean gains and one (s, s) moment."""
 
     ue: int
     support: np.ndarray  # serving O-RU indices, ascending
     mean_gain: np.ndarray  # (L,) complex, E[g_kk]
-    second_moments: np.ndarray  # (I, s, s) E[g_ki g_ki^H] on the support, row j for interferers[j]
-    noise_diag: np.ndarray  # (L,) real, diagonal of F_k
-    interferers: np.ndarray  # (I,) UE indices sharing a serving O-RU (self included)
+    second_moment: np.ndarray  # (s, s) sum_i p_i E[g_ki g_ki^H] + F_k on the support
 
 
 def stats_for_ue(moments: GainMoments, k: int, all_interferers: bool = False) -> EffectiveGainStats:
     """Extract one UE's view from bulk moments.
 
-    By default the interferer set is the UEs sharing a serving O-RU with ``k``
+    By default the moment sums over the UEs sharing a serving O-RU with ``k``
     (the statistics a primary O-DU can collect scalably, used for the weight
-    solve). With ``all_interferers=True`` every UE is included, which is what an
-    achievable-rate evaluation must charge for.
+    solve). With ``all_interferers=True`` it sums over every UE, which is what
+    an achievable-rate evaluation must charge for.
     """
     support = np.flatnonzero(moments.serving[:, k])
-    if all_interferers:
-        interferers = np.arange(moments.share.shape[0])
-    else:
-        interferers = np.flatnonzero(moments.share[k])
     s = support.size
-    return EffectiveGainStats(
-        ue=k,
-        support=support,
-        mean_gain=moments.mean_gain[k],
-        second_moments=moments.second_moment[k, interferers, :s, :s],
-        noise_diag=moments.noise_diag[k],
-        interferers=interferers,
-    )
-
-
-def _one_ue(stats: EffectiveGainStats, powers_mw: np.ndarray):
-    """One UE as a one-row batch of the second-stage kernel:
-    (blocks, powers, noise, mean, p_self)."""
-    support = stats.support
-    return (
-        stats.second_moments[None],
-        powers_mw[stats.interferers][None],
-        stats.noise_diag[support][None],
-        stats.mean_gain[support][None],
-        powers_mw[[stats.ue]],
-    )
+    moment = moments.second_moment if all_interferers else moments.sharer_moment
+    return EffectiveGainStats(k, support, moments.mean_gain[k], moment[k, :s, :s])
 
 
 def lsfd_weights(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray:
     """Second-stage weights maximizing the combined-SINR ratio for one UE.
 
-    Solves p_k (sum_{i in interferers} p_i E[g_ki g_ki^H] + F_k)^{-1} E[g_kk]
-    on the serving support and embeds the result into L dimensions (zeros
-    elsewhere); the one-UE case of `second_stage`.
+    Solves p_k D_k^{-1} E[g_kk] with D_k = ``stats.second_moment`` on the
+    serving support and embeds the result into L dimensions (zeros elsewhere);
+    the one-UE case of `second_stage`. ``powers_mw`` gives only p_k: the
+    interferer powers are those given to `gain_moments`, on which the MMSE
+    combiners already depend.
     """
     weights = np.zeros_like(stats.mean_gain)
     if stats.support.size:
         weights[stats.support] = _solve_weights(
-            *_one_ue(stats, powers_mw), [stats.ue], stats.support[None]
+            stats.second_moment[None], stats.mean_gain[stats.support][None], powers_mw[[stats.ue]],
+            [stats.ue], stats.support[None],
         )[0]
     return weights
 
@@ -428,11 +408,14 @@ def lsfd_weights(stats: EffectiveGainStats, powers_mw: np.ndarray) -> np.ndarray
 def uplink_sinr(weights: np.ndarray, stats: EffectiveGainStats, powers_mw: np.ndarray):
     """Effective uplink SINR and spectral efficiency of any weights for one UE.
 
-    gamma = p_k |a^H E[g_kk]|^2 /
-            a^H (sum_i p_i E[g_ki g_ki^H] - p_k E[g_kk] E[g_kk]^H + F_k) a
-    and se = log2(1 + gamma), the one-UE case of `second_stage`'s scoring. A
-    non-positive or non-finite denominator marks the sample invalid: (nan, nan)
-    is returned.
+    gamma = p_k |a^H E[g_kk]|^2 / a^H (D_k - p_k E[g_kk] E[g_kk]^H) a with
+    D_k = ``stats.second_moment``, and se = log2(1 + gamma), the one-UE case of
+    `second_stage`'s scoring. ``powers_mw`` gives only p_k: the interferer
+    powers are those given to `gain_moments`. A non-positive or non-finite
+    denominator marks the sample invalid: (nan, nan) is returned.
     """
-    gamma, se = _sinr(weights[stats.support][None], *_one_ue(stats, powers_mw))
+    support = stats.support
+    gamma, se = _sinr(
+        weights[support][None], stats.second_moment[None], stats.mean_gain[support][None], powers_mw[[stats.ue]]
+    )
     return float(gamma[0]), float(se[0])

@@ -228,7 +228,7 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
                 )
                 if index == len(updated) - 1:
                     draws.estimates = None
-                moments = gain_moments(draws.channels, combiners, serving, sigma2)
+                moments = gain_moments(draws.channels, combiners, serving, sigma2, pilot_cfg.power_mw)
                 del combiners  # not kept into the second stage
                 # Weights use the statistics a primary O-DU can collect (UEs
                 # sharing a serving O-RU); the achievable SE is charged with

@@ -186,48 +186,57 @@ def full_gain_moments(combiners, h):
     return mean_gain, second_moment, combiner_power
 
 
-def gathered_gain_moments(channels, combiners, serving, sigma2_mw: float):
+def gathered_gain_moments(channels, combiners, serving, sigma2_mw: float, powers_mw):
     """Effective-gain moments on the serving supports, one UE at a time from a
     copy of the channels at its serving O-RUs.
 
     ``channels`` are the (d, L, K, N) draws and ``combiners`` a
     `combining.ServedCombiners`. Per UE k with ascending support S_k (s_k
     O-RUs), g_k[d, j, i] = v_{S_k[j],k}^H h_{S_k[j],i} over the gathered
-    channels h[:, S_k]. Returns (mean_gain (K, L), second_moment (K, K, S_max,
-    S_max), noise_diag (K, L)) in the layout of `combining.GainMoments`, with
-    the interferer Grams of A = g_k.transpose(2, 1, 0) as one product A A^H / d.
+    channels h[:, S_k], and the interferer Grams of A = g_k.transpose(2, 1, 0)
+    are one product A A^H / d. Returns (mean_gain (K, L), second_moment (K,
+    S_max, S_max), sharer_moment (K, S_max, S_max)) in the layout of
+    `combining.GainMoments`: the Grams weighted by ``powers_mw`` are added one
+    UE at a time in index order, onto zeros, over every UE or over the UEs
+    sharing a serving O-RU with k (the others with power 0), and then
+    sigma2 E[||v_{l,k}||^2] onto the diagonal.
     """
     l_num, k_num = serving.shape
     n_mc = channels.shape[0]
     supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
     s_max = max(support.size for support in supports)
+    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
+    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
     mean_gain = np.zeros((k_num, l_num), dtype=complex)
-    second_moment = np.zeros((k_num, k_num, s_max, s_max), dtype=complex)
+    second_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
+    sharer_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
     for k, support in enumerate(supports):
         s = support.size
         v_k = combiners.values[:, combiners.column[support, k], :, None].conj()
         g_k = (channels[:, support] @ v_k)[..., 0]
         mean_gain[k, support] = g_k[:, :, k].sum(axis=0) / n_mc
         a = g_k.transpose(2, 1, 0)  # (K, s, d)
-        second_moment[k, :, :s, :s] = a @ a.conj().swapaxes(-1, -2) / n_mc
-    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
-    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
-    orus, ues = np.nonzero(serving)
-    noise_diag = np.zeros((k_num, l_num))
-    noise_diag[ues, orus] = sigma2_mw * power[combiners.column[orus, ues]] / n_mc
-    return mean_gain, second_moment, noise_diag
+        blocks = a @ a.conj().swapaxes(-1, -2) / n_mc
+        noise = sigma2_mw * power[combiners.column[support, k]] / n_mc
+        sharers = serving[support].any(axis=0)
+        for out, weights in ((second_moment, powers_mw), (sharer_moment, np.where(sharers, powers_mw, 0.0))):
+            total = np.zeros((s, s), dtype=complex)
+            for i in range(k_num):
+                total = total + weights[i] * blocks[i]
+            total[np.arange(s), np.arange(s)] += noise
+            out[k, :s, :s] = total
+    return mean_gain, second_moment, sharer_moment
 
 
 def second_stage_oracle(moments, powers_mw):
     """Second-stage weights (K, L) and spectral efficiency (K,) one UE at a time.
 
     Per served UE k on its support S_k: the weights solve
-    p_k (F_k + sum_{i sharing a serving O-RU} p_i E[g_ki g_ki^H])^{-1} E[g_kk]
-    with the interferer sum as a tensordot, and the SINR charges every UE,
-    gamma = p_k |a^H m|^2 / a^H (F_k + sum_i p_i E[g_ki g_ki^H] - p_k m m^H) a
-    with m = E[g_kk], through np.outer and dense products. se = log2(1 + gamma)
-    is NaN for an unserved UE and where the interference is not positive and
-    finite; unserved UEs get zero weights.
+    p_k D_k^{-1} E[g_kk] with D_k the sharer moment, and the SINR charges every
+    UE, gamma = p_k |a^H m|^2 / a^H (D_k - p_k m m^H) a with m = E[g_kk] and D_k
+    the moment over every UE, through np.outer and dense products.
+    se = log2(1 + gamma) is NaN for an unserved UE and where the interference is
+    not positive and finite; unserved UEs get zero weights.
     """
     k_num, l_num = moments.mean_gain.shape
     weights = np.zeros((k_num, l_num), dtype=complex)
@@ -237,13 +246,10 @@ def second_stage_oracle(moments, powers_mw):
         s = support.size
         if s == 0:
             continue
-        blocks = moments.second_moment[k, :, :s, :s]
-        noise = np.diag(moments.noise_diag[k, support])
         mean = moments.mean_gain[k, support]
-        sharers = np.flatnonzero(moments.share[k])
-        a = powers_mw[k] * np.linalg.solve(np.tensordot(powers_mw[sharers], blocks[sharers], 1) + noise, mean)
+        a = powers_mw[k] * np.linalg.solve(moments.sharer_moment[k, :s, :s], mean)
         weights[k, support] = a
-        total = np.tensordot(powers_mw, blocks, 1) + noise - powers_mw[k] * np.outer(mean, mean.conj())
+        total = moments.second_moment[k, :s, :s] - powers_mw[k] * np.outer(mean, mean.conj())
         interference = (a.conj() @ total @ a).real
         if np.isfinite(interference) and interference > 0.0:
             se[k] = math.log2(1.0 + powers_mw[k] * abs(a.conj() @ mean) ** 2 / interference)

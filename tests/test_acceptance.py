@@ -249,19 +249,17 @@ def test_criterion_5_estimation_oracles():
 
 
 def _moment_instance(rng, n_oru, n_ue, support):
+    """UE 0's mean gains (L,), per-UE second moments E[g_0i g_0i^H] (I, s, s) on
+    ``support`` and noise diagonal (s,), from raw complex gain draws."""
     draws = 50
     g = rng.standard_normal((draws, n_oru, n_ue)) + 1j * rng.standard_normal((draws, n_oru, n_ue))
     mask = np.zeros(n_oru, dtype=bool)
     mask[support] = True
     g[:, ~mask, :] = 0.0
-    return EffectiveGainStats(
-        ue=0,
-        support=np.asarray(support),
-        mean_gain=g[:, :, 0].mean(axis=0),
-        second_moments=np.einsum("dli,dmi->ilm", g[:, support], g[:, support].conj()) / draws,
-        noise_diag=np.where(mask, rng.uniform(0.05, 0.4, size=n_oru), 0.0),
-        interferers=np.arange(n_ue),
-    )
+    mean = g[:, :, 0].mean(axis=0)
+    blocks = np.einsum("dli,dmi->ilm", g[:, support], g[:, support].conj()) / draws
+    noise = np.where(mask, rng.uniform(0.05, 0.4, size=n_oru), 0.0)[support]
+    return mean, blocks, noise
 
 
 def test_criterion_6_lsfd_optimality_and_scale_invariance():
@@ -276,8 +274,10 @@ def test_criterion_6_lsfd_optimality_and_scale_invariance():
         n_ue = rng.integers(1, 5)
         size = rng.integers(1, n_oru + 1)
         support = np.sort(rng.choice(n_oru, size=size, replace=False))
-        stats = _moment_instance(rng, int(n_oru), int(n_ue), support)
+        mean_gain, blocks, noise_diag = _moment_instance(rng, int(n_oru), int(n_ue), support)
         powers = rng.uniform(0.3, 3.0, size=int(n_ue))
+        moment = np.tensordot(powers, blocks, 1) + np.diag(noise_diag)
+        stats = EffectiveGainStats(ue=0, support=support, mean_gain=mean_gain, second_moment=moment)
         best = lsfd_weights(stats, powers)
         gamma_best, _ = uplink_sinr(best, stats, powers)
 
@@ -286,9 +286,9 @@ def test_criterion_6_lsfd_optimality_and_scale_invariance():
         eps = 10 ** rng.uniform(-2, 0, size=(1000, 1))
         candidates = np.zeros((1000, len(best)), dtype=complex)
         candidates[:, support] = best[support] + eps * scale * noise
-        denom = np.diag(stats.noise_diag[stats.support]).astype(complex)
-        for i, moment in zip(stats.interferers, stats.second_moments):
-            denom = denom + powers[i] * moment
+        denom = np.diag(noise_diag).astype(complex)
+        for i, block in enumerate(blocks):
+            denom = denom + powers[i] * block
         mean = stats.mean_gain[stats.support]
         denom = denom - powers[0] * np.outer(mean, mean.conj())
         a_sub = candidates[:, stats.support]

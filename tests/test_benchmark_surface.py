@@ -4,15 +4,23 @@ The scripts in ``perfbench/`` import names from the package and read attributes
 of its modules; a refactor that drops one of them would break the benchmark
 but no other test. Each script (not the frozen simulator copy under
 ``perfbench/frozen``) is parsed, and every such name must resolve in the
-package under test.
+package under test. The scan does not follow fields of objects, so the traced
+loop of ``perfbench/tracing.py`` also runs here, on the tiny workloads, and must
+agree with ``run_episode`` bit for bit.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from cfmimo import run_episode
+from cfmimo.simulate import campaign_cells
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCRIPTS = sorted(PERFBENCH.glob("*.py"))
@@ -91,3 +99,41 @@ def test_scan_flags_missing_names():
     assert {dotted for dotted in refs if unresolved(dotted)} == {
         "cfmimo.combining.no_such_name", "cfmimo.simulate.no_such_attribute"
     }
+
+
+def _script(name: str):
+    """A perfbench script imported as it stands, without putting perfbench on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tiny_jobs(workloads):
+    """(workload, config, strategy, threshold, speed, setup) of every episode the traced
+    benchmark runs at tiny scale: each traced episode, and each desk_sweep campaign cell."""
+    jobs = []
+    for name in workloads.NAMES:
+        w = workloads.build(name, "tiny")
+        cfg = w.with_seed(workloads.DEFAULT_SEED)
+        if w.kind == "campaign":
+            cells = campaign_cells(cfg, w.strategies, [cfg.handover.threshold_db], w.speeds)
+            jobs += [(name, cfg, *cell, setup) for cell in cells for setup in range(cfg.n_setups)]
+        else:
+            jobs += [(name, cfg, w.strategy, w.threshold_db, w.speed_kmh, s) for s in range(w.traced_episodes)]
+    return jobs
+
+
+def test_traced_loop_matches_run_episode():
+    tracing, workloads = _script("tracing"), _script("workloads")
+    tracer = tracing.Tracer()
+    probe_rng = np.random.default_rng(0)
+    jobs = _tiny_jobs(workloads)
+    assert {job[0] for job in jobs} == set(workloads.NAMES)
+    for name, cfg, strategy, threshold, speed, setup in jobs:
+        traced = tracing.traced_episode(cfg, setup, strategy, threshold, speed, tracer, probe_rng)
+        program = run_episode(cfg, setup, strategy=strategy, threshold_db=threshold, speed_kmh=speed)
+        problems = tracing.compare_episodes(traced, program)
+        assert not problems, f"{name} {strategy}/{threshold:g} dB/{speed:g} km/h/setup {setup}: {problems}"
+    assert tracer.gauges["combining.moment_bytes"] > 0

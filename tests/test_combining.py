@@ -13,7 +13,6 @@ from cfmimo.channel import (
     one_ring_covariance,
     sample_channels,
 )
-from cfmimo import combining
 from cfmimo.combining import (
     EffectiveGainStats,
     draw_estimates,
@@ -152,8 +151,12 @@ class TestServedCombiners:
             assert np.all(served.column[~serving] == -1)
             assert_same_bits(served.values[:, served.column[orus, ues]], dense[:, orus, ues])
 
-            moments = gain_moments(draws.channels, served, serving, sigma2)
-            assert_same_bits(moments.noise_diag, sigma2 * power / n_mc)
+            # With every power 0, each UE's moment holds its noise terms F_k alone.
+            moments = gain_moments(draws.channels, served, serving, sigma2, np.zeros(k_num))
+            for k in range(k_num):
+                support = np.flatnonzero(serving[:, k])
+                noise = np.diag(sigma2 * power[k, support] / n_mc).astype(complex)
+                assert_same_bits(moments.second_moment[k, : support.size, : support.size], noise)
 
     def test_unestimated_served_pair_raises(self):
         serving = SERVING_MAPS[0]
@@ -186,13 +189,20 @@ class TestEffectiveGainStats:
 
     def test_disjoint_serving_excludes_interferer(self):
         rng = np.random.default_rng(2)
-        covs = ring_stack(rng, 2, 2, 2)
+        stats = make_stats(ring_stack(rng, 2, 2, 2))
         serving = np.array([[True, False], [False, True]])
-        cfg = PilotConfig.uniform(2, 4, 1.0)
-        stats = stats_for_ue(simulate_gain_moments(serving, make_stats(covs), cfg, 0.3, 50, rng), 0)
-        assert stats.second_moments.shape == (1, 1, 1)
-        assert np.array_equal(stats.interferers, [0])
-        assert np.array_equal(stats.support, [0])
+        pilots = PilotConfig.uniform(2, 4, 1.0)
+        draws = draw_estimates(stats, pilots, 0.3, 50, rng, serving)
+        combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, 0.3)
+        moments = gain_moments(draws.channels, combiners, serving, 0.3, pilots.power_mw)
+        ue = stats_for_ue(moments, 0)
+        assert ue.second_moment.shape == (1, 1)
+        assert np.array_equal(ue.support, [0])
+        # The weight system leaves UE 1 out, exactly as if it sent at power 0 ...
+        alone = gain_moments(draws.channels, combiners, serving, 0.3, np.array([1.0, 0.0]))
+        assert_same_bits(ue.second_moment, alone.second_moment[0])
+        # ... and the SE is charged with its interference.
+        assert stats_for_ue(moments, 0, all_interferers=True).second_moment[0, 0].real > ue.second_moment[0, 0].real
 
     def test_support_rows_zero(self):
         rng = np.random.default_rng(3)
@@ -202,10 +212,9 @@ class TestEffectiveGainStats:
         stats = stats_for_ue(moments, 0)
         assert np.array_equal(stats.support, [0, 2])
         assert stats.mean_gain[1] == 0
-        assert stats.noise_diag[1] == 0
-        # Moments are stored on the support only: one 2 x 2 block per interferer.
-        assert moments.second_moment.shape == (2, 2, 2, 2)
-        assert stats.second_moments.shape == (2, 2, 2)
+        # Moments are stored on the support only: one 2 x 2 block per UE and moment.
+        assert moments.second_moment.shape == moments.sharer_moment.shape == (2, 2, 2)
+        assert stats.second_moment.shape == (2, 2)
 
     def test_doubling_n_mc_halves_variance(self):
         rng = np.random.default_rng(4)
@@ -233,7 +242,7 @@ def assert_close(actual, expected, rel=1e-12):
 
 
 class TestSupportMoments:
-    """The support-restricted moments against the full (K, K, L, L) tensor oracle."""
+    """The support-restricted moments against sums over the full (K, K, L, L) tensor oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_full_tensor_oracle(self, seed):
@@ -256,45 +265,47 @@ class TestSupportMoments:
         mean_gain, second_moment, combiner_power = full_gain_moments(combiners, h)
 
         assert_close(moments.mean_gain, mean_gain)
-        assert_close(moments.noise_diag, sigma2 * combiner_power)
-        assert moments.second_moment.shape == (k_num, k_num, 6, 6)
+        assert moments.second_moment.shape == moments.sharer_moment.shape == (k_num, 6, 6)
+        powers = pilots.power_mw
         for k in range(k_num):
             support = np.flatnonzero(serving[:, k])
             s = support.size
-            for i in range(k_num):
-                full = second_moment[k, i]
-                block = moments.second_moment[k, i]
-                assert_close(block[:s, :s], full[np.ix_(support, support)])
-                assert not np.any(block[s:]) and not np.any(block[:, s:])
-                # The support blocks lose nothing: the full block is zero elsewhere.
-                off_support = full.copy()
-                off_support[np.ix_(support, support)] = 0
-                assert not np.any(off_support)
+            # The support blocks lose nothing: every full block is zero elsewhere.
+            off_support = second_moment[k].copy()
+            off_support[:, support[:, None], support] = 0
+            assert not np.any(off_support)
+            blocks = second_moment[k][:, support[:, None], support]  # (K, s, s)
+            noise = np.diag(sigma2 * combiner_power[k, support])
+            sharers = serving[support].any(axis=0)
+            everyone = np.tensordot(powers, blocks, 1) + noise
+            denom = np.tensordot(np.where(sharers, powers, 0.0), blocks, 1) + noise
+            for moment, expected in ((moments.second_moment[k], everyone), (moments.sharer_moment[k], denom)):
+                assert_close(moment[:s, :s], expected)
+                assert not np.any(moment[s:]) and not np.any(moment[:, s:])
             if s == 0:
                 assert not np.any(lsfd_weights(stats_for_ue(moments, k), pilots.power_mw))
                 continue
             # Second-stage weights from the full blocks, as a dense solve on the support.
-            sharers = np.flatnonzero(moments.share[k])
-            denom = np.diag(sigma2 * combiner_power[k, support]).astype(complex)
-            for i in sharers:
-                denom = denom + pilots.power_mw[i] * second_moment[k, i][np.ix_(support, support)]
             expected = pilots.power_mw[k] * np.linalg.solve(denom, mean_gain[k, support])
             weights = lsfd_weights(stats_for_ue(moments, k), pilots.power_mw)
             assert_close(weights[support], expected, rel=1e-10)
 
     @staticmethod
-    def _traced_reference_call(n_mc, opportunistic=False):
+    def _traced_reference_call(n_mc, clusters="fixed", with_second_stage=False):
         """Peak traced bytes of one call at the reference deployment, K=40, L=36, N=4:
-        every UE served by 16 O-RUs, or (``opportunistic``) every O-RU serving 4 UEs."""
+        every UE served by 16 O-RUs (``fixed``), every O-RU serving 4 UEs
+        (``opportunistic``) or every O-RU serving every UE (``ubiquitous``)."""
         rng = np.random.default_rng(12)
         l_num, k_num, n_ant = 36, 40, 4
         beta = rng.uniform(0.2, 2.0, size=(l_num, k_num))
         aoa = rng.uniform(-np.pi, np.pi, size=beta.shape)
         stats = make_stats(one_ring_covariance(beta, aoa, np.deg2rad(10.0), n_ant, 0.5))
         serving = np.zeros((l_num, k_num), dtype=bool)
-        if opportunistic:
+        if clusters == "opportunistic":
             for l in range(l_num):
                 serving[l, rng.choice(k_num, 4, replace=False)] = True
+        elif clusters == "ubiquitous":
+            serving[:] = True
         else:
             for k in range(k_num):
                 serving[rng.choice(l_num, 16, replace=False), k] = True
@@ -304,11 +315,13 @@ class TestSupportMoments:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             moments = simulate_gain_moments(serving, stats, pilots, 0.2, n_mc, rng)
+            if with_second_stage:
+                second_stage(moments, pilots.power_mw)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         s_max = serving.sum(axis=0).max()
-        assert moments.second_moment.shape == (k_num, k_num, s_max, s_max)
+        assert moments.second_moment.shape == moments.sharer_moment.shape == (k_num, s_max, s_max)
         return peak
 
     def test_peak_memory_below_full_gain_array(self):
@@ -326,8 +339,14 @@ class TestSupportMoments:
     def test_peak_memory_follows_served_pairs(self):
         # At 4 UEs per O-RU only the channels and the pilot slot signals are
         # draw-sized; observations, estimates and combiners cover 144 of 1440 pairs.
-        peak = self._traced_reference_call(100, opportunistic=True)
+        peak = self._traced_reference_call(100, "opportunistic")
         assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_peak_memory_ubiquitous_with_second_stage(self):
+        # Every UE's support is all 36 O-RUs. Two (K, S_max, S_max) moments take
+        # 1.7 MB; (K, K, S_max, S_max) interferer blocks alone would take 33 MB.
+        peak = self._traced_reference_call(20, "ubiquitous", with_second_stage=True)
+        assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestGainKernel:
@@ -341,7 +360,7 @@ class TestGainKernel:
         pilots = PilotConfig(2, np.arange(k_num) % 2, rng.uniform(0.5, 2.0, size=k_num))  # tau_p < K
         draws = draw_estimates(stats, pilots, 0.2, n_mc, rng, serving)
         combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, 0.2)
-        return draws.channels, combiners
+        return draws.channels, combiners, pilots.power_mw
 
     # Supports of 0 to 6 O-RUs, several single-O-RU UEs, and ubiquitous serving.
     @pytest.mark.parametrize(
@@ -356,13 +375,13 @@ class TestGainKernel:
     )
     @pytest.mark.parametrize("n_mc", [1, 7, 100])
     def test_matches_gather_oracle_bitwise(self, serving, n_mc):
-        channels, combiners = self._served(serving, n_mc, seed=n_mc)
+        channels, combiners, powers = self._served(serving, n_mc, seed=n_mc)
         before = channels.copy(), combiners.values.copy()
-        moments = gain_moments(channels, combiners, serving, 0.2)
-        mean_gain, second_moment, noise_diag = gathered_gain_moments(channels, combiners, serving, 0.2)
+        moments = gain_moments(channels, combiners, serving, 0.2, powers)
+        mean_gain, second_moment, sharer_moment = gathered_gain_moments(channels, combiners, serving, 0.2, powers)
         assert_same_bits(moments.mean_gain, mean_gain)
         assert_same_bits(moments.second_moment, second_moment)
-        assert_same_bits(moments.noise_diag, noise_diag)
+        assert_same_bits(moments.sharer_moment, sharer_moment)
         assert_same_bits(channels, before[0])
         assert_same_bits(combiners.values.copy(), before[1])
 
@@ -372,21 +391,23 @@ class TestGainKernel:
         # one draw-sized (d, L, K, N) array, 9.2 MB.
         l_num, k_num, n_mc = 36, 40, 100
         serving = np.ones((l_num, k_num), dtype=bool)
-        channels, combiners = self._served(serving, n_mc, seed=5, n_ant=4)
+        channels, combiners, powers = self._served(serving, n_mc, seed=5, n_ant=4)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            moments = gain_moments(channels, combiners, serving, 0.2)
+            moments = gain_moments(channels, combiners, serving, 0.2, powers)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        returned = sum(a.nbytes for a in (moments.mean_gain, moments.second_moment, moments.noise_diag, moments.share))
+        returned = sum(a.nbytes for a in (moments.mean_gain, moments.second_moment, moments.sharer_moment))
         assert peak - returned < channels.nbytes, f"{(peak - returned) / 1e6:.1f} MB besides the result"
 
 
-def random_instance(rng, n_oru=3, n_ue=3, n_draws=60, support=None):
-    """Moment-consistent statistics instance built from raw complex gain draws."""
+def random_instance(rng, powers, n_oru=3, n_draws=60, support=None):
+    """Moment-consistent statistics of UE 0, built from raw complex gain draws of
+    ``powers.size`` UEs: sum_i p_i E[g_0i g_0i^H] plus a noise diagonal, on the support."""
+    n_ue = powers.size
     g = rng.standard_normal((n_draws, n_oru, n_ue)) + 1j * rng.standard_normal((n_draws, n_oru, n_ue))
     if support is None:
         support = np.arange(n_oru)
@@ -397,17 +418,15 @@ def random_instance(rng, n_oru=3, n_ue=3, n_draws=60, support=None):
     g_support = g[:, support]
     second = np.einsum("dli,dmi->ilm", g_support, g_support.conj()) / n_draws
     noise = np.where(mask, rng.uniform(0.05, 0.3, size=n_oru), 0.0)
-    return EffectiveGainStats(
-        ue=0, support=np.asarray(support), mean_gain=mean, second_moments=second,
-        noise_diag=noise, interferers=np.arange(n_ue),
-    )
+    moment = np.tensordot(powers, second, 1) + np.diag(noise[support])
+    return EffectiveGainStats(ue=0, support=np.asarray(support), mean_gain=mean, second_moment=moment)
 
 
 class TestLsfdWeights:
     def test_scalar_support_scaling_invariance(self):
         rng = np.random.default_rng(7)
-        stats = random_instance(rng, n_oru=1, n_ue=2)
         powers = np.array([0.8, 1.1])
+        stats = random_instance(rng, powers, n_oru=1)
         a = lsfd_weights(stats, powers)
         gamma, _ = uplink_sinr(a, stats, powers)
         for c in (0.1, 3.0, -2.0 + 1.0j):
@@ -416,29 +435,23 @@ class TestLsfdWeights:
 
     def test_symmetric_two_oru_equal_weights(self):
         mean = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-        second = np.array([[[2.0, 0.5], [0.5, 2.0]]], dtype=complex)
-        stats = EffectiveGainStats(
-            ue=0, support=np.array([0, 1]), mean_gain=mean, second_moments=second,
-            noise_diag=np.array([0.3, 0.3]), interferers=np.array([0]),
-        )
+        moment = np.array([[2.3, 0.5], [0.5, 2.3]], dtype=complex)
+        stats = EffectiveGainStats(ue=0, support=np.array([0, 1]), mean_gain=mean, second_moment=moment)
         a = lsfd_weights(stats, np.array([1.0]))
         assert a[0] == pytest.approx(a[1])
 
     def test_dense_solve_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            stats = random_instance(rng)
             powers = rng.uniform(0.5, 2.0, size=3)
+            stats = random_instance(rng, powers)
             a = lsfd_weights(stats, powers)
-            denom = np.diag(stats.noise_diag).astype(complex)
-            for i, moment in zip(stats.interferers, stats.second_moments):
-                denom = denom + powers[i] * moment
-            oracle = powers[0] * np.linalg.pinv(denom) @ stats.mean_gain
+            oracle = powers[0] * np.linalg.pinv(stats.second_moment) @ stats.mean_gain
             assert np.allclose(a, oracle, rtol=1e-8, atol=1e-10)
 
     def test_partial_support_embedding(self):
         rng = np.random.default_rng(9)
-        stats = random_instance(rng, n_oru=4, support=[1, 3])
+        stats = random_instance(rng, np.ones(3), n_oru=4, support=[1, 3])
         a = lsfd_weights(stats, np.ones(3))
         assert a[0] == 0 and a[2] == 0
         assert a[1] != 0 and a[3] != 0
@@ -446,8 +459,7 @@ class TestLsfdWeights:
     def test_singular_support_raises(self):
         stats = EffectiveGainStats(
             ue=0, support=np.array([0, 1]), mean_gain=np.ones(2, dtype=complex),
-            second_moments=np.zeros((1, 2, 2), dtype=complex),
-            noise_diag=np.zeros(2), interferers=np.array([0]),
+            second_moment=np.zeros((2, 2), dtype=complex),
         )
         with pytest.raises(NumericalError, match="support"):
             lsfd_weights(stats, np.ones(1))
@@ -457,8 +469,7 @@ class TestUplinkSinr:
     def _scalar_stats(self, second_moment):
         return EffectiveGainStats(
             ue=0, support=np.array([0]), mean_gain=np.array([1.0 + 0.0j]),
-            second_moments=np.array([[[second_moment]]], dtype=complex),
-            noise_diag=np.array([0.0]), interferers=np.array([0]),
+            second_moment=np.array([[second_moment]], dtype=complex),
         )
 
     def test_se_is_log2_of_one_plus_gamma(self):
@@ -474,8 +485,8 @@ class TestUplinkSinr:
     def test_weights_beat_random_perturbations(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            stats = random_instance(rng, n_oru=4, support=[0, 1, 3])
             powers = rng.uniform(0.5, 2.0, size=3)
+            stats = random_instance(rng, powers, n_oru=4, support=[0, 1, 3])
             best = lsfd_weights(stats, powers)
             gamma_best, _ = uplink_sinr(best, stats, powers)
             for _ in range(100):
@@ -521,7 +532,7 @@ def shared_pilot_moments(seed):
 
 def per_ue_trio(moments, powers):
     """Weights and SE through the one-UE entry points, as the traced benchmark loop calls them."""
-    k_num = moments.share.shape[0]
+    k_num = moments.serving.shape[1]
     weights = np.stack([lsfd_weights(stats_for_ue(moments, k), powers) for k in range(k_num)])
     se = np.array([
         uplink_sinr(weights[k], stats_for_ue(moments, k, all_interferers=True), powers)[1] for k in range(k_num)
@@ -545,22 +556,6 @@ class TestSecondStage:
         assert np.isnan(se[sizes == 0]).all() and not weights[sizes == 0].any()
         assert np.isfinite(se[sizes > 0]).all()
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_chunking_does_not_move_bits(self, monkeypatch, rows):
-        moments, powers = shared_pilot_moments(3)
-        weights, se = second_stage(moments, powers)
-        monkeypatch.setattr(combining, "_chunk_rows", lambda k_num, s_max, s: rows)
-        chunked_weights, chunked_se = second_stage(moments, powers)
-        assert_same_bits(chunked_weights, weights)
-        assert_same_bits(chunked_se, se)
-
-    def test_chunk_temporaries_within_one_block_array(self):
-        for k_num, s_max in ((40, 16), (12, 8), (3, 1)):
-            for s in range(1, s_max + 1):
-                rows = combining._chunk_rows(k_num, s_max, s)
-                assert rows >= 1
-                assert rows == 1 or 2 * rows * k_num * s * s <= k_num**2 * s_max**2
-
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_matches_dense_oracle(self, seed):
         moments, powers = shared_pilot_moments(seed)
@@ -575,10 +570,9 @@ class TestSecondStage:
     def test_singular_support_names_the_ue(self):
         moments, powers = shared_pilot_moments(7)
         ue = int(np.flatnonzero(moments.serving.sum(axis=0) == 2)[0])
-        second_moment, noise_diag = moments.second_moment.copy(), moments.noise_diag.copy()
-        second_moment[ue] = 0.0
-        noise_diag[ue] = 0.0
-        singular = replace(moments, second_moment=second_moment, noise_diag=noise_diag)
+        sharer_moment = moments.sharer_moment.copy()
+        sharer_moment[ue] = 0.0
+        singular = replace(moments, sharer_moment=sharer_moment)
         support = np.flatnonzero(moments.serving[:, ue]).tolist()
         with pytest.raises(NumericalError, match=re.escape(f"UE {ue} on O-RU support {support}")):
             second_stage(singular, powers)

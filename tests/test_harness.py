@@ -1,6 +1,7 @@
 """Episode/campaign drivers, configuration handling, seed derivation."""
 
 import os
+import tracemalloc
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -88,6 +89,21 @@ class TestEpisode:
         result = run_episode(tiny_config(), 0)
         assert result.invalid_samples == 0
         assert np.all(np.isfinite(result.se))
+
+    def test_ubiquitous_step_memory_grows_with_k_s_max_squared(self):
+        # One ubiquitous step at K=90, L=81 (the reference density on 1.5 x 1.5 km),
+        # n_mc=8. Its two (K, S_max, S_max) moments take 19 MB; (K, K, S_max, S_max)
+        # interferer blocks would take 850 MB.
+        deployment = DeploymentConfig(grid_side_m=1500.0, num_orus=81, num_odus=9, antennas_per_oru=4, num_ues=90)
+        cfg = SimConfig(deployment=deployment, n_mc=8, sim_time_s=0.5)
+        tracemalloc.start()
+        try:
+            result = run_episode(cfg, 0, strategy=clustering.UBIQUITOUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(result.se))
+        assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_episodes_csv(self):
         cfg = tiny_config(sim_time_s=1.0)
@@ -278,9 +294,9 @@ class TestLockstep:
             served.append([])
             return draw_estimates(*args)
 
-        def record_served(channels, combiners, serving, sigma2):
+        def record_served(channels, combiners, serving, sigma2, powers):
             served[-1].append(serving.copy())
-            return gain_moments(channels, combiners, serving, sigma2)
+            return gain_moments(channels, combiners, serving, sigma2, powers)
 
         monkeypatch.setattr(simulate, "draw_estimates", record_needed)
         monkeypatch.setattr(simulate, "gain_moments", record_served)
@@ -307,9 +323,9 @@ class TestLockstep:
             calls.append([])
             return draws[-1]
 
-        def record_release(channels, combiners, serving, sigma2):
+        def record_release(channels, combiners, serving, sigma2, powers):
             calls[-1].append((int(serving.sum()), draws[-1].estimates is None))
-            return gain_moments(channels, combiners, serving, sigma2)
+            return gain_moments(channels, combiners, serving, sigma2, powers)
 
         monkeypatch.setattr(simulate, "draw_estimates", record_draws)
         monkeypatch.setattr(simulate, "gain_moments", record_release)
