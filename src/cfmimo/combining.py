@@ -20,8 +20,8 @@ gathered (K, K, S, S) blocks).
 The channel and pilot-noise draws (`draw_estimates`) do not depend on the
 serving clusters, so several serving maps can score their combiners
 (`served_combiners`) and gains (`gain_moments`) on one realization; the MMSE
-estimates are formed only for the (O-RU, UE) pairs some of these maps serve,
-and each map solves its combiners and noise terms only for the pairs it
+filters and estimates are formed only for the (O-RU, UE) pairs some of these
+maps serve, and each map solves its combiners and noise terms only for the pairs it
 serves. The caller owns the lifetimes: it drops the estimates once the last
 map has its combiners, and a map's combiners once its gains are formed.
 `simulate_gain_moments` is the composition for one map.
@@ -30,9 +30,11 @@ Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
 channels and the per-(O-RU, pilot slot) pilot signals; the observations,
 estimates and combiners hold d N entries per needed or served pair, at most
 L K of them. Every other temporary is a fraction of a draw-sized array, except
-one UE's (K, s, s) Grams and their power-weighted copies, which outgrow it only
-when s^2 > d L N (ubiquitous serving at small n_mc). Draws are filled and
-scaled in place, and no stage writes into an array it was passed.
+the buffers of one UE's (K, s, s) Grams and their power-weighted copies
+(K S_max^2 entries each, allocated once per map and reused by every UE),
+which outgrow it only when S_max^2 > d L N (ubiquitous serving at small n_mc).
+Draws are filled and scaled in place, and no stage writes into an array it
+was passed.
 
 The second stage (`second_stage`) solves the weights and scores the SINR of all
 UEs of one support size in one batch, straight from their (G, s, s) moments.
@@ -82,7 +84,8 @@ def served_combiners(
     ``estimates`` (d, P, N) holds the estimates of P pairs, ``estimates[:,
     column[l, k]]`` that of UE k at O-RU l (the layout of `EstimationDraws`);
     every served pair must be among them. ``error_covs`` (L, K, N, N) are the
-    estimation error covariances.
+    estimation error covariances; those of pairs the map does not serve are
+    weighted by zero.
 
     The Gram sums and the solves run on the served columns in ascending UE
     order, and the result is written antenna-major, as a dense solve over all
@@ -168,17 +171,18 @@ class EstimationDraws:
 
     The draws depend only on the channel statistics, the pilots and the random
     stream, so every serving map of a step can score its gains on them; the
-    estimates are formed for the needed (O-RU, UE) pairs only, those some
-    serving map of the step serves. ``estimates[:, column[l, k]]`` is the
-    (d, N) estimate of UE k at O-RU l, and ``column`` is -1 for a pair not
-    estimated. A driver may set ``estimates`` to None once the last serving map
-    has its combiners.
+    MMSE filters, error covariances and estimates are formed for the needed
+    (O-RU, UE) pairs only, those some serving map of the step serves.
+    ``estimates[:, column[l, k]]`` is the (d, N) estimate of UE k at O-RU l,
+    and ``column`` is -1 for a pair not estimated, whose error covariance is
+    zero. A driver may set ``estimates`` to None once the last serving map has
+    its combiners.
     """
 
     channels: np.ndarray  # (d, L, K, N) true channels
     estimates: np.ndarray | None  # (d, P, N) MMSE estimates of the P needed pairs
     column: np.ndarray  # (L, K) int
-    error_covs: np.ndarray  # (L, K, N, N) estimation error covariances
+    error_covs: np.ndarray  # (L, K, N, N) estimation error covariances, zero where not estimated
 
 
 def draw_estimates(
@@ -194,19 +198,23 @@ def draw_estimates(
     (L, K) pairs, for ``n_mc`` draws.
 
     Every channel and every (O-RU, pilot slot) noise vector is drawn, so the
-    random stream does not depend on ``needed``; the pilot observations are
-    gathered and filtered for the needed pairs only, one pair at a time, so an
-    estimate has the same bits whichever other pairs are needed.
+    random stream does not depend on ``needed``. The MMSE filters and error
+    covariances are solved for the needed pairs only (`pilots.mmse_filters`),
+    and the pilot observations are gathered and filtered for them, one pair
+    at a time, so an estimate has the same bits whichever other pairs are
+    needed.
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
-    filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw)
+    orus, ues = np.nonzero(needed)
+    filters, pair_error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw, needed)
+    error_covs = np.zeros_like(stats.covariance)
+    error_covs[orus, ues] = pair_error_covs
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
     received = pilots_mod.slot_observations(h, pilots, sigma2_mw, rng)
-    orus, ues = np.nonzero(needed)
     observations = received[:, orus, pilots.slot_of_ue[ues]]  # (d, P, N)
     del received
-    h_hat = pilots_mod.apply_filters(filters[orus, ues], observations)
+    h_hat = pilots_mod.apply_filters(filters, observations)
     column = np.full(np.shape(needed), -1)
     column[orus, ues] = np.arange(orus.size)
     return EstimationDraws(h, h_hat, column, error_covs)
@@ -241,6 +249,9 @@ def gain_moments(
     second_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
     sharer_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
     gains = np.zeros((k_num, s_max, n_mc), dtype=complex)  # [i, j, d]: g_ki at O-RU S_k[j]
+    # UE k's (K, s, s) Grams and their power-weighted rows go into contiguous prefixes of these.
+    grams = np.empty(k_num * s_max * s_max, dtype=complex)
+    weighted = np.empty(rows.max() * grams.size, dtype=complex)
     for k, support in enumerate(supports):
         s = support.size
         columns = combiners.column[support, k]
@@ -251,24 +262,26 @@ def gain_moments(
         # numpy sends a one-row Gram to BLAS's dot, whose rounding depends on the stride; the draws
         # go K entries apart there, as in the (d, s, K) gains of oracles.gathered_gain_moments.
         a = np.ascontiguousarray(gains[:, 0].T).T[:, None] if s == 1 else gains[:, :s]
-        blocks = a @ a.conj().swapaxes(-1, -2)
+        blocks = np.matmul(a, a.conj().swapaxes(-1, -2), out=grams[: k_num * s * s].reshape(k_num, s, s))
         blocks /= n_mc
-        moments = _denominators(blocks, powers[k, : rows[k]], noise[columns])
+        terms = weighted[: rows[k] * blocks.size].reshape((rows[k],) + blocks.shape)
+        moments = _denominators(blocks, powers[k, : rows[k]], noise[columns], terms)
         second_moment[k, :s, :s] = moments[0]
         sharer_moment[k, :s, :s] = moments[-1]
     return GainMoments(mean_gain, second_moment, sharer_moment, serving)
 
 
-def _denominators(blocks: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _denominators(blocks: np.ndarray, powers: np.ndarray, noise: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """sum_i powers[r, i] blocks[i] + diag(noise), per row r of ``powers``.
 
-    ``blocks`` is (K, s, s), ``powers`` (R, K) and ``noise`` (s,). The products
-    are elementwise, and the interferer sum runs over a real view whose
-    innermost axis holds the real and imaginary parts, so numpy adds the terms
-    in order for every shape, s = 1 included (a complex ``sum`` turns pairwise
-    there), and a term of power 0 leaves the sum unchanged.
+    ``blocks`` is (K, s, s), ``powers`` (R, K) and ``noise`` (s,); the products
+    are written into ``terms``, a C-contiguous (R, K, s, s) buffer. They are
+    elementwise, and the interferer sum runs over a real view whose innermost
+    axis holds the real and imaginary parts, so numpy adds the terms in order
+    for every shape, s = 1 included (a complex ``sum`` turns pairwise there),
+    and a term of power 0 leaves the sum unchanged.
     """
-    terms = np.multiply(blocks, powers[:, :, None, None], order="C")
+    np.multiply(blocks, powers[:, :, None, None], out=terms)
     denom = terms.view(float).sum(axis=1).view(complex)
     s = noise.size
     denom.reshape(len(powers), s * s)[:, :: s + 1] += noise

@@ -90,28 +90,36 @@ def index_run(index: np.ndarray):
     return slice(index[0], index[-1] + 1) if index.size and (index[1:] - index[:-1] == 1).all() else index
 
 
-def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float):
-    """Precompute per-(O-RU, UE) MMSE filters and error covariances.
+def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float, needed: np.ndarray | None = None):
+    """Per-(O-RU, UE) MMSE filters and error covariances.
 
-    ``cov`` is the (L, K, N, N) covariance stack. Returns (filters, error_covs)
-    of the same shape: h_hat = filters[l, k] @ y[l, k]. The regularized pilot
-    Gram matrix is shared by all UEs on one pilot slot, so it is built per slot,
-    one reuse round at a time.
+    ``cov`` is the (L, K, N, N) covariance stack. Returns (filters, error_covs):
+    h_hat = filters[l, k] @ y[l, k]. Without ``needed`` both are (L, K, N, N);
+    with an (L, K) bool map ``needed`` only its pairs are solved, and both are
+    (P, N, N) stacks in the order of ``np.nonzero(needed)``. The regularized
+    pilot Gram matrix is shared by all UEs on one pilot slot, so it is built
+    per slot, one reuse round at a time; each pair is then solved alone, so
+    its bits do not depend on which other pairs are solved.
 
     The estimate is sqrt(tau_p p_k) R Psi^{-1} y with
     Psi = sum_i tau_p p_i R_i + sigma2 I over the UEs sharing k's pilot, and
     the error covariance is R - tau_p p_k R Psi^{-1} R.
     """
-    l_num, _, n, _ = cov.shape
+    l_num, k_num, n, _ = cov.shape
     gram = np.zeros((l_num, pilots.slot_of_ue.max() + 1, n, n), dtype=complex)
     for ues, dest in pilots.reuse_rounds:
         gram[:, dest] += (pilots.tau_p * pilots.power_mw[ues])[:, None, None] * cov[:, ues]
     gram += sigma2_mw * np.eye(n)
-    solved = np.linalg.solve(gram[:, pilots.slot_of_ue], cov)  # Psi^{-1} R per (l, k)
-    amplitude = np.sqrt(pilots.tau_p * pilots.power_mw)[None, :, None, None]
+    orus, ues = np.nonzero(np.ones((l_num, k_num), dtype=bool) if needed is None else needed)
+    pair_cov = cov[orus, ues]
+    solved = np.linalg.solve(gram[orus, pilots.slot_of_ue[ues]], pair_cov)  # Psi^{-1} R per pair
+    amplitude = np.sqrt(pilots.tau_p * pilots.power_mw[ues])[:, None, None]
     filters = amplitude * solved.conj().swapaxes(-1, -2)
-    error_covs = cov - amplitude * filters @ cov
-    return filters, 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))
+    error_covs = pair_cov - amplitude * filters @ pair_cov
+    error_covs = 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))
+    if needed is None:
+        return filters.reshape(cov.shape), error_covs.reshape(cov.shape)
+    return filters, error_covs
 
 
 def apply_filters(filters: np.ndarray, observations: np.ndarray) -> np.ndarray:

@@ -248,6 +248,25 @@ class TestMmseConsistency:
         for got, expected in zip(mmse_filters(cov, cfg, 0.3), oracles.mmse_filters(cov, cfg, 0.3)):
             assert np.array_equal(bits(got), bits(expected))
 
+    @pytest.mark.parametrize("tau_p,permuted", REUSE_CASES)
+    def test_needed_pairs_match_all_pairs_bitwise(self, tau_p, permuted):
+        rng = np.random.default_rng(40 + tau_p + 10 * permuted)
+        a = rng.standard_normal((5, 7, 3, 3)) + 1j * rng.standard_normal((5, 7, 3, 3))
+        cov = a @ a.conj().swapaxes(-1, -2)
+        cfg = reuse_case(tau_p, permuted, rng)
+        all_filters, all_errors = mmse_filters(cov, cfg, 0.3)
+        one_pair = np.zeros((5, 7), dtype=bool)
+        one_pair[3, 4] = True
+        one_row = np.zeros((5, 7), dtype=bool)
+        one_row[2] = True
+        half = rng.permutation(35).reshape(5, 7) < 17
+        for needed in (one_pair, one_row, half, np.ones((5, 7), dtype=bool)):
+            filters, errors = mmse_filters(cov, cfg, 0.3, needed)
+            orus, ues = np.nonzero(needed)
+            assert filters.shape == errors.shape == (orus.size, 3, 3)
+            assert np.array_equal(bits(filters), bits(all_filters[orus, ues]))
+            assert np.array_equal(bits(errors), bits(all_errors[orus, ues]))
+
     def test_filters_match_single_pair_op(self):
         rng = np.random.default_rng(7)
         cov = np.stack(
