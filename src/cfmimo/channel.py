@@ -4,10 +4,12 @@ Large-scale terms carry the temporal correlation: log-normal shadowing follows a
 first-order autoregression whose coefficient depends on the distance moved per
 sample, and path loss tracks the wrap-around distance. Spatial structure comes
 from a one-ring scatterer model around each UE, evaluated per step and per
-(O-RU, UE) pair. Small-scale vectors are drawn i.i.d. across coherence blocks:
-at these sampling times the classical Jakes coefficient is already near zero
-(see `jakes_autocorrelation`), so per-sample small-scale correlation is not
-worth modeling.
+(O-RU, UE) pair by Gauss-Legendre quadrature with the fewest nodes whose
+a-priori error bound is at most eps / 8: 11 nodes and a bound of 2.6e-19 at
+the reference scenario, and QUADRATURE_NODES at most. Small-scale vectors are
+drawn i.i.d. across coherence blocks: at these sampling times the classical
+Jakes coefficient is already near zero (see `jakes_autocorrelation`), so
+per-sample small-scale correlation is not worth modeling.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ PATH_LOSS_INTERCEPT_DB = -34.0
 PATH_LOSS_SLOPE_DB = 38.0
 
 DEFAULT_MIN_DISTANCE_M = 1.0
+# The most Gauss-Legendre nodes `one_ring_covariance` derives (`_ring_node_count`);
+# configurations that no smaller count certifies to eps / 8 get this many. The
+# reference scenario derives 11 nodes, whose error bound is 2.6e-19.
 QUADRATURE_NODES = 64
 QUADRATURE_TOL = 1e-9
 PSD_CLIP_REL_TOL = 1e-9
@@ -180,6 +185,26 @@ def _ring_quadrature_error_bound(spread_rad: float, num_antennas: int, spacing_w
     return float(np.exp(min(log_bound.min(), np.log(2.0))))
 
 
+@lru_cache(maxsize=256)
+def _ring_node_count(spread_rad: float, num_antennas: int, spacing_wl: float) -> int:
+    """Fewest Gauss-Legendre nodes m <= QUADRATURE_NODES whose a-priori error bound
+    (`_ring_quadrature_error_bound`) is at most eps / 8, for every centre angle.
+
+    QUADRATURE_NODES when no such m exists, among them a non-finite spread or
+    spacing, whose bound is infinite. At the reference scenario (10 degrees,
+    N = 4, half a wavelength) m is 11, with a bound of 2.6e-19.
+    """
+    target = np.finfo(float).eps / 8
+    return next(
+        (
+            m
+            for m in range(1, QUADRATURE_NODES + 1)
+            if _ring_quadrature_error_bound(spread_rad, num_antennas, spacing_wl, m) <= target
+        ),
+        QUADRATURE_NODES,
+    )
+
+
 def _doubling_check_proved(
     phi: np.ndarray, spread_rad: float, num_antennas: int, spacing_wl: float, nodes: int
 ) -> bool:
@@ -214,7 +239,7 @@ def one_ring_covariance(
     spread_rad: float,
     num_antennas: int,
     spacing_wl: float,
-    nodes: int = QUADRATURE_NODES,
+    nodes: int | None = None,
     check: bool = True,
 ) -> np.ndarray:
     """Spatial covariances of a ULA facing a uniform ring of scatterers.
@@ -223,9 +248,12 @@ def one_ring_covariance(
     (O-RU, UE) pair); the result appends two antenna axes: (..., N, N). Entry
     (m, n) is beta times the average of exp(2 pi j d_H (n - m) sin(angle)) over
     angles uniform in [aoa - spread, aoa + spread], evaluated with fixed
-    Gauss-Legendre quadrature so results are deterministic. Each evaluation
-    takes one complex exponential per (pair, node); the higher lags are powers
-    of it (see `_ring_lag_coefficients`).
+    Gauss-Legendre quadrature so results are deterministic. Without ``nodes``
+    the node count is the fewest whose a-priori error bound is at most eps / 8
+    (`_ring_node_count`, at most QUADRATURE_NODES): 11 nodes and a bound of
+    2.6e-19 at the reference scenario, the cap only for wide arrays at wide
+    spreads. Each evaluation takes one complex exponential per (pair, node);
+    the higher lags are powers of it (see `_ring_lag_coefficients`).
 
     With ``check`` (and a nonzero spread) the call makes sure that doubling
     the node count moves no entry by more than QUADRATURE_TOL, and raises
@@ -233,13 +261,15 @@ def one_ring_covariance(
     when `_doubling_check_proved` holds: an a-priori Gauss-Legendre error bound
     for ``nodes`` and ``2 * nodes`` plus a rounding estimate stay within
     QUADRATURE_TOL for every angle in ``aoa_rad`` (at the reference scenario the
-    bound is ~2e-162). Otherwise, e.g. for wide spreads at large antenna
+    bound is ~3e-19). Otherwise, e.g. for wide spreads at large antenna
     spacings, a non-finite spread or angle, the lags are evaluated again at
     ``2 * nodes`` and compared; a NaN difference, from a NaN spread or angle,
     fails the check. Either way the verdict and the returned values are the
     same; a proof only saves the second evaluation.
     """
     phi = np.asarray(aoa_rad)
+    if nodes is None:
+        nodes = _ring_node_count(float(spread_rad), num_antennas, float(spacing_wl))
     coeff = _ring_lag_coefficients(phi, spread_rad, num_antennas, spacing_wl, nodes)
     if (
         check

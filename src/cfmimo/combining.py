@@ -21,9 +21,10 @@ The channel and pilot-noise draws (`draw_estimates`) do not depend on the
 serving clusters, so several serving maps can score their combiners
 (`served_combiners`) and gains (`gain_moments`) on one realization; the MMSE
 filters and estimates are formed only for the (O-RU, UE) pairs some of these
-maps serve, and each map solves its combiners and noise terms only for the pairs it
-serves. The caller owns the lifetimes: it drops the estimates once the last
-map has its combiners, and a map's combiners once its gains are formed.
+maps serve, and each map solves its combiners and noise terms only for the
+pairs it serves. The caller owns the lifetimes: it drops the estimates once
+the last map has its combiners, and a map's combiners once its gains are
+formed.
 `simulate_gain_moments` is the composition for one map.
 
 Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the

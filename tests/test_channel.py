@@ -3,6 +3,7 @@
 import itertools
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from cfmimo.channel import (
     sample_channels,
     shadow_correlation,
 )
+from cfmimo.clustering import HandoverConfig
+from cfmimo.config import SimConfig
 from cfmimo.errors import NumericalError
 from cfmimo.geometry import DeploymentConfig, generate_deployment
+from cfmimo.simulate import run_episode
 
 
 class TestJakes:
@@ -129,10 +133,10 @@ class TestOneRing:
         with pytest.raises(NumericalError):
             one_ring_covariance(1.0, 0.0, 1.5, 16, 40.0, nodes=4, check=True)
 
-    @pytest.mark.parametrize("nodes", [64, 128])
+    @pytest.mark.parametrize("nodes", [None, 64, 128])  # None: the derived count
     @pytest.mark.parametrize("spacing_wl", [0.5, 1.0])
     def test_batched_matches_jacobi_anger_oracle(self, nodes, spacing_wl):
-        rng = np.random.default_rng(nodes + int(10 * spacing_wl))
+        rng = np.random.default_rng((nodes or 0) + int(10 * spacing_wl))
         for n_ant in (1, 2, 4, 8):
             for spread_deg in (1.0, 10.0, 25.0, 40.0):
                 xi = np.deg2rad(spread_deg)
@@ -219,8 +223,8 @@ class TestDoublingCertificate:
         positions = rng.uniform(0, 1000.0, size=(40, 2))
         calls = counting_lag_evaluations(monkeypatch)
         refresh_statistics(topo, positions, shadow, np.deg2rad(10.0), 4, 0.5)
-        assert calls == [64]
-        assert channel._ring_quadrature_error_bound(np.deg2rad(10.0), 4, 0.5, 64) < 1e-150
+        assert calls == [11]
+        assert channel._ring_quadrature_error_bound(np.deg2rad(10.0), 4, 0.5, 11) < 1e-18
 
     def test_uncertified_configuration_evaluates_the_check(self, monkeypatch):
         calls = counting_lag_evaluations(monkeypatch)
@@ -233,23 +237,24 @@ class TestDoublingCertificate:
         # alone moves the doubled lags by more than QUADRATURE_TOL.
         phi = 1e10 + np.random.default_rng(0).uniform(-3.0, 3.0, size=64)
         xi = 1e-3
-        assert channel._ring_quadrature_error_bound(xi, 4, 0.5, 64) < 1e-200
-        assert not channel._doubling_check_proved(phi, xi, 4, 0.5, 64)
+        assert channel._ring_node_count(xi, 4, 0.5) == 5
+        assert channel._ring_quadrature_error_bound(xi, 4, 0.5, 5) < 1e-19
+        assert not channel._doubling_check_proved(phi, xi, 4, 0.5, 5)
         calls = counting_lag_evaluations(monkeypatch)
         with pytest.raises(NumericalError):
             one_ring_covariance(np.ones(phi.shape), phi, xi, 4, 0.5)
-        assert calls == [64, 128]
+        assert calls == [5, 10]
 
     def test_negative_zero_and_nan_spreads(self, monkeypatch):
         calls = counting_lag_evaluations(monkeypatch)
         xi = np.deg2rad(10.0)
         negative = one_ring_covariance(1.0, 0.7, -xi, 4, 0.5)
-        assert calls == [64]
+        assert calls == [11]
         lags = ring_lag_oracle(0.7, xi, 4, 0.5)
         assert np.abs(negative - toeplitz(lags.conj(), lags)).max() < 1e-13
         calls.clear()
         zero = one_ring_covariance(1.0, 0.7, 0.0, 4, 0.5)
-        assert calls == [64]
+        assert calls == [5]  # the count of a zero spread; the ring collapses to one node anyway
         assert np.array_equal(zero, one_ring_covariance(1.0, 0.7, 0.0, 4, 0.5, check=False))
         calls.clear()
         # Never certified: the check is evaluated, and a NaN difference fails it.
@@ -259,13 +264,63 @@ class TestDoublingCertificate:
         calls.clear()
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="nan"):
             one_ring_covariance(1.0, np.nan, xi, 4, 0.5)
-        assert calls == [64, 128]
+        assert calls == [11, 22]
 
     def test_single_antenna_is_certified(self, monkeypatch):
         calls = counting_lag_evaluations(monkeypatch)
         cov = one_ring_covariance(2.0, 0.3, np.deg2rad(80.0), 1, 40.0, nodes=4)
         assert calls == [4]
         assert cov.shape == (1, 1) and cov[0, 0] == 2.0
+
+
+EPS_TARGET = np.finfo(float).eps / 8
+
+
+def ledger_entries(result):
+    """Every per-step ledger delta of an episode, field by field."""
+    return [(step, [getattr(delta, f.name).tolist() for f in fields(delta)]) for step, delta in result.ledger.steps]
+
+
+class TestNodeCount:
+    def test_fewest_nodes_whose_bound_is_within_target(self):
+        bound = channel._ring_quadrature_error_bound
+        certified = capped = 0
+        for spread_deg, n_ant, spacing_wl in sorted({config[:3] for config in CERTIFICATE_GRID}):
+            xi = np.deg2rad(spread_deg)
+            m = channel._ring_node_count(xi, n_ant, spacing_wl)
+            if bound(xi, n_ant, spacing_wl, m) <= EPS_TARGET:
+                certified += 1
+                assert m == 1 or bound(xi, n_ant, spacing_wl, m - 1) > EPS_TARGET, (spread_deg, n_ant, spacing_wl)
+            else:
+                capped += 1
+                assert m == channel.QUADRATURE_NODES, (spread_deg, n_ant, spacing_wl)
+        assert certified and capped
+
+    def test_reference_scenario_takes_eleven_nodes(self):
+        xi = np.deg2rad(10.0)
+        assert channel._ring_node_count(xi, 4, 0.5) == 11
+        assert channel._ring_quadrature_error_bound(xi, 4, 0.5, 10) > EPS_TARGET
+
+    def test_cap_without_a_certified_count(self):
+        assert channel._ring_node_count(np.nan, 4, 0.5) == channel.QUADRATURE_NODES
+        assert channel._ring_node_count(np.deg2rad(10.0), 4, np.inf) == channel.QUADRATURE_NODES
+        xi = np.deg2rad(80.0)
+        assert channel._ring_node_count(xi, 16, 40.0) == channel.QUADRATURE_NODES
+        assert channel._ring_quadrature_error_bound(xi, 16, 40.0, channel.QUADRATURE_NODES) > EPS_TARGET
+
+    def test_desk_episode_matches_the_node_cap(self, monkeypatch):
+        # Opportunistic at 120 km/h: the covariances move and clusters hand over every step.
+        cfg = SimConfig(
+            deployment=DeploymentConfig(1000.0, 16, 4, 4, 10), n_mc=50, sim_time_s=2.5, seed=3,
+            handover=HandoverConfig("opportunistic", 1.0, 8, 10),
+        )
+        derived = run_episode(cfg, 0, speed_kmh=120.0)
+        monkeypatch.setattr(channel, "_ring_node_count", lambda *config: channel.QUADRATURE_NODES)
+        capped = run_episode(cfg, 0, speed_kmh=120.0)
+        assert abs(derived.mean_se - capped.mean_se) <= 1e-10 * abs(capped.mean_se)
+        assert derived.events and derived.events == capped.events
+        assert ledger_entries(derived) == ledger_entries(capped)
+        assert derived.invalid_samples == capped.invalid_samples
 
 
 class TestSampling:
