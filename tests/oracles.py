@@ -288,3 +288,76 @@ def cellular_handover(serving_odu, primary, beta_lin, odu_of_oru, hysteresis_db:
             serving_odu[k] = new
             primary[k] = best_outside_oru
     return serving_odu, primary, events
+
+
+def reload_oru(serving, primary, measurement, l, gains, n_antennas):
+    """O-RU l's served row rewritten in place: its primary UEs, then its other
+    tracking UEs strongest first (equal gains to the lower index) up to the
+    capacity ``n_antennas``, one UE at a time."""
+    own = [k for k in range(primary.size) if primary[k] == l]
+    candidates = sorted((k for k in range(primary.size) if measurement[l, k] and primary[k] != l),
+                        key=lambda k: (-gains[l, k], k))
+    serving[l] = False
+    for k in own + candidates[: max(n_antennas - len(own), 0)]:
+        serving[l, k] = True
+
+
+def opportunistic_clusters(beta_lin, neighbors, measurement_size: int, n_antennas: int):
+    """t=0 opportunistic (primary, measurement, serving): each UE in turn claims
+    its strongest O-RU with spare primary capacity and tracks that O-RU's
+    nearest neighbors; then every O-RU reloads, one O-RU at a time."""
+    l_num, k_num = beta_lin.shape
+    primary = np.zeros(k_num, dtype=int)
+    measurement = np.zeros((l_num, k_num), dtype=bool)
+    counts = [0] * l_num
+    for k in range(k_num):
+        primary[k] = min((l for l in range(l_num) if counts[l] < n_antennas), key=lambda l: (-beta_lin[l, k], l))
+        counts[primary[k]] += 1
+        measurement[neighbors.measurement_set(primary[k], measurement_size), k] = True
+    serving = np.zeros((l_num, k_num), dtype=bool)
+    for l in range(l_num):
+        reload_oru(serving, primary, measurement, l, beta_lin, n_antennas)
+    return primary, measurement, serving
+
+
+def opportunistic_track(primary, measurement, serving, beta_db, neighbors, measurement_size: int,
+                        threshold_db: float, n_antennas: int, t: int):
+    """One opportunistic tracking step one UE and one O-RU at a time.
+
+    Returns new (primary, measurement, serving) and the events as (t, ue, kind,
+    old, new) tuples: per UE in index order a handover to the strongest O-RU of
+    its measurement cluster that beats the primary by more than the threshold
+    and has spare primary capacity, then both O-RUs reload; finally every O-RU
+    whose best unserved tracking UE beats its worst served UE by more than the
+    threshold reloads.
+    """
+    primary, measurement, serving = np.array(primary), np.array(measurement), np.array(serving)
+    l_num, k_num = serving.shape
+    counts = [int(np.sum(primary == l)) for l in range(l_num)]
+    events = []
+    for k in range(k_num):
+        current = int(primary[k])
+        stronger = [l for l in range(l_num) if measurement[l, k] and beta_db[l, k] > beta_db[current, k] + threshold_db]
+        free = sorted((l for l in stronger if counts[l] < n_antennas), key=lambda l: (-beta_db[l, k], l))
+        if not free:
+            continue
+        target = free[0]
+        counts[current] -= 1
+        counts[target] += 1
+        primary[k] = target
+        measurement[:, k] = False
+        measurement[neighbors.measurement_set(target, measurement_size), k] = True
+        serving[~measurement[:, k], k] = False
+        reload_oru(serving, primary, measurement, current, beta_db, n_antennas)
+        reload_oru(serving, primary, measurement, target, beta_db, n_antennas)
+        events.append((t, k, "primary_change", current, target))
+    triggered = []
+    for l in range(l_num):
+        candidates = [beta_db[l, k] for k in range(k_num) if measurement[l, k] and not serving[l, k]]
+        served = [beta_db[l, k] for k in range(k_num) if serving[l, k]]
+        if candidates and served and max(candidates) > min(served) + threshold_db:
+            triggered.append(l)
+    for l in triggered:
+        reload_oru(serving, primary, measurement, l, beta_db, n_antennas)
+        events.append((t, -1, "opportunistic_reload", l, l))
+    return primary, measurement, serving, events

@@ -30,7 +30,13 @@ from cfmimo.errors import ConfigurationError
 from cfmimo.geometry import DeploymentConfig, Topology, generate_deployment
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cellular_handover, fixed_selection, wrap_distance_and_angle
+from oracles import (
+    cellular_handover,
+    fixed_selection,
+    opportunistic_clusters,
+    opportunistic_track as opportunistic_track_oracle,
+    wrap_distance_and_angle,
+)
 
 # Event kinds each strategy may emit.
 STRATEGY_KINDS = {
@@ -577,3 +583,56 @@ def test_strategies_keep_their_invariants(strategy, layout, n_ant, threshold, se
         assert {e.kind for e in events} <= STRATEGY_KINDS[strategy]
         for k in {e.ue for e in events if e.kind == FIXED_RECLUSTER}:
             assert state.reference_power[k] == beta_lin[np.flatnonzero(state.serving[:, k]), k].sum()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    layout=st.sampled_from([(1, 1), (4, 1), (8, 4), (16, 4)]),
+    n_ant=st.integers(1, 4),
+    threshold=st.sampled_from([0.0, 1.0, 2.5, np.inf]),
+    levels=st.sampled_from([1, 2, 4, 40]),
+    full=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_opportunistic_matches_loop_oracle(layout, n_ant, threshold, levels, full, seed):
+    """The t=0 clusters and one tracking step from a random state equal the
+    one-UE, one-O-RU oracles: maps and event lists. Gains come in ``levels``
+    dB steps, so ties are frequent; ``full`` fills O-RUs to primary capacity,
+    which leaves rows of primaries only."""
+    l_num, odus = layout
+    rng = np.random.default_rng(seed)
+    k_num = int(rng.integers(1, l_num * n_ant + 1))
+    topo = generate_deployment(DeploymentConfig(500.0, l_num, odus, n_ant, k_num), rng)
+    neighbors = NeighborTable(topo)
+    measurement = int(rng.integers(1, l_num + 1))
+    cfg = HandoverConfig(OPPORTUNISTIC, threshold, int(rng.integers(1, measurement + 1)), measurement)
+
+    def gains_db():
+        return -70.0 - rng.integers(0, levels, size=(l_num, k_num)) * (3.0 / levels)
+
+    beta_lin = db_to_linear(gains_db())
+    state = initial_clusters(beta_lin, topo, cfg, n_ant, neighbors)
+    primary, member, serving = opportunistic_clusters(beta_lin, neighbors, measurement, n_ant)
+    assert np.array_equal(state.primary, primary)
+    assert np.array_equal(state.measurement, member)
+    assert np.array_equal(state.serving, serving)
+
+    # A random state: primaries within capacity, their measurement clusters, and
+    # any served subset of those that keeps the primaries.
+    slots = np.repeat(rng.permutation(l_num), n_ant)
+    primary = slots[:k_num] if full else rng.choice(slots, k_num, replace=False)
+    member = np.zeros((l_num, k_num), dtype=bool)
+    for k, l in enumerate(primary):
+        member[neighbors.measurement_set(l, measurement), k] = True
+    serving = member & (rng.random(member.shape) < rng.random())
+    serving[primary, np.arange(k_num)] = True
+    state = ClusterState(OPPORTUNISTIC, primary, member, serving, np.full(k_num, np.nan))
+    beta_db = gains_db()
+    out, events = opportunistic_track(state, beta_db, neighbors, cfg, n_ant, 3)
+    primary, member, serving, want = opportunistic_track_oracle(
+        primary, member, serving, beta_db, neighbors, measurement, threshold, n_ant, 3
+    )
+    assert np.array_equal(out.primary, primary)
+    assert np.array_equal(out.measurement, member)
+    assert np.array_equal(out.serving, serving)
+    assert [(e.t, e.ue, e.kind, e.old, e.new) for e in events] == want
