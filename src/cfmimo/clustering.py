@@ -15,7 +15,8 @@ Four strategies share one state representation:
 
 ``initial_clusters`` forms the t=0 state and ``strategy_step`` advances it; both
 call the strategy's one cluster builder (``_form_fixed``, ``_track`` plus
-``_reload_oru``, ``_serve_odu``). Every strongest-first choice uses ``_ranked``.
+``_reload_orus``, ``_serve_odu``). Every strongest-first choice is a stable sort
+of the negated gains, so equal gains go to the lower index.
 
 Gains enter in dB wherever a hysteresis margin applies and linearly wherever
 powers are summed. Downlink gain measurements are modeled as error-free
@@ -203,8 +204,7 @@ def initial_clusters(
         ranked = _ranked(beta_lin[:, k], np.arange(l_num))
         _track(state, k, ranked[counts[ranked] < n_antennas][0], neighbors, cfg)
         counts[state.primary[k]] += 1
-    for l in range(l_num):
-        _reload_oru(state, l, beta_lin, n_antennas)
+    _reload_orus(state, np.arange(l_num), beta_lin, n_antennas)
     return state
 
 
@@ -232,13 +232,19 @@ def _track(state: ClusterState, k: int, primary: int, neighbors: NeighborTable, 
     state.measurement[neighbors.measurement_set(primary, cfg.measurement_size), k] = True
 
 
-def _reload_oru(state: ClusterState, l: int, gains: np.ndarray, n_antennas: int) -> None:
-    """Reset O-RU l's served set to its primary UEs plus the strongest
-    non-primary candidates tracking it, up to the capacity limit."""
-    own = state.primary == l
-    candidates = np.flatnonzero(state.measurement[l] & ~own)
-    state.serving[l] = own
-    state.serving[l, _ranked(gains[l], candidates)[: n_antennas - own.sum()]] = True
+def _reload_orus(state: ClusterState, orus: np.ndarray, gains: np.ndarray, n_antennas: int) -> None:
+    """Reset the served rows of ``orus`` to their primary UEs plus the strongest
+    non-primary candidates tracking them, up to the capacity limit.
+
+    The rows are ranked in one pass: a reload reads the primaries and the
+    measurement clusters, never another row's served set.
+    """
+    own = state.primary[None, :] == orus[:, None]  # (R, K)
+    order = np.argsort(-gains[orus], axis=1, kind="stable")
+    ranked = np.take_along_axis(state.measurement[orus] & ~own, order, axis=1)
+    ranked &= np.cumsum(ranked, axis=1) <= n_antennas - own.sum(axis=1, keepdims=True)
+    np.put_along_axis(own, order, ranked | np.take_along_axis(own, order, axis=1), axis=1)
+    state.serving[orus] = own
 
 
 def _serve_odu(state: ClusterState, ues: np.ndarray, best_oru: np.ndarray, odu_of_oru: np.ndarray) -> None:
@@ -299,7 +305,10 @@ def opportunistic_track(
     events: list[HandoverEvent] = []
     threshold = cfg.threshold_db
     counts = state.primary_counts()
-    for k in range(state.num_ues):
+    # Only UE k's own iteration changes its primary and measurement cluster, so
+    # the UEs with no O-RU beating the primary can be dropped up front.
+    beats = state.measurement & (beta_db > beta_db[state.primary, np.arange(state.num_ues)] + threshold)
+    for k in np.flatnonzero(beats.any(axis=0)).tolist():
         members = np.flatnonzero(state.measurement[:, k])
         current = int(state.primary[k])
         stronger = _ranked(beta_db[:, k], members[beta_db[members, k] > beta_db[current, k] + threshold])
@@ -312,16 +321,15 @@ def opportunistic_track(
         _track(state, k, target, neighbors, cfg)
         # O-RUs no longer tracking the UE stop serving it immediately.
         state.serving[~state.measurement[:, k], k] = False
-        _reload_oru(state, current, beta_db, n_antennas)
-        _reload_oru(state, target, beta_db, n_antennas)
+        _reload_orus(state, np.array([current, target]), beta_db, n_antennas)
         events.append(HandoverEvent(t, k, PRIMARY_CHANGE, current, target))
     # A reload only rewrites its own O-RU's row, so every trigger can be read
     # from the state after the handovers.
     best_candidate = np.where(state.measurement & ~state.serving, beta_db, -np.inf).max(axis=1)
     worst_served = np.where(state.serving, beta_db, np.inf).min(axis=1)
-    for l in np.flatnonzero(best_candidate > worst_served + threshold).tolist():
-        _reload_oru(state, l, beta_db, n_antennas)
-        events.append(HandoverEvent(t, -1, OPPORTUNISTIC_RELOAD, l, l))
+    triggered = np.flatnonzero(best_candidate > worst_served + threshold)
+    _reload_orus(state, triggered, beta_db, n_antennas)
+    events += [HandoverEvent(t, -1, OPPORTUNISTIC_RELOAD, l, l) for l in triggered.tolist()]
     return state, events
 
 
