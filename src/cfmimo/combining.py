@@ -241,7 +241,6 @@ def gain_moments(
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
     # Row 0 weighs every UE; row 1 the UEs sharing a serving O-RU, the others with power 0.
     powers = np.stack((np.broadcast_to(powers_mw, share.shape), np.where(share, powers_mw, 0.0)), axis=1)
-    rows = np.where(share.all(axis=1), 1, 2)  # a UE that every UE shares with needs row 0 only
     # Summed over draws, then antennas, per served pair (the values are antenna-major).
     power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
     power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
@@ -252,7 +251,6 @@ def gain_moments(
     gains = np.zeros((k_num, s_max, n_mc), dtype=complex)  # [i, j, d]: g_ki at O-RU S_k[j]
     # UE k's (K, s, s) Grams and their power-weighted rows go into contiguous prefixes of these.
     grams = np.empty(k_num * s_max * s_max, dtype=complex)
-    weighted = np.empty(rows.max() * grams.size, dtype=complex)
     for k, support in enumerate(supports):
         s = support.size
         columns = combiners.column[support, k]
@@ -265,28 +263,11 @@ def gain_moments(
         a = np.ascontiguousarray(gains[:, 0].T).T[:, None] if s == 1 else gains[:, :s]
         blocks = np.matmul(a, a.conj().swapaxes(-1, -2), out=grams[: k_num * s * s].reshape(k_num, s, s))
         blocks /= n_mc
-        terms = weighted[: rows[k] * blocks.size].reshape((rows[k],) + blocks.shape)
-        moments = _denominators(blocks, powers[k, : rows[k]], noise[columns], terms)
-        second_moment[k, :s, :s] = moments[0]
-        sharer_moment[k, :s, :s] = moments[-1]
+        moments = (powers[k] @ blocks.reshape(k_num, s * s).view(float)).view(complex)
+        moments[:, :: s + 1] += noise[columns]
+        second_moment[k, :s, :s] = moments[0].reshape(s, s)
+        sharer_moment[k, :s, :s] = moments[1].reshape(s, s)
     return GainMoments(mean_gain, second_moment, sharer_moment, serving)
-
-
-def _denominators(blocks: np.ndarray, powers: np.ndarray, noise: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_i powers[r, i] blocks[i] + diag(noise), per row r of ``powers``.
-
-    ``blocks`` is (K, s, s), ``powers`` (R, K) and ``noise`` (s,); the products
-    are written into ``terms``, a C-contiguous (R, K, s, s) buffer. They are
-    elementwise, and the interferer sum runs over a real view whose innermost
-    axis holds the real and imaginary parts, so numpy adds the terms in order
-    for every shape, s = 1 included (a complex ``sum`` turns pairwise there),
-    and a term of power 0 leaves the sum unchanged.
-    """
-    np.multiply(blocks, powers[:, :, None, None], out=terms)
-    denom = terms.view(float).sum(axis=1).view(complex)
-    s = noise.size
-    denom.reshape(len(powers), s * s)[:, :: s + 1] += noise
-    return denom
 
 
 def simulate_gain_moments(

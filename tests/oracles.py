@@ -196,10 +196,11 @@ def gathered_gain_moments(channels, combiners, serving, sigma2_mw: float, powers
     channels h[:, S_k], and the interferer Grams of A = g_k.transpose(2, 1, 0)
     are one product A A^H / d. Returns (mean_gain (K, L), second_moment (K,
     S_max, S_max), sharer_moment (K, S_max, S_max)) in the layout of
-    `combining.GainMoments`: the Grams weighted by ``powers_mw`` are added one
-    UE at a time in index order, onto zeros, over every UE or over the UEs
-    sharing a serving O-RU with k (the others with power 0), and then
-    sigma2 E[||v_{l,k}||^2] onto the diagonal.
+    `combining.GainMoments`: both interferer sums are one real product of the
+    (2, K) power rows, ``powers_mw`` over every UE and over the UEs sharing a
+    serving O-RU with k (the others with power 0), with the (K, s^2) Grams
+    viewed as (K, 2 s^2) reals; then sigma2 E[||v_{l,k}||^2] goes onto the
+    diagonal.
     """
     l_num, k_num = serving.shape
     n_mc = channels.shape[0]
@@ -219,10 +220,9 @@ def gathered_gain_moments(channels, combiners, serving, sigma2_mw: float, powers
         blocks = a @ a.conj().swapaxes(-1, -2) / n_mc
         noise = sigma2_mw * power[combiners.column[support, k]] / n_mc
         sharers = serving[support].any(axis=0)
-        for out, weights in ((second_moment, powers_mw), (sharer_moment, np.where(sharers, powers_mw, 0.0))):
-            total = np.zeros((s, s), dtype=complex)
-            for i in range(k_num):
-                total = total + weights[i] * blocks[i]
+        rows = np.stack((powers_mw, np.where(sharers, powers_mw, 0.0)))
+        totals = (rows @ blocks.reshape(k_num, s * s).view(float)).view(complex).reshape(2, s, s)
+        for out, total in zip((second_moment, sharer_moment), totals):
             total[np.arange(s), np.arange(s)] += noise
             out[k, :s, :s] = total
     return mean_gain, second_moment, sharer_moment
