@@ -37,10 +37,11 @@ DEFAULT_MIN_DISTANCE_M = 1.0
 QUADRATURE_NODES = 64
 QUADRATURE_TOL = 1e-9
 PSD_CLIP_REL_TOL = 1e-9
-# Angles per block of the one-ring quadrature. The (block, nodes) temporaries
-# then stay near 100 kB, which the allocator reuses from call to call; whole
-# (L, K, nodes) arrays were unmapped and page-faulted in again on every refresh.
-_RING_BLOCK = 64
+# Bytes of one complex (angles, nodes) temporary of the one-ring quadrature:
+# below glibc's default mmap threshold (128 KiB), the allocator reuses them from
+# call to call; whole (L, K, nodes) arrays were unmapped and page-faulted in
+# again on every refresh. At 11 nodes a block is 727 angles.
+_RING_BYTES = 128_000
 
 
 def jakes_autocorrelation(fc_hz: float, speed_mps: float, ts_s: float) -> float:
@@ -119,7 +120,9 @@ def _ring_lag_coefficients(
     the weights straight into the output. Lag 0 is the analytic 1 and is not
     evaluated. At zero spread the ring collapses to its centre angle (one node
     of unit weight), which gives the steering-vector lags. Angles are processed
-    in blocks of _RING_BLOCK.
+    in blocks of at least two whose complex (angles, nodes) temporaries fit
+    in _RING_BYTES; each angle's row is reduced with the same bits in any
+    block.
     """
     phi = np.asarray(phi, dtype=float)
     if spread_rad == 0.0:
@@ -130,8 +133,11 @@ def _ring_lag_coefficients(
     flat_phi = phi.reshape(-1)
     coeff = np.empty((flat_phi.size, num_antennas), dtype=complex)
     coeff[:, 0] = 1.0
-    for start in range(0, flat_phi.size, _RING_BLOCK):
-        rows = slice(start, start + _RING_BLOCK)
+    block = max(2, _RING_BYTES // (16 * offsets.size))
+    for start in range(0, flat_phi.size, block):
+        # numpy reduces a lone row with a dot product, whose bits differ from the
+        # matrix-vector product's: a last block of one angle takes the one before along.
+        rows = slice(max(0, min(start, flat_phi.size - 2)), start + block)
         phase = np.sin(flat_phi[rows, None] + offsets)
         phase *= 2.0 * np.pi * spacing_wl
         base = np.empty(phase.shape, dtype=complex)

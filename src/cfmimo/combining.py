@@ -8,14 +8,15 @@ only computed where the UE is served, and everything downstream inherits that
 support. The moments are therefore formed and stored on each UE's serving
 support only, and only the two that the second stage solves: a step holds the
 draws, O(d L K N) entries for d draws, plus two (K, S, S) moments for serving
-clusters of at most S O-RUs. A UE's (K, s, s) interferer Grams are reduced
-into its moments as soon as they are formed, so the K^2 S^2 interferer blocks
-are never held at once, nor is a per-draw gain array over all (O-RU, UE, UE)
-triples or a per-UE copy of the channels: the gains of one UE at a time go
-into one reused (K, S, d) buffer. At the reference scenario (n_mc=100)
-`gain_moments` takes ~37 ms per step for a fixed cell and ~118 ms for a
-ubiquitous one, and `second_stage` ~0.6 and ~1.8 ms (~4.4 and ~21 ms when it
-gathered (K, K, S, S) blocks).
+clusters of at most S O-RUs. The UEs of one support size s are formed in
+batches of bounded bytes (one UE at the reference scenario, up to 12 at
+n_mc=4), and a batch's (K, s, s) interferer Grams are reduced into its
+moments as soon as they are formed, so the K^2 S^2 interferer blocks are never
+held at once, nor is a per-draw gain array over all (O-RU, UE, UE) triples or
+a per-UE copy of the channels. At the reference scenario (n_mc=100)
+`gain_moments` takes ~33 ms per step for a fixed cell and ~98 ms for a
+ubiquitous one, and `second_stage` ~0.6 and ~1.6 ms (~4.4 and ~21 ms when it
+gathered (K, K, S, S) blocks); fastest of 7 on one core of a 2-vCPU Xeon VM.
 
 The channel and pilot-noise draws (`draw_estimates`) do not depend on the
 serving clusters, so several serving maps can score their combiners
@@ -31,9 +32,9 @@ Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
 channels and the per-(O-RU, pilot slot) pilot signals; the observations,
 estimates and combiners hold d N entries per needed or served pair, at most
 L K of them. Every other temporary is a fraction of a draw-sized array, except
-the buffers of one UE's (K, s, s) Grams and their power-weighted copies
-(K S_max^2 entries each, allocated once per map and reused by every UE),
-which outgrow it only when S_max^2 > d L N (ubiquitous serving at small n_mc).
+the Gram buffer of `gain_moments` when one UE's (K, s, s) Grams alone pass the
+batch bound; it outgrows a draw only when S_max^2 > d L N (ubiquitous serving
+at small n_mc).
 Draws are filled and scaled in place, and no stage writes into an array it
 was passed.
 
@@ -52,6 +53,11 @@ import numpy as np
 from . import pilots as pilots_mod
 from .channel import ChannelStatistics, sample_channels
 from .errors import NumericalError
+
+# Bytes of gains and Grams per `gain_moments` batch of at least one UE: one UE at the reference
+# scenario (n_mc=100), up to 12 UEs at n_mc=4 with K=40. Batches of 1 MiB were mapped afresh on
+# every call in the forked workers of a desk-scale campaign, ~180 page faults more per call.
+_BATCH_BYTES = 1 << 18
 
 
 @dataclass
@@ -227,17 +233,20 @@ def gain_moments(
     """Effective-gain moments of one serving map from the true (d, L, K, N)
     ``channels``, the map's served combiners and the UEs' transmit powers.
 
-    Nothing is written into the arrays passed, and the channels are not copied:
-    each serving O-RU l of UE k writes v_{l,k}^H h_{l,i} of every UE i into a
-    (K, S_max, d) buffer that all UEs reuse, whose rows are BLAS-ready for the
-    Grams. UE k's (K, s, s) Grams E[g_ki g_ki^H] are reduced on the spot into
-    its two moments (`_denominators`), so no interferer block outlives its UE.
+    Nothing is written into the arrays passed, and the channels are not copied.
+    The UEs of one support size s are formed in batches of at most _BATCH_BYTES
+    of gains and Grams. Each serving O-RU l of a batch's UE k writes
+    v_{l,k}^H h_{l,i} of every UE i into the batch's (n, K, s, d) gains, whose
+    rows are BLAS-ready for the (n, K, s, s) Grams E[g_ki g_ki^H], held in one
+    buffer for all batches. Both interferer sums are one product of each UE's
+    (2, K) power rows with its Grams viewed as (K, 2 s^2) reals; the noise goes
+    onto the diagonal. Every product is per UE, so no bit depends on the batch.
     """
     serving = np.asarray(serving, dtype=bool)
     l_num, k_num = serving.shape
     n_mc = channels.shape[0]
-    supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
-    s_max = max(support.size for support in supports)
+    sizes = serving.sum(axis=0)
+    s_max = sizes.max()
     share = (serving.T.astype(int) @ serving.astype(int)) > 0
     # Row 0 weighs every UE; row 1 the UEs sharing a serving O-RU, the others with power 0.
     powers = np.stack((np.broadcast_to(powers_mw, share.shape), np.where(share, powers_mw, 0.0)), axis=1)
@@ -248,25 +257,33 @@ def gain_moments(
     mean_gain = np.zeros((k_num, l_num), dtype=complex)
     second_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
     sharer_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
-    gains = np.zeros((k_num, s_max, n_mc), dtype=complex)  # [i, j, d]: g_ki at O-RU S_k[j]
-    # UE k's (K, s, s) Grams and their power-weighted rows go into contiguous prefixes of these.
-    grams = np.empty(k_num * s_max * s_max, dtype=complex)
-    for k, support in enumerate(supports):
-        s = support.size
-        columns = combiners.column[support, k]
-        v_k = combiners.values[:, columns, :, None].conj()  # (d, s, N, 1)
-        for j, l in enumerate(support):
-            np.matmul(channels[:, l], v_k[:, j], out=gains[:, j].T[..., None])
-        mean_gain[k, support] = gains[k, :s].sum(axis=-1) / n_mc
-        # numpy sends a one-row Gram to BLAS's dot, whose rounding depends on the stride; the draws
-        # go K entries apart there, as in the (d, s, K) gains of oracles.gathered_gain_moments.
-        a = np.ascontiguousarray(gains[:, 0].T).T[:, None] if s == 1 else gains[:, :s]
-        blocks = np.matmul(a, a.conj().swapaxes(-1, -2), out=grams[: k_num * s * s].reshape(k_num, s, s))
-        blocks /= n_mc
-        moments = (powers[k] @ blocks.reshape(k_num, s * s).view(float)).view(complex)
-        moments[:, :: s + 1] += noise[columns]
-        second_moment[k, :s, :s] = moments[0].reshape(s, s)
-        sharer_moment[k, :s, :s] = moments[1].reshape(s, s)
+    support_sizes, counts = np.unique(sizes[sizes > 0], return_counts=True)
+    steps = np.maximum(1, _BATCH_BYTES // (k_num * support_sizes * (n_mc + support_sizes) * 16))  # UEs per batch
+    # One buffer holds every batch's Grams: a ubiquitous UE's alone pass glibc's mmap threshold
+    # at K=160, and mapped afresh per batch they cost system time.
+    grams = np.empty(k_num * (np.minimum(counts, steps) * support_sizes**2).max(initial=0), dtype=complex)
+    for s, step in zip(support_sizes.tolist(), steps.tolist()):
+        same = np.flatnonzero(sizes == s)
+        for ues in (same[start : start + step] for start in range(0, same.size, step)):
+            supports = np.nonzero(serving[:, ues].T)[1].reshape(ues.size, s)
+            columns = combiners.column[supports, ues[:, None]]
+            v = combiners.values[:, columns, :, None].conj().transpose(1, 2, 0, 3, 4)  # (n, s, d, N, 1)
+            gains = np.empty((ues.size, k_num, s, n_mc), dtype=complex)  # [b, i, j, d]: g_ki at O-RU S_k[j]
+            out = gains.transpose(0, 2, 3, 1)[..., None]  # (n, s, d, K, 1)
+            for b, support in enumerate(supports.tolist()):
+                for j, l in enumerate(support):
+                    np.matmul(channels[:, l], v[b, j], out=out[b, j])
+            mean_gain[ues[:, None], supports] = gains[np.arange(ues.size), ues].sum(axis=-1) / n_mc
+            # numpy sends a one-row Gram to BLAS's dot, whose rounding depends on the stride; the draws
+            # go K entries apart there, as in the (d, s, K) gains of oracles.gathered_gain_moments.
+            a = np.ascontiguousarray(gains.swapaxes(1, 3)).swapaxes(1, 3) if s == 1 else gains
+            blocks = grams[: ues.size * k_num * s * s].reshape(ues.size, k_num, s, s)
+            np.matmul(a, a.conj().swapaxes(-1, -2), out=blocks)
+            blocks /= n_mc
+            sums = (powers[ues] @ blocks.reshape(ues.size, k_num, s * s).view(float)).view(complex)  # (n, 2, s^2)
+            sums[..., :: s + 1] += noise[columns][:, None]
+            second_moment[ues, :s, :s] = sums[:, 0].reshape(-1, s, s)
+            sharer_moment[ues, :s, :s] = sums[:, 1].reshape(-1, s, s)
     return GainMoments(mean_gain, second_moment, sharer_moment, serving)
 
 

@@ -16,6 +16,9 @@ import numpy as np
 from .channel import complex_normal_draws
 from .errors import ConfigurationError
 
+# Bytes of the temporaries of one add in `slot_observations`.
+_ADD_BYTES = 1 << 18
+
 
 def assign_pilots(num_ues: int, tau_p: int) -> np.ndarray:
     """Pilot index per UE: distinct while K <= tau_p, round-robin reuse beyond."""
@@ -69,16 +72,19 @@ def slot_observations(
     ``channels`` has shape (..., L, K, N); the signals are (..., L, slots, N):
     noise with covariance sigma2 * I drawn once per (O-RU, slot), plus
     sqrt(tau_p p_k) h_k of every UE k on the slot, added into the noise buffer
-    one reuse round at a time with temporaries of about one O-RU's (..., K, N)
-    channels. UE k observes ``signals[..., pilots.slot_of_ue[k], :]``.
+    one reuse round at a time, in blocks of O-RUs whose (..., O-RUs, UEs, N)
+    temporaries fit in _ADD_BYTES (one O-RU's at the reference scenario).
+    The adds are elementwise, so the blocks leave no trace in the bits. UE k
+    observes ``signals[..., pilots.slot_of_ue[k], :]``.
     """
     channels = np.asarray(channels)
     scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # (K,), cast once, not per add
     received = complex_normal_draws(channels.shape[:-2] + (pilots.slot_of_ue.max() + 1, channels.shape[-1]), rng)
     received *= np.sqrt(sigma2_mw / 2.0)
+    pair_bytes = channels[..., 0, 0, :].nbytes  # the draws of one (O-RU, UE) pair
     for ues, dest in pilots.reuse_rounds:
         amplitude = scale[ues, None]
-        block = max(1, scale.size // amplitude.shape[0])  # O-RUs per add
+        block = max(1, _ADD_BYTES // (pair_bytes * amplitude.shape[0]))  # O-RUs per add
         for start in range(0, channels.shape[-3], block):
             orus = slice(start, start + block)
             received[..., orus, dest, :] += amplitude * channels[..., orus, ues, :]

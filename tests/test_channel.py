@@ -166,6 +166,20 @@ class TestOneRing:
                 assert np.abs(cov[idx] - toeplitz(lags.conj(), lags)).max() < 1e-13
 
 
+    @pytest.mark.parametrize("nodes", [1, 11, 63])
+    def test_angle_blocks_leave_no_trace_in_bits(self, monkeypatch, nodes):
+        # Bounds of 1 angle (blocks of 2), 2, 7 and all 15 angles: blocks of 2
+        # and 7 leave a last block of one angle.
+        phi = np.random.default_rng(14).uniform(-np.pi, np.pi, size=(3, 5))
+        spread = 0.0 if nodes == 1 else 0.2
+        results = []
+        for angles in (1, 2, 7, 15):
+            monkeypatch.setattr(channel, "_RING_BYTES", angles * 16 * nodes)
+            results.append(channel._ring_lag_coefficients(phi, spread, 4, 0.5, nodes))
+        for coeff in results[:-1]:
+            assert np.array_equal(coeff.view(np.uint64), results[-1].view(np.uint64))
+
+
 def counting_lag_evaluations(monkeypatch):
     """Patch `_ring_lag_coefficients` to record the node count of every evaluation."""
     calls = []

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfmimo import combining
 from cfmimo.channel import (
     ChannelStatistics,
     covariance_factor,
@@ -363,7 +364,7 @@ class TestGainKernel:
         return draws.channels, combiners, pilots.power_mw
 
     # Supports of 0 to 6 O-RUs, several single-O-RU UEs, and ubiquitous serving.
-    @pytest.mark.parametrize(
+    MAPS = pytest.mark.parametrize(
         "serving",
         [
             served_sets(5, [[1], [0, 2], [2], [2, 3], [0, 2, 3], [2]]),
@@ -373,6 +374,8 @@ class TestGainKernel:
         ],
         ids=["unserved-and-single", "mixed", "all-single", "ubiquitous"],
     )
+
+    @MAPS
     @pytest.mark.parametrize("n_mc", [1, 7, 100])
     def test_matches_gather_oracle_bitwise(self, serving, n_mc):
         channels, combiners, powers = self._served(serving, n_mc, seed=n_mc)
@@ -384,6 +387,18 @@ class TestGainKernel:
         assert_same_bits(moments.sharer_moment, sharer_moment)
         assert_same_bits(channels, before[0])
         assert_same_bits(combiners.values.copy(), before[1])
+
+    @MAPS
+    @pytest.mark.parametrize("n_mc", [1, 7, 100])
+    def test_batches_leave_no_trace_in_bits(self, monkeypatch, serving, n_mc):
+        # A bound of 1 byte forms one UE per batch; the other every UE of one support size at once.
+        channels, combiners, powers = self._served(serving, n_mc, seed=n_mc + 1)
+        results = []
+        for bound in (1, 1 << 62):
+            monkeypatch.setattr(combining, "_BATCH_BYTES", bound)
+            results.append(gain_moments(channels, combiners, serving, 0.2, powers))
+        for name in ("mean_gain", "second_moment", "sharer_moment"):
+            assert_same_bits(getattr(results[0], name), getattr(results[1], name))
 
     def test_no_channel_copy_at_reference_deployment(self):
         # Ubiquitous serving at K=40, L=36, N=4, n_mc=100: every UE's support

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
+from cfmimo import pilots
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (
     PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots, slot_observations,
@@ -107,6 +108,20 @@ class TestObservation:
         assert np.array_equal(cfg.slot_of_ue, expected_slots)
         assert draws.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(h.view(np.uint64), h_before.view(np.uint64))
+
+    @pytest.mark.parametrize("orus_per_add", [1, 7, None])
+    @pytest.mark.parametrize("tau_p,permuted", [(8, False), (3, False), (3, True)])
+    def test_add_blocks_leave_no_trace_in_bits(self, monkeypatch, orus_per_add, tau_p, permuted):
+        # 15 O-RUs: blocks of 7 leave one over. The largest reuse round adds
+        # ``orus_per_add`` O-RUs at a time, a smaller one more; None adds all at once.
+        rng = np.random.default_rng(40 + tau_p + permuted)
+        h = rng.standard_normal((3, 15, 7, 2)) + 1j * rng.standard_normal((3, 15, 7, 2))
+        cfg = reuse_case(tau_p, permuted, rng)
+        largest = max(np.arange(7)[ues].size for ues, _ in cfg.reuse_rounds)
+        monkeypatch.setattr(pilots, "_ADD_BYTES", (orus_per_add or 15) * largest * h[:, 0, 0].nbytes)
+        received = slot_observations(h, cfg, 0.3, np.random.default_rng(13))
+        expected, _ = oracles.slot_observations(h, cfg, 0.3, np.random.default_rng(13))
+        assert np.array_equal(bits(received), bits(expected))
 
     def test_full_matrix_identity(self):
         # Building the tau_p-symbol received block and decorrelating it is
