@@ -55,8 +55,8 @@ from .channel import ChannelStatistics, sample_channels
 from .errors import NumericalError
 
 # Bytes of gains and Grams per `gain_moments` batch of at least one UE: one UE at the reference
-# scenario (n_mc=100), up to 12 UEs at n_mc=4 with K=40. Batches of 1 MiB were mapped afresh on
-# every call in the forked workers of a desk-scale campaign, ~180 page faults more per call.
+# scenario (n_mc=100), up to 12 UEs at n_mc=4 with K=40. Larger batches are mapped afresh on every
+# call in the forked workers of a desk-scale campaign (at 1 MiB, ~180 page faults more per call).
 _BATCH_BYTES = 1 << 18
 
 

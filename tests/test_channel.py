@@ -165,7 +165,6 @@ class TestOneRing:
                 assert np.abs(lags - np.exp(2j * np.pi * spacing_wl * np.arange(n_ant) * np.sin(phi[idx]))).max() < 1e-13
                 assert np.abs(cov[idx] - toeplitz(lags.conj(), lags)).max() < 1e-13
 
-
     @pytest.mark.parametrize("nodes", [1, 11, 63])
     def test_angle_blocks_leave_no_trace_in_bits(self, monkeypatch, nodes):
         # Bounds of 1 angle (blocks of 2), 2, 7 and all 15 angles: blocks of 2

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
 from cfmimo import pilots
+from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (
     PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots, slot_observations,
