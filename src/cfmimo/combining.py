@@ -13,10 +13,7 @@ batches of bounded bytes (one UE at the reference scenario, up to 12 at
 n_mc=4), and a batch's (K, s, s) interferer Grams are reduced into its
 moments as soon as they are formed, so the K^2 S^2 interferer blocks are never
 held at once, nor is a per-draw gain array over all (O-RU, UE, UE) triples or
-a per-UE copy of the channels. At the reference scenario (n_mc=100)
-`gain_moments` takes ~33 ms per step for a fixed cell and ~98 ms for a
-ubiquitous one, and `second_stage` ~0.6 and ~1.6 ms (~4.4 and ~21 ms when it
-gathered (K, K, S, S) blocks); fastest of 7 on one core of a 2-vCPU Xeon VM.
+a per-UE copy of the channels.
 
 The channel and pilot-noise draws (`draw_estimates`) do not depend on the
 serving clusters, so several serving maps can score their combiners
@@ -30,8 +27,9 @@ formed.
 
 Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
 channels and the per-(O-RU, pilot slot) pilot signals; the observations,
-estimates and combiners hold d N entries per needed or served pair, at most
-L K of them. Every other temporary is a fraction of a draw-sized array, except
+estimates and combiners hold d N entries per needed or served pair, and the
+error covariances N^2 per needed pair, one (P, N, N) stack; there are at most
+L K such pairs. Every other temporary is a fraction of a draw-sized array, except
 the Gram buffer of `gain_moments` when one UE's (K, s, s) Grams alone pass the
 batch bound; it outgrows a draw only when S_max^2 > d L N (ubiquitous serving
 at small n_mc).
@@ -73,12 +71,7 @@ class ServedCombiners:
 
 
 def served_combiners(
-    serving: np.ndarray,
-    estimates: np.ndarray,
-    column: np.ndarray,
-    error_covs: np.ndarray,
-    powers_mw: np.ndarray,
-    sigma2_mw: float,
+    serving: np.ndarray, draws: EstimationDraws, powers_mw: np.ndarray, sigma2_mw: float
 ) -> ServedCombiners:
     """Local MMSE combiners of the (O-RU, UE) pairs a serving map serves, per draw.
 
@@ -88,11 +81,12 @@ def served_combiners(
     of equal load |D_l| are batched, so each (draw, O-RU) system is factored
     once and solved for its own served UEs only.
 
-    ``estimates`` (d, P, N) holds the estimates of P pairs, ``estimates[:,
-    column[l, k]]`` that of UE k at O-RU l (the layout of `EstimationDraws`);
-    every served pair must be among them. ``error_covs`` (L, K, N, N) are the
-    estimation error covariances; those of pairs the map does not serve are
-    weighted by zero.
+    ``draws`` supplies the estimates and error covariances of the estimated
+    pairs (`EstimationDraws`); every served pair must be among them, and
+    nothing is written into them. Each O-RU's error term
+    sum_{i in D_l} p_i C_li is gathered from the (P, N, N) stack and summed
+    over its served UEs in ascending order, the order of a sum over all K UEs
+    whose unserved terms are zero.
 
     The Gram sums and the solves run on the served columns in ascending UE
     order, and the result is written antenna-major, as a dense solve over all
@@ -102,11 +96,9 @@ def served_combiners(
     serving = np.asarray(serving, dtype=bool)
     loads = serving.sum(axis=1)
     k_num = serving.shape[1]
-    n_mc, _, n_ant = estimates.shape
-    if np.any(column[serving] < 0):
+    n_mc, _, n_ant = draws.estimates.shape
+    if np.any(draws.column[serving] < 0):
         raise ValueError("the serving map serves (O-RU, UE) pairs that were not estimated")
-    weights = serving * powers_mw[None, :]  # (L, K), zero where l does not serve k
-    error_terms = np.einsum("lk,lkmn->lmn", weights, error_covs)
 
     served_column = np.full(serving.shape, -1)
     values = np.empty((n_mc, n_ant, int(loads.sum())), dtype=complex)  # antenna-major
@@ -116,7 +108,8 @@ def served_combiners(
         ues = np.nonzero(serving[orus])[1].reshape(orus.size, load)  # (G, load), ascending
         stop = start + ues.size
         served_column[orus[:, None], ues] = np.arange(start, stop).reshape(ues.shape)
-        est = _take(estimates, column[orus[:, None], ues])  # (d, G, load, N)
+        pairs = draws.column[orus[:, None], ues]  # (G, load)
+        est = _take(draws.estimates, pairs)  # (d, G, load, N)
         # Per-O-RU Gram over its served UEs: the conjugate of (p-weighted conj(h_hat))^T h_hat.
         terms, term_powers = est, powers_mw[ues]
         if load == 1 < k_num:
@@ -129,7 +122,8 @@ def served_combiners(
         gram = scaled_conj.swapaxes(-1, -2) @ terms  # (d, G, N, N)
         del scaled_conj, terms
         np.conjugate(gram, out=gram)
-        gram += error_terms[orus][None]
+        error_covs = _take(draws.error_covs[None], pairs)[0]  # (G, load, N, N)
+        gram += np.einsum("gi,gimn->gmn", powers_mw[ues], error_covs)[None]
         gram += sigma2_mw * np.eye(n_ant)
         solved = np.linalg.solve(gram, est.swapaxes(-1, -2))  # (d, G, N, load)
         del est, gram
@@ -180,16 +174,18 @@ class EstimationDraws:
     stream, so every serving map of a step can score its gains on them; the
     MMSE filters, error covariances and estimates are formed for the needed
     (O-RU, UE) pairs only, those some serving map of the step serves.
-    ``estimates[:, column[l, k]]`` is the (d, N) estimate of UE k at O-RU l,
-    and ``column`` is -1 for a pair not estimated, whose error covariance is
-    zero. A driver may set ``estimates`` to None once the last serving map has
-    its combiners.
+    ``estimates[:, column[l, k]]`` is the (d, N) estimate of UE k at O-RU l
+    and ``error_covs[column[l, k]]`` its (N, N) error covariance; ``column``
+    is -1 for a pair not estimated. Both stacks hold the P needed pairs in
+    ``np.nonzero(needed)`` order, so only the channels span every pair. No
+    stage writes into the draws; a driver may set ``estimates`` to None once
+    the last serving map has its combiners.
     """
 
     channels: np.ndarray  # (d, L, K, N) true channels
     estimates: np.ndarray | None  # (d, P, N) MMSE estimates of the P needed pairs
     column: np.ndarray  # (L, K) int
-    error_covs: np.ndarray  # (L, K, N, N) estimation error covariances, zero where not estimated
+    error_covs: np.ndarray  # (P, N, N) estimation error covariances of the needed pairs
 
 
 def draw_estimates(
@@ -206,17 +202,15 @@ def draw_estimates(
 
     Every channel and every (O-RU, pilot slot) noise vector is drawn, so the
     random stream does not depend on ``needed``. The MMSE filters and error
-    covariances are solved for the needed pairs only (`pilots.mmse_filters`),
-    and the pilot observations are gathered and filtered for them, one pair
-    at a time, so an estimate has the same bits whichever other pairs are
-    needed.
+    covariances are solved for the needed pairs only (`pilots.mmse_filters`)
+    and kept as its (P, N, N) stacks, and the pilot observations are gathered
+    and filtered for them, one pair at a time, so an estimate and its error
+    covariance have the same bits whichever other pairs are needed.
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
     orus, ues = np.nonzero(needed)
-    filters, pair_error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw, needed)
-    error_covs = np.zeros_like(stats.covariance)
-    error_covs[orus, ues] = pair_error_covs
+    filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw, needed)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
     received = pilots_mod.slot_observations(h, pilots, sigma2_mw, rng)
     observations = received[:, orus, pilots.slot_of_ue[ues]]  # (d, P, N)
@@ -303,7 +297,7 @@ def simulate_gain_moments(
     the pilot powers as the transmit powers.
     """
     draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng, serving)
-    combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, sigma2_mw)
+    combiners = served_combiners(serving, draws, pilots.power_mw, sigma2_mw)
     draws.estimates = None  # the gains need only the true channels and the combiners
     return gain_moments(draws.channels, combiners, serving, sigma2_mw, pilots.power_mw)
 

@@ -125,8 +125,8 @@ class _Lane:
 
     handover: clustering.HandoverConfig
     threshold_db: float
-    se: np.ndarray
-    ledger: signaling.SignalingLedger
+    se: np.ndarray | None = None
+    ledger: signaling.SignalingLedger | None = None
     events: list = field(default_factory=list)
     invalid: int = 0
     state: clustering.ClusterState | None = None
@@ -156,31 +156,33 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
     and gain moments, second stage and signaling, and writes only into its own
     arrays. Returns an EpisodeResult or a SimulationError per cell, in order:
     a NumericalError or MemoryError in a cell's own stage ends that cell, one
-    in a shared stage ends every live cell. The cells and the speed come
-    resolved from ``resolve_cell``; ``cfg`` supplies only settings that
-    resolving leaves as they are.
+    in the set-up or a shared stage ends every live cell. The cells and the
+    speed come resolved from ``resolve_cell``; ``cfg`` supplies only settings
+    that resolving leaves as they are.
     """
     rng = np.random.default_rng(episode_seed(cfg.seed, setup))
     replay = f"speed={speed_kmh:g} km/h, seed={cfg.seed}, setup={setup}"
     dep = cfg.deployment
     n_antennas = dep.antennas_per_oru
     sigma2 = cfg.sigma2_mw
-
-    topology = geometry.generate_deployment(dep, rng)
-    neighbors = clustering.NeighborTable(topology)
-    positions = geometry.uniform_positions(dep.num_ues, dep.grid_side_m, rng)
-    headings = geometry.uniform_headings(dep.num_ues, rng)
-    speeds = np.full(dep.num_ues, speed_kmh * KMH_TO_MPS)
-    shadow = ShadowFading.initial(dep.num_orus, dep.num_ues, cfg.sigma_sf_db, cfg.shadow_alpha_per_m, rng)
-    pilot_cfg = PilotConfig.uniform(dep.num_ues, cfg.tau_p, cfg.power_mw)
     channel_args = (
         cfg.angle_spread_rad, n_antennas, cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature
     )
-    lanes = [
-        _Lane(handover, threshold, np.zeros((cfg.n_steps, dep.num_ues)),
-              signaling.SignalingLedger(dep.num_orus, dep.num_odus))
-        for handover, threshold in cells
-    ]
+    lanes = [_Lane(handover, threshold) for handover, threshold in cells]
+    try:
+        topology = geometry.generate_deployment(dep, rng)
+        neighbors = clustering.NeighborTable(topology)
+        positions = geometry.uniform_positions(dep.num_ues, dep.grid_side_m, rng)
+        headings = geometry.uniform_headings(dep.num_ues, rng)
+        speeds = np.full(dep.num_ues, speed_kmh * KMH_TO_MPS)
+        shadow = ShadowFading.initial(dep.num_orus, dep.num_ues, cfg.sigma_sf_db, cfg.shadow_alpha_per_m, rng)
+        pilot_cfg = PilotConfig.uniform(dep.num_ues, cfg.tau_p, cfg.power_mw)
+        for lane in lanes:
+            lane.se = np.zeros((cfg.n_steps, dep.num_ues))
+            lane.ledger = signaling.SignalingLedger(dep.num_orus, dep.num_odus)
+    except _STEP_FAILURES as exc:
+        _abort(lanes, 0, replay, exc)
+        return [lane.error for lane in lanes]
 
     for step in range(cfg.n_steps + 1):  # step 0 is the set-up
         live = [lane for lane in lanes if lane.error is None]
@@ -223,9 +225,7 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
         for index, (lane, step_events) in enumerate(updated):
             try:
                 serving = lane.state.serving
-                combiners = served_combiners(
-                    serving, draws.estimates, draws.column, draws.error_covs, pilot_cfg.power_mw, sigma2
-                )
+                combiners = served_combiners(serving, draws, pilot_cfg.power_mw, sigma2)
                 if index == len(updated) - 1:
                     draws.estimates = None
                 moments = gain_moments(draws.channels, combiners, serving, sigma2, pilot_cfg.power_mw)

@@ -8,6 +8,7 @@ production kernels against them.
 import math
 
 import numpy as np
+from scipy.spatial import Voronoi
 from scipy.special import jv
 
 
@@ -254,6 +255,29 @@ def second_stage_oracle(moments, powers_mw):
         if np.isfinite(interference) and interference > 0.0:
             se[k] = math.log2(1.0 + powers_mw[k] * abs(a.conj() @ mean) ** 2 / interference)
     return weights, se
+
+
+def inter_odu_boundary_length(oru_positions, odu_of_oru, grid_side: float) -> float:
+    """Total length of the torus boundaries between O-RU Voronoi cells of different O-DUs.
+
+    `scipy.spatial.Voronoi` runs on the O-RUs tiled 3 x 3 around the grid, so
+    every cell of the central tile is bounded. A ridge between two central
+    O-RUs is one torus edge. A ridge between a central O-RU and an image of
+    another crosses the tile's border, and the same torus edge appears once
+    more from its other end, so each such ridge counts half: every
+    wrap-around edge is counted once.
+    """
+    l_num = len(oru_positions)
+    offsets = grid_side * np.array([(i, j) for i in (0, 1, -1) for j in (0, 1, -1)], dtype=float)
+    voronoi = Voronoi((offsets[:, None, :] + np.asarray(oru_positions)[None]).reshape(-1, 2))
+    total = 0.0
+    for (p, q), ridge in zip(voronoi.ridge_points, voronoi.ridge_vertices):
+        central = int(p < l_num) + int(q < l_num)  # the first tile is the central one
+        if central and odu_of_oru[p % l_num] != odu_of_oru[q % l_num]:
+            assert -1 not in ridge, "a central Voronoi cell is unbounded"
+            a, b = voronoi.vertices[ridge]
+            total += central / 2 * math.hypot(a[0] - b[0], a[1] - b[1])
+    return total
 
 
 def fixed_selection(gains, measurement_idx, serving_size: int):

@@ -240,6 +240,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"episode aborted at step {step}" in err and "Unable to allocate 9.99 TiB" in err
 
+    def test_setup_out_of_memory_exits_3(self, monkeypatch, tmp_path, capsys):
+        # A failure before the first step names the episode too.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(simulate.geometry, "uniform_positions", out_of_memory)
+        assert cli.main(["run", *TINY, "--setups", "1", "--out", str(tmp_path / "se.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "episode aborted at step 0 (strategy=fixed" in err and "seed=" in err and "setup=0" in err
+        assert "Unable to allocate 7.28 TiB" in err
+        assert not (tmp_path / "se.csv").exists()
+
     def test_overflowing_gain_exits_3(self, tmp_path, capsys):
         # 10^(beta_db / 10) overflows under this shadowing; the run must not go on with inf gains.
         args = ["run", *TINY, "--setups", "1", "--set", "sigma_sf_db=1e300", "--out", str(tmp_path / "se.csv")]

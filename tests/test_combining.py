@@ -16,6 +16,7 @@ from cfmimo.channel import (
 )
 from cfmimo.combining import (
     EffectiveGainStats,
+    EstimationDraws,
     draw_estimates,
     gain_moments,
     lsfd_weights,
@@ -58,9 +59,8 @@ def one_oru_combiners(h_hat, error_covs, powers, sigma2, serving=None):
     zero rows for the UEs it does not serve."""
     k_num = h_hat.shape[0]
     serving = np.ones((1, k_num), dtype=bool) if serving is None else np.asarray([serving])
-    served = served_combiners(
-        serving, h_hat[None], np.arange(k_num)[None], error_covs[None], np.asarray(powers), sigma2
-    )
+    draws = EstimationDraws(None, h_hat[None], np.arange(k_num)[None], error_covs)
+    served = served_combiners(serving, draws, np.asarray(powers), sigma2)
     combiners = np.zeros_like(h_hat)
     ues = np.flatnonzero(serving[0])
     combiners[ues] = served.values[0, served.column[0, ues]]
@@ -144,10 +144,11 @@ class TestServedCombiners:
             assert np.all(draws.column[~needed] == -1)
             estimated = np.nonzero(needed)
             assert_same_bits(draws.estimates[:, draws.column[estimated]], h_hat[:, estimated[0], estimated[1]])
+            # The error covariances are one stack over the estimated pairs, in the estimates' order.
+            assert draws.error_covs.shape == (needed.sum(), n_ant, n_ant)
+            assert_same_bits(draws.error_covs[draws.column[estimated]], error_covs[estimated])
 
-            served = served_combiners(
-                serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, sigma2
-            )
+            served = served_combiners(serving, draws, pilots.power_mw, sigma2)
             assert served.values.shape == (n_mc, serving.sum(), n_ant)
             assert np.all(served.column[~serving] == -1)
             assert_same_bits(served.values[:, served.column[orus, ues]], dense[:, orus, ues])
@@ -168,7 +169,7 @@ class TestServedCombiners:
         needed[2, 1] = False
         draws = draw_estimates(stats, pilots, 0.2, 4, rng, needed)
         with pytest.raises(ValueError, match="not estimated"):
-            served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, 0.2)
+            served_combiners(serving, draws, pilots.power_mw, 0.2)
 
 
 class TestEffectiveGainStats:
@@ -194,7 +195,7 @@ class TestEffectiveGainStats:
         serving = np.array([[True, False], [False, True]])
         pilots = PilotConfig.uniform(2, 4, 1.0)
         draws = draw_estimates(stats, pilots, 0.3, 50, rng, serving)
-        combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, 0.3)
+        combiners = served_combiners(serving, draws, pilots.power_mw, 0.3)
         moments = gain_moments(draws.channels, combiners, serving, 0.3, pilots.power_mw)
         ue = stats_for_ue(moments, 0)
         assert ue.second_moment.shape == (1, 1)
@@ -360,7 +361,7 @@ class TestGainKernel:
         stats = make_stats(ring_stack(rng, l_num, k_num, n_ant))
         pilots = PilotConfig(2, np.arange(k_num) % 2, rng.uniform(0.5, 2.0, size=k_num))  # tau_p < K
         draws = draw_estimates(stats, pilots, 0.2, n_mc, rng, serving)
-        combiners = served_combiners(serving, draws.estimates, draws.column, draws.error_covs, pilots.power_mw, 0.2)
+        combiners = served_combiners(serving, draws, pilots.power_mw, 0.2)
         return draws.channels, combiners, pilots.power_mw
 
     # Supports of 0 to 6 O-RUs, several single-O-RU UEs, and ubiquitous serving.

@@ -105,6 +105,21 @@ class TestEpisode:
         assert np.all(np.isfinite(result.se))
         assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_fixed_step_memory_follows_served_pairs(self):
+        # One fixed step at K=160, L=144 (the reference density on 2 x 2 km), n_mc=8,
+        # peaks at ~38 MB. A dense (L, K, N, N) copy of the error covariances, or an
+        # L K power-weighted sum over it per cell, would take it to ~44 MB.
+        deployment = DeploymentConfig(grid_side_m=2000.0, num_orus=144, num_odus=16, antennas_per_oru=4, num_ues=160)
+        cfg = SimConfig(deployment=deployment, n_mc=8, sim_time_s=0.5)
+        tracemalloc.start()
+        try:
+            result = run_episode(cfg, 0, strategy=clustering.FIXED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(result.se))
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_episodes_csv(self):
         cfg = tiny_config(sim_time_s=1.0)
         results = [run_episode(cfg, s) for s in range(2)]
@@ -401,6 +416,38 @@ class TestLockstep:
         lanes = [simulate.resolve_cell(cfg, s, 2.0, 30.0)[:2] for s in STRATEGIES]
         outcomes = simulate._run_lockstep(cfg, lanes, 30.0, 0)
         assert all(isinstance(o, SimulationError) and "step 0" in str(o) for o in outcomes)
+
+    # The set-up before the first step: placements, shadowing, pilots, and each cell's arrays.
+    @pytest.mark.parametrize(
+        "owner,name,error",
+        [(simulate.geometry, "uniform_positions", MemoryError("Unable to allocate 7.28 TiB for an array")),
+         (simulate.ShadowFading, "initial", NumericalError("injected set-up failure")),
+         (simulate.signaling, "SignalingLedger", MemoryError("Unable to allocate 7.28 TiB for an array"))],
+    )
+    def test_setup_failure_names_the_episode(self, monkeypatch, owner, name, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(owner, name, fail)
+        cfg = tiny_config(n_setups=1)
+        expected = f"episode aborted at step 0 (strategy=fixed, threshold=2 dB, speed=30 km/h, seed=5, setup=0): {error}"
+        with pytest.raises(SimulationError) as episode_error:
+            run_episode(cfg, 0)
+        assert str(episode_error.value) == expected and episode_error.value.__cause__ is error
+        with pytest.raises(SimulationError) as campaign_error:
+            run_campaign(cfg, strategies=STRATEGIES, thresholds=[2.0], parallelism=1)
+        assert str(campaign_error.value) == expected
+        lanes = [simulate.resolve_cell(cfg, s, 2.0, 30.0)[:2] for s in STRATEGIES]
+        outcomes = simulate._run_lockstep(cfg.resolve(), lanes, 30.0, 0)
+        assert all(isinstance(o, SimulationError) and str(o).startswith("episode aborted at step 0") for o in outcomes)
+
+    def test_setup_configuration_error_passes_through(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConfigurationError("injected configuration error")
+
+        monkeypatch.setattr(simulate.geometry, "uniform_positions", fail)
+        with pytest.raises(ConfigurationError, match="injected configuration error"):
+            run_episode(tiny_config(), 0)
 
 
 class TestConfig:
