@@ -42,6 +42,10 @@ PSD_CLIP_REL_TOL = 1e-9
 # call to call; whole (L, K, nodes) arrays were unmapped and page-faulted in
 # again on every refresh. At 11 nodes a block is 727 angles.
 _RING_BYTES = 128_000
+# Bytes of one chunk of real normal draws in `complex_normal_draws`, below the
+# mmap threshold for the same reason; whole draw-sized float temporaries took
+# 4.6 MB at the reference scenario.
+_DRAW_BYTES = 128_000
 
 
 def jakes_autocorrelation(fc_hz: float, speed_mps: float, ts_s: float) -> float:
@@ -315,24 +319,30 @@ def covariance_factor(cov: np.ndarray) -> np.ndarray:
 def sample_channels(factor: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Stacked draws h = A z for factors (L, K, N, N) -> realizations (n_draws, L, K, N).
 
-    z ~ CN(0, I) is scaled in place, so the draws hold one complex array of
-    z's shape at a time besides the result.
+    z ~ CN(0, I) is drawn already scaled by 1/sqrt(2), the reciprocal numpy's
+    complex division by sqrt(2) multiplies with, so it has the bits of z / sqrt(2);
+    the draws hold one complex array of z's shape at a time besides the result.
     """
-    z = complex_normal_draws((n_draws,) + factor.shape[:-1], rng)
-    z /= np.sqrt(2.0)
+    z = complex_normal_draws((n_draws,) + factor.shape[:-1], rng, 1.0 / np.sqrt(2.0))
     return (factor @ z[..., None])[..., 0]
 
 
-def complex_normal_draws(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """x + j y with x and then y standard normal draws of ``shape`` from ``rng``.
+def complex_normal_draws(shape: tuple, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """scale (x + j y) with x and then y standard normal draws of ``shape`` from ``rng``.
 
     The values and the stream position equal those of
-    ``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)``, but only
-    one complex array of ``shape`` is allocated (and one real draw at a time).
+    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale``,
+    but only one complex array of ``shape`` is allocated: each part is drawn in
+    chunks of _DRAW_BYTES (chunked draws continue the stream as one draw does)
+    and scaled straight into the real or imaginary entries.
     """
     z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
+    flat = z.reshape(-1)
+    step = _DRAW_BYTES // 8
+    for part in (flat.real, flat.imag):
+        for start in range(0, part.size, step):
+            chunk = part[start : start + step]
+            np.multiply(rng.standard_normal(chunk.size), scale, out=chunk)
     return z
 
 

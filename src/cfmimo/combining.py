@@ -29,10 +29,11 @@ Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
 channels and the per-(O-RU, pilot slot) pilot signals; the observations,
 estimates and combiners hold d N entries per needed or served pair, and the
 error covariances N^2 per needed pair, one (P, N, N) stack; there are at most
-L K such pairs. Every other temporary is a fraction of a draw-sized array, except
-the Gram buffer of `gain_moments` when one UE's (K, s, s) Grams alone pass the
-batch bound; it outgrows a draw only when S_max^2 > d L N (ubiquitous serving
-at small n_mc).
+L K such pairs. Every other temporary is a fraction of a draw-sized array:
+`served_combiners` solves in blocks of draws of about _SOLVE_BYTES (1 MiB), and
+`gain_moments` in batches of _BATCH_BYTES, except that its Gram buffer holds one
+UE's (K, s, s) Grams even when they alone pass the batch bound; it outgrows a
+draw only when S_max^2 > d L N (ubiquitous serving at small n_mc).
 Draws are filled and scaled in place, and no stage writes into an array it
 was passed.
 
@@ -56,6 +57,11 @@ from .errors import NumericalError
 # scenario (n_mc=100), up to 12 UEs at n_mc=4 with K=40. Larger batches are mapped afresh on every
 # call in the forked workers of a desk-scale campaign (at 1 MiB, ~180 page faults more per call).
 _BATCH_BYTES = 1 << 18
+# Bytes of Grams, right-hand sides and their temporaries per block of draws in `served_combiners`:
+# all 100 draws of most O-RU groups of the reference scenario's fixed clusters, 3 draws of the 36
+# O-RUs that serve all 40 UEs under ubiquitous serving. Smaller blocks slow the reference scenario;
+# larger ones raise a desk-scale campaign's peak memory.
+_SOLVE_BYTES = 1 << 20
 
 
 @dataclass
@@ -77,25 +83,26 @@ def served_combiners(
 
     The combiner of UE k at O-RU l is
     p_k (sum_{i in D_l} p_i (h_hat_i h_hat_i^H + C_i) + sigma2 I)^{-1} h_hat_k,
-    with D_l the UEs O-RU l serves; only l's served columns are solved. O-RUs
-    of equal load |D_l| are batched, so each (draw, O-RU) system is factored
-    once and solved for its own served UEs only.
+    with D_l the UEs O-RU l serves; only l's served columns are solved.
 
     ``draws`` supplies the estimates and error covariances of the estimated
     pairs (`EstimationDraws`); every served pair must be among them, and
     nothing is written into them. Each O-RU's error term
-    sum_{i in D_l} p_i C_li is gathered from the (P, N, N) stack and summed
-    over its served UEs in ascending order, the order of a sum over all K UEs
-    whose unserved terms are zero.
+    sum_{i in D_l} p_i C_li is summed over its served UEs in ascending order.
 
-    The Gram sums and the solves run on the served columns in ascending UE
-    order, and the result is written antenna-major, as a dense solve over all
-    K columns lays it out: each served column has the dense solve's bits, and
-    so do the sums over it (the noise terms of `gain_moments`).
+    The O-RUs of equal load |D_l| form one group, whose systems are laid out
+    batch-last: (N, N, G, b) Grams and (N, load, G, b) right-hand sides for
+    its G O-RUs and a block of b draws. The Grams are summed term by term in
+    ascending UE order and every system is solved by one LDL^H elimination
+    vectorized over the trailing axes (`_hpd_solve`). All arithmetic is
+    elementwise over the systems, so a combiner's bits depend neither on the
+    block nor on the other O-RUs of its group. Blocks of draws hold at most
+    about _SOLVE_BYTES of Grams, right-hand sides and temporaries (at least
+    one draw). A singular system raises NumericalError naming its O-RU and
+    draw. The combiners are stored antenna-major.
     """
     serving = np.asarray(serving, dtype=bool)
     loads = serving.sum(axis=1)
-    k_num = serving.shape[1]
     n_mc, _, n_ant = draws.estimates.shape
     if np.any(draws.column[serving] < 0):
         raise ValueError("the serving map serves (O-RU, UE) pairs that were not estimated")
@@ -103,43 +110,83 @@ def served_combiners(
     served_column = np.full(serving.shape, -1)
     values = np.empty((n_mc, n_ant, int(loads.sum())), dtype=complex)  # antenna-major
     start = 0
-    for load in np.unique(loads[loads > 0]):
-        orus = np.flatnonzero(loads == load)
-        ues = np.nonzero(serving[orus])[1].reshape(orus.size, load)  # (G, load), ascending
-        stop = start + ues.size
-        served_column[orus[:, None], ues] = np.arange(start, stop).reshape(ues.shape)
-        pairs = draws.column[orus[:, None], ues]  # (G, load)
-        est = _take(draws.estimates, pairs)  # (d, G, load, N)
-        # Per-O-RU Gram over its served UEs: the conjugate of (p-weighted conj(h_hat))^T h_hat.
-        terms, term_powers = est, powers_mw[ues]
-        if load == 1 < k_num:
-            # numpy forms a one-term product outside BLAS, with other bits than
-            # the BLAS sum over K terms; a zero second term keeps it in BLAS.
-            terms = np.concatenate((est, np.zeros_like(est)), axis=2)
-            term_powers = np.concatenate((term_powers, np.zeros_like(term_powers)), axis=1)
-        scaled_conj = terms.conj()
-        scaled_conj *= term_powers[..., None]
-        gram = scaled_conj.swapaxes(-1, -2) @ terms  # (d, G, N, N)
-        del scaled_conj, terms
-        np.conjugate(gram, out=gram)
-        error_covs = _take(draws.error_covs[None], pairs)[0]  # (G, load, N, N)
-        gram += np.einsum("gi,gimn->gmn", powers_mw[ues], error_covs)[None]
-        gram += sigma2_mw * np.eye(n_ant)
-        solved = np.linalg.solve(gram, est.swapaxes(-1, -2))  # (d, G, N, load)
-        del est, gram
-        out = values[:, :, start:stop].reshape(n_mc, n_ant, *ues.shape).swapaxes(1, 2)  # (d, G, N, load)
-        np.multiply(solved, powers_mw[ues][None, :, None, :], out=out)
+    for load in np.unique(loads[loads > 0]).tolist():
+        group = np.flatnonzero(loads == load)
+        group_ues = np.nonzero(serving[group])[1].reshape(group.size, load)  # (G, load), ascending
+        stop = start + group_ues.size
+        served_column[group[:, None], group_ues] = np.arange(start, stop).reshape(group_ues.shape)
+        pairs = draws.column[group[:, None], group_ues].T  # (load, G)
+        powers = powers_mw[group_ues].T[..., None]  # (load, G, 1)
+        # sum_{i in D_l} p_i C_li + sigma2 I as (N, N, G, 1); accumulate adds in ascending i.
+        error = np.add.accumulate(powers[..., None] * draws.error_covs[pairs], axis=0)[-1]
+        fixed = (error + sigma2_mw * np.eye(n_ant)).transpose(1, 2, 0)[..., None]
+        out = values[:, :, start:stop].reshape(n_mc, n_ant, *group_ues.shape).transpose(1, 3, 2, 0)
+        step = max(1, _SOLVE_BYTES // (group.size * (2 * n_ant + 3 * load) * n_ant * 16))  # draws per block
+        for first in range(0, n_mc, step):
+            block = slice(first, first + step)
+            est = draws.estimates[block][:, pairs].transpose(3, 1, 2, 0)  # (N, load, G, b)
+            solved = np.multiply(est, powers, out=np.empty(est.shape, dtype=complex))  # p_k h_k, solved in place
+            conj_est = np.conjugate(est, out=np.empty(est.shape, dtype=complex))
+            del est  # the gather goes before the Gram is formed, its conjugate before the solve
+            gram = _gram(solved, conj_est, fixed)
+            del conj_est
+            _hpd_solve(gram, solved, group, first)
+            out[..., block] = solved
         start = stop
     return ServedCombiners(values.swapaxes(1, 2), served_column)
 
 
-def _take(array: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``array[:, index]``; a view, not a copy, when ``index`` is one ascending run,
-    as for a cell that serves every estimated pair."""
-    run = pilots_mod.index_run(index.ravel())
-    if isinstance(run, slice):
-        return array[:, run].reshape(array.shape[:1] + index.shape + array.shape[2:])
-    return array[:, index]
+def _gram(scaled, conj_est, fixed):
+    """The (N, N, G, b) Grams sum_i p_i h_i h_i^H + ``fixed`` from the (N, load, G, b)
+    ``scaled`` p_i h_i and ``conj_est`` conj(h_i), summed in ascending i."""
+    gram = np.empty(fixed.shape[:2] + scaled.shape[2:], dtype=complex)
+    gram[...] = fixed
+    term = np.empty_like(gram)
+    for i in range(scaled.shape[1]):
+        np.multiply(scaled[:, None, i], conj_est[None, :, i], out=term)
+        gram += term
+    return gram
+
+
+def _hpd_solve(gram, x, orus, first_draw):
+    """Solve each (N, N) Hermitian positive-definite system of the (N, N, G, b)
+    ``gram`` in place for its (N, load) right-hand sides in ``x`` (N, load, G, b).
+
+    The LDL^H factorization without pivoting, backward stable for such
+    matrices, runs on the trailing axes elementwise, so a system's bits do not
+    depend on the others; the operands of every product have equal ndim, as
+    numpy rounds a lone complex element broadcast across dimensions otherwise.
+    Both arrays must be C-contiguous; ``gram`` is overwritten. A pivot whose
+    real part is not above N eps times its system's largest diagonal entry
+    (NaN and infinite pivots included) raises NumericalError naming the O-RU
+    (``orus[g]``) and the draw (``first_draw + b``).
+    """
+    n_ant, _, _, n_draws = gram.shape
+    gram = gram.reshape(n_ant, n_ant, -1)  # views: one axis over the systems
+    x = x.reshape(n_ant, x.shape[1], -1)
+    relative = n_ant * np.finfo(float).eps
+    floor = np.diagonal(gram).real.max(axis=-1) * relative
+    inverse = np.empty((n_ant, gram.shape[-1]), dtype=complex)  # D^-1
+    for k in range(n_ant):
+        pivot = gram[k, k].real
+        if not (pivot > floor).all():
+            g, b = divmod(np.flatnonzero(~(pivot > floor))[0], n_draws)
+            raise NumericalError(
+                f"singular combiner system of O-RU {orus[g]} in draw {first_draw + b}: pivot "
+                f"{pivot[g * n_draws + b]:.3g} is not above {n_ant} eps times its largest diagonal entry "
+                f"{floor[g * n_draws + b] / relative:.3g}"
+            )
+        np.divide(1.0, pivot, out=inverse[k])
+        if k + 1 < n_ant:
+            column = gram[k + 1 :, k]
+            conj_column = column.conj()
+            column *= inverse[None, k]  # column k of L
+            gram[k + 1 :, k + 1 :] -= column[:, None] * conj_column[None]
+    for k in range(n_ant - 1):  # L y = x
+        x[k + 1 :] -= gram[k + 1 :, k, None] * x[None, k]
+    x *= inverse[:, None]
+    for k in range(n_ant - 1, 0, -1):  # L^H x = D^-1 y
+        x[:k] -= gram[k, :k, None].conj() * x[None, k]
 
 
 @dataclass
@@ -230,7 +277,7 @@ def gain_moments(
     Nothing is written into the arrays passed, and the channels are not copied.
     The UEs of one support size s are formed in batches of at most _BATCH_BYTES
     of gains and Grams. Each serving O-RU l of a batch's UE k writes
-    v_{l,k}^H h_{l,i} of every UE i into the batch's (n, K, s, d) gains, whose
+    v_{l,k}^H h_{l,i} of every UE i into the batch's (n, s, K, d) gains, whose
     rows are BLAS-ready for the (n, K, s, s) Grams E[g_ki g_ki^H], held in one
     buffer for all batches. Both interferer sums are one product of each UE's
     (2, K) power rows with its Grams viewed as (K, 2 s^2) reals; the noise goes
@@ -241,7 +288,7 @@ def gain_moments(
     n_mc = channels.shape[0]
     sizes = serving.sum(axis=0)
     s_max = sizes.max()
-    share = (serving.T.astype(int) @ serving.astype(int)) > 0
+    share = _sharers(serving)
     # Row 0 weighs every UE; row 1 the UEs sharing a serving O-RU, the others with power 0.
     powers = np.stack((np.broadcast_to(powers_mw, share.shape), np.where(share, powers_mw, 0.0)), axis=1)
     # Summed over draws, then antennas, per served pair (the values are antenna-major).
@@ -262,15 +309,17 @@ def gain_moments(
             supports = np.nonzero(serving[:, ues].T)[1].reshape(ues.size, s)
             columns = combiners.column[supports, ues[:, None]]
             v = combiners.values[:, columns, :, None].conj().transpose(1, 2, 0, 3, 4)  # (n, s, d, N, 1)
-            gains = np.empty((ues.size, k_num, s, n_mc), dtype=complex)  # [b, i, j, d]: g_ki at O-RU S_k[j]
-            out = gains.transpose(0, 2, 3, 1)[..., None]  # (n, s, d, K, 1)
+            gains = np.empty((ues.size, s, k_num, n_mc), dtype=complex)  # [b, j, i, d]: g_ki at O-RU S_k[j]
+            out = gains.transpose(0, 1, 3, 2)[..., None]  # (n, s, d, K, 1): a row of K gains spans d entries
             for b, support in enumerate(supports.tolist()):
                 for j, l in enumerate(support):
                     np.matmul(channels[:, l], v[b, j], out=out[b, j])
-            mean_gain[ues[:, None], supports] = gains[np.arange(ues.size), ues].sum(axis=-1) / n_mc
-            # numpy sends a one-row Gram to BLAS's dot, whose rounding depends on the stride; the draws
-            # go K entries apart there, as in the (d, s, K) gains of oracles.gathered_gain_moments.
-            a = np.ascontiguousarray(gains.swapaxes(1, 3)).swapaxes(1, 3) if s == 1 else gains
+            mean_gain[ues[:, None], supports] = gains[np.arange(ues.size), :, ues].sum(axis=-1) / n_mc
+            a = gains.swapaxes(1, 2)  # [b, i, j, d], rows contiguous along the draws
+            if s == 1:
+                # numpy sends a one-row Gram to BLAS's dot, whose rounding depends on the stride; the draws
+                # go K entries apart there, as in the (d, s, K) gains of oracles.gathered_gain_moments.
+                a = np.ascontiguousarray(a.swapaxes(1, 3)).swapaxes(1, 3)
             blocks = grams[: ues.size * k_num * s * s].reshape(ues.size, k_num, s, s)
             np.matmul(a, a.conj().swapaxes(-1, -2), out=blocks)
             blocks /= n_mc
@@ -279,6 +328,13 @@ def gain_moments(
             second_moment[ues, :s, :s] = sums[:, 0].reshape(-1, s, s)
             sharer_moment[ues, :s, :s] = sums[:, 1].reshape(-1, s, s)
     return GainMoments(mean_gain, second_moment, sharer_moment, serving)
+
+
+def _sharers(serving: np.ndarray) -> np.ndarray:
+    """(K, K) bool: UEs k and i share a serving O-RU. One float64 product, which
+    numpy sends to BLAS (an integer product runs outside it, ~0.5 s at K=640);
+    the counts are exact in float64."""
+    return (serving.T.astype(float) @ serving.astype(float)) > 0
 
 
 def simulate_gain_moments(

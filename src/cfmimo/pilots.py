@@ -46,7 +46,9 @@ class PilotConfig:
 
     def __post_init__(self):
         self.slot_of_ue = np.unique(self.pilot_index, return_inverse=True)[1]
-        rank = np.tril(self.slot_of_ue[:, None] == self.slot_of_ue, -1).sum(axis=1)  # UEs before k on k's slot
+        order = np.argsort(self.slot_of_ue, kind="stable")  # by slot, then by UE
+        rank = np.empty_like(order)  # UEs before k on k's slot
+        rank[order] = np.arange(order.size) - np.searchsorted(self.slot_of_ue[order], self.slot_of_ue[order])
         rounds = [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
         self.reuse_rounds = [(index_run(ues), index_run(self.slot_of_ue[ues])) for ues in rounds]
 
@@ -79,8 +81,9 @@ def slot_observations(
     """
     channels = np.asarray(channels)
     scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # (K,), cast once, not per add
-    received = complex_normal_draws(channels.shape[:-2] + (pilots.slot_of_ue.max() + 1, channels.shape[-1]), rng)
-    received *= np.sqrt(sigma2_mw / 2.0)
+    received = complex_normal_draws(
+        channels.shape[:-2] + (pilots.slot_of_ue.max() + 1, channels.shape[-1]), rng, np.sqrt(sigma2_mw / 2.0)
+    )
     pair_bytes = channels[..., 0, 0, :].nbytes  # the draws of one (O-RU, UE) pair
     for ues, dest in pilots.reuse_rounds:
         amplitude = scale[ues, None]

@@ -8,8 +8,9 @@ production kernels against them.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.spatial import Voronoi
-from scipy.special import jv
+from scipy.special import gammaln, jv
 
 
 def wrap_distance_and_angle(a, b, grid_side: float):
@@ -169,6 +170,51 @@ def local_mmse_combiners(serving, h_hat, error_covs, powers_mw, sigma2_mw):
     combiners = np.linalg.solve(gram, h_hat.swapaxes(-1, -2)).swapaxes(-1, -2)  # (d, L, K, N)
     combiners *= weights[None, :, :, None]
     return combiners
+
+
+def one_ue_lp_mmse_moments(beta, interferer_gains, powers_mw, tau_p: int, sigma2_mw: float, n_ant: int):
+    """Exact moments of the local-MMSE chain for UE 0 served alone by s O-RUs.
+
+    UE 0 has covariance R_l = beta[l] I at its serving O-RU l, the only UE that
+    O-RU serves; the pilots are orthogonal, and UE i >= 1 is served nowhere and
+    has R_li = interferer_gains[l, i - 1] I. With p = powers_mw[0] the MMSE
+    error covariance is c I, c = beta sigma2 / (tau_p p beta + sigma2); by
+    Sherman-Morrison the combiner is v = p h_hat / (p x + a) with a = p c + sigma2
+    and x = ||h_hat||^2 ~ Gamma(N, beta - c). Per O-RU, by 1-D integrals against
+    that density:
+
+        m         = E[g_00]   = E[p x / (p x + a)]
+        power     = E||v||^2  = E[p^2 x / (p x + a)^2]
+        E|g_00|^2             = E[p^2 x^2 / (p x + a)^2] + c power
+        E|g_0i|^2             = b_li power
+
+    The gains of distinct O-RUs are independent, and an interferer's have mean
+    zero, so the (s, s) moments are p m m^T off the diagonal. Returns
+    (mean_gain (s,), power (s,), second_moment (s, s), sharer_moment (s, s)) in
+    the convention of `combining.GainMoments`: second_moment sums p_i E[g_0i
+    g_0i^H] over every UE, sharer_moment over UE 0 alone (no other UE shares its
+    O-RUs), and both add sigma2 E||v_l||^2 on the diagonal.
+    """
+    p = float(powers_mw[0])
+    mean, power, self_moment = [], [], []
+    for b in np.asarray(beta, dtype=float):
+        c = b * sigma2_mw / (tau_p * p * b + sigma2_mw)
+        a, theta = p * c + sigma2_mw, b - c
+        log_norm = gammaln(n_ant) + n_ant * math.log(theta)
+
+        def expect(f):
+            density = lambda x: f(x) * math.exp((n_ant - 1) * math.log(x) - x / theta - log_norm) if x > 0 else 0.0
+            return quad(density, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+        mean.append(expect(lambda x: p * x / (p * x + a)))
+        power.append(expect(lambda x: p**2 * x / (p * x + a) ** 2))
+        self_moment.append(expect(lambda x: (p * x / (p * x + a)) ** 2) + c * power[-1])
+    mean, power = np.array(mean), np.array(power)
+    sharer = p * np.outer(mean, mean)
+    sharer[np.diag_indices(mean.size)] = p * np.array(self_moment) + sigma2_mw * power
+    interference = (np.asarray(interferer_gains, dtype=float) @ np.asarray(powers_mw[1:], dtype=float)) * power
+    second = sharer + np.diag(interference)
+    return mean, power, second, sharer
 
 
 def full_gain_moments(combiners, h):

@@ -353,6 +353,23 @@ class TestSampling:
         # The stream is left where the oracle leaves it.
         assert draws.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("chunk_doubles", [1, 13, 420])
+    def test_chunked_draws_match_oracle_bit_for_bit(self, monkeypatch, chunk_doubles):
+        # Chunks of 1 and 13 real draws, and one chunk for each part of the 7 x 3 x 5 x 4 draws:
+        # chunked draws continue the stream as one draw does, and the 1/sqrt(2) scale has the bits
+        # of the oracle's complex division.
+        monkeypatch.setattr(channel, "_DRAW_BYTES", 8 * chunk_doubles)
+        rng = np.random.default_rng(4)
+        beta = rng.uniform(0.2, 2.0, size=(3, 5))
+        factor = covariance_factor(one_ring_covariance(beta, rng.uniform(-np.pi, np.pi, beta.shape), 0.2, 4, 0.5))
+        draws, reference = np.random.default_rng(12), np.random.default_rng(12)
+        h = sample_channels(factor, 7, draws)
+        assert np.array_equal(h.view(np.uint64), oracles.sample_channels(factor, 7, reference).view(np.uint64))
+        assert draws.bit_generator.state == reference.bit_generator.state
+        scaled = channel.complex_normal_draws((2, 9), draws, 0.3)
+        x, y = reference.standard_normal((2, 9)), reference.standard_normal((2, 9))
+        assert np.array_equal(scaled.view(np.uint64), ((x + 1j * y) * 0.3).view(np.uint64))
+
     def test_sample_covariance_consistency(self):
         cov = one_ring_covariance(1.0, 0.6, np.deg2rad(10.0), 4, 0.5)
         factor = covariance_factor(cov)

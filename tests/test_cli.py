@@ -252,6 +252,20 @@ class TestRun:
         assert "Unable to allocate 7.28 TiB" in err
         assert not (tmp_path / "se.csv").exists()
 
+    def test_singular_combiner_exits_3(self, tmp_path, capsys):
+        # The reproducer the CI runs: a rank-one combiner Gram at -400 dBm in setup 1.
+        args = [
+            "run", "--set", "num_orus=4", "--set", "num_odus=1", "--set", "antennas_per_oru=2",
+            "--set", "num_ues=4", "--set", "tau_p=4", "--set", "n_mc=8", "--set", "sim_time_s=1.0",
+            "--set", "serving_cluster_size=2", "--set", "measurement_cluster_size=3", "--setups", "2",
+            "--set", "noise_dbm=-400", "--strategy", "opportunistic", "--out", str(tmp_path / "se.csv"),
+        ]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert "aborted at step 1 (strategy=opportunistic, threshold=2 dB, speed=3 km/h, seed=1, setup=1)" in err
+        assert "singular combiner system of O-RU" in err and "in draw" in err
+        assert not (tmp_path / "se.csv").exists()
+
     def test_overflowing_gain_exits_3(self, tmp_path, capsys):
         # 10^(beta_db / 10) overflows under this shadowing; the run must not go on with inf gains.
         args = ["run", *TINY, "--setups", "1", "--set", "sigma_sf_db=1e300", "--out", str(tmp_path / "se.csv")]

@@ -44,6 +44,14 @@ def tiny_config(**overrides):
     return SimConfig(**base)
 
 
+# The `run` settings (seed 1, 2 setups, opportunistic) of a deployment whose combiner system is singular.
+SINGULAR_COMBINER = {
+    "num_orus": "4", "num_odus": "1", "antennas_per_oru": "2", "num_ues": "4", "tau_p": "4", "n_mc": "8",
+    "sim_time_s": "1.0", "serving_cluster_size": "2", "measurement_cluster_size": "3", "n_setups": "2",
+    "noise_dbm": "-400",
+}
+
+
 class TestEpisode:
     def test_series_shape_matches_time_grid(self):
         cfg = tiny_config(sim_time_s=10.0)
@@ -440,6 +448,24 @@ class TestLockstep:
         lanes = [simulate.resolve_cell(cfg, s, 2.0, 30.0)[:2] for s in STRATEGIES]
         outcomes = simulate._run_lockstep(cfg.resolve(), lanes, 30.0, 0)
         assert all(isinstance(o, SimulationError) and str(o).startswith("episode aborted at step 0") for o in outcomes)
+
+    def test_singular_combiner_names_the_episode(self):
+        # At -400 dBm the estimates are exact and the noise floor vanishes beside the signals, so
+        # an O-RU serving one UE on two antennas has a rank-one Gram (setup 1, step 1).
+        cfg = config_mod.default_config()
+        for key, value in SINGULAR_COMBINER.items():
+            cfg = config_mod.apply_setting(cfg, key, value)
+        with pytest.raises(SimulationError) as episode_error:
+            run_episode(cfg, 1, strategy="opportunistic")
+        message = str(episode_error.value)
+        assert message.startswith(
+            "episode aborted at step 1 (strategy=opportunistic, threshold=2 dB, speed=3 km/h, seed=1, setup=1): "
+            "singular combiner system of O-RU "
+        )
+        assert isinstance(episode_error.value.__cause__, NumericalError)
+        with pytest.raises(SimulationError) as campaign_error:
+            run_campaign(cfg, strategies=["opportunistic"], thresholds=[2.0], speeds=[3.0], parallelism=1)
+        assert str(campaign_error.value) == message
 
     def test_setup_configuration_error_passes_through(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -53,6 +53,19 @@ class TestAssignment:
         idx = assign_pilots(7, 7)
         assert sorted(idx.tolist()) == list(range(7))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reuse_rounds_match_triangular_rank(self, seed):
+        # The rank of each UE on its slot against the K x K lower-triangle count it replaced.
+        rng = np.random.default_rng(seed)
+        for k_num, tau_p in ((1, 1), (7, 7), (10, 3), (40, 100), (64, 5), (30, 1)):
+            for pilot_index in (assign_pilots(k_num, tau_p), rng.integers(0, tau_p, size=k_num)):
+                cfg = PilotConfig(tau_p, pilot_index, np.ones(k_num))
+                rank = np.tril(cfg.slot_of_ue[:, None] == cfg.slot_of_ue, -1).sum(axis=1)
+                assert len(cfg.reuse_rounds) == rank.max() + 1
+                for r, (ues, slots) in enumerate(cfg.reuse_rounds):
+                    assert np.array_equal(np.arange(k_num)[ues], np.flatnonzero(rank == r))
+                    assert np.array_equal(np.arange(cfg.slot_of_ue.max() + 1)[slots], cfg.slot_of_ue[rank == r])
+
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
             assign_pilots(0, 4)
