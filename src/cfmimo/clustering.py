@@ -25,8 +25,7 @@ knowledge of the uplink large-scale gain (reciprocity).
 
 from __future__ import annotations
 
-from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,7 +130,14 @@ class ClusterState:
 
     def copy(self) -> "ClusterState":
         """A state that shares no array with this one."""
-        return deepcopy(self)
+        return replace(
+            self,
+            primary=self.primary.copy(),
+            measurement=self.measurement.copy(),
+            serving=self.serving.copy(),
+            reference_power=self.reference_power.copy(),
+            serving_odu=None if self.serving_odu is None else self.serving_odu.copy(),
+        )
 
     @property
     def num_orus(self) -> int:
@@ -241,9 +247,10 @@ def _reload_orus(state: ClusterState, orus: np.ndarray, gains: np.ndarray, n_ant
     """
     own = state.primary[None, :] == orus[:, None]  # (R, K)
     order = np.argsort(-gains[orus], axis=1, kind="stable")
-    ranked = np.take_along_axis(state.measurement[orus] & ~own, order, axis=1)
+    rows = np.arange(orus.size)[:, None]
+    ranked = (state.measurement[orus] & ~own)[rows, order]
     ranked &= np.cumsum(ranked, axis=1) <= n_antennas - own.sum(axis=1, keepdims=True)
-    np.put_along_axis(own, order, ranked | np.take_along_axis(own, order, axis=1), axis=1)
+    own[rows, order] |= ranked
     state.serving[orus] = own
 
 

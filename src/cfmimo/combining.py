@@ -26,16 +26,17 @@ formed.
 `simulate_gain_moments` is the composition for one map.
 
 Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
-channels and the per-(O-RU, pilot slot) pilot signals; the observations,
-estimates and combiners hold d N entries per needed or served pair, and the
-error covariances N^2 per needed pair, one (P, N, N) stack; there are at most
-L K such pairs. Every other temporary is a fraction of a draw-sized array:
-`served_combiners` solves in blocks of draws of about _SOLVE_BYTES (1 MiB), and
-`gain_moments` in batches of _BATCH_BYTES, except that its Gram buffer holds one
-UE's (K, s, s) Grams even when they alone pass the batch bound; it outgrows a
-draw only when S_max^2 > d L N (ubiquitous serving at small n_mc).
-Draws are filled and scaled in place, and no stage writes into an array it
-was passed.
+channels and the per-(O-RU, pilot slot) pilot noise, until the needed pairs'
+noise is gathered; the observations, estimates and combiners hold d N entries
+per needed or served pair, and the pilot Grams, filters and error covariances
+N^2 per observed (O-RU, slot) entry or needed pair, (E, N, N) and (P, N, N)
+stacks; there are at most L K such pairs. Every other temporary is a fraction
+of a draw-sized array: `served_combiners` solves in blocks of draws of about
+_SOLVE_BYTES (1 MiB), and `gain_moments` in batches of _BATCH_BYTES, except
+that its Gram buffer holds one UE's (K, s, s) Grams even when they alone pass
+the batch bound; it outgrows a draw only when S_max^2 > d L N (ubiquitous
+serving at small n_mc). Draws are filled and scaled in place, and no stage
+writes into an array it was passed.
 
 The second stage (`second_stage`) solves the weights and scores the SINR of all
 UEs of one support size in one batch, straight from their (G, s, s) moments.
@@ -248,20 +249,20 @@ def draw_estimates(
     (L, K) pairs, for ``n_mc`` draws.
 
     Every channel and every (O-RU, pilot slot) noise vector is drawn, so the
-    random stream does not depend on ``needed``. The MMSE filters and error
-    covariances are solved for the needed pairs only (`pilots.mmse_filters`)
-    and kept as its (P, N, N) stacks, and the pilot observations are gathered
-    and filtered for them, one pair at a time, so an estimate and its error
-    covariance have the same bits whichever other pairs are needed.
+    random stream does not depend on ``needed``. The pilot stage is formed on
+    the needed pairs and on the (O-RU, slot) entries they observe only: the
+    MMSE filters and error covariances are solved from an (E, N, N) stack of
+    pilot Grams (`pilots.mmse_filters`) and kept as (P, N, N) stacks, and only
+    the needed pairs' noise is kept, with their slots' signals added
+    (`pilots.observe_pilots`). Each pair is filtered alone, so an estimate and
+    its error covariance have the same bits whichever other pairs are needed.
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
     orus, ues = np.nonzero(needed)
     filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw, needed)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
-    received = pilots_mod.slot_observations(h, pilots, sigma2_mw, rng)
-    observations = received[:, orus, pilots.slot_of_ue[ues]]  # (d, P, N)
-    del received
+    observations = pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng, needed)  # (d, P, N)
     h_hat = pilots_mod.apply_filters(filters, observations)
     column = np.full(np.shape(needed), -1)
     column[orus, ues] = np.arange(orus.size)

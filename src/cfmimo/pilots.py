@@ -3,8 +3,15 @@
 The simulator works directly on the decorrelated per-UE pilot observation
 y = sum_{i sharing the pilot} sqrt(tau_p p_i) h_i + noise, which is a sufficient
 statistic for the tau_p-symbol pilot block; the full received pilot matrix is
-only ever built in test oracles, as are per-UE loops over the pilot slots: the
-slot signals and the per-slot MMSE Gram add one reuse round at a time.
+only ever built in test oracles, as are per-UE loops over the pilot slots.
+
+Estimation works on the (O-RU, UE) pairs a step reads and on the (O-RU, pilot
+slot) entries those pairs observe: `mmse_filters` sums the pilot Gram Psi of
+those entries only, as an (E, N, N) stack, and `observe_pilots` adds the slot
+signals into those pairs' observations only. Both add one reuse round at a
+time (round r = the r-th UE of every slot), so each entry's and each pair's
+bits are those of the all-pairs result. The pilot noise is still drawn for
+every (O-RU, slot), so the random stream does not depend on the pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import numpy as np
 from .channel import complex_normal_draws
 from .errors import ConfigurationError
 
-# Bytes of the temporaries of one add in `slot_observations`.
+# Bytes of the temporaries of one add in `observe_pilots`; larger ones are mapped afresh on every
+# call in the forked workers of a desk-scale campaign.
 _ADD_BYTES = 1 << 18
 
 
@@ -32,8 +40,9 @@ class PilotConfig:
     """Pilot block length, per-UE pilot index, and per-UE transmit power (mW).
 
     Derived once from the index: ``slot_of_ue``, each UE's pilot slot (the pilots
-    in use numbered 0, 1, ... in ascending order), and ``reuse_rounds``, the (UEs,
-    their slots) index runs of each round; round r holds the r-th UE of every slot.
+    in use numbered 0, 1, ... in ascending order), and ``round_ue``, the
+    (rounds, slots) table of reuse rounds: ``round_ue[r, s]`` is the r-th UE on
+    slot s in ascending order, or -1 where slot s has fewer than r + 1 UEs.
     """
 
     tau_p: int
@@ -49,49 +58,58 @@ class PilotConfig:
         order = np.argsort(self.slot_of_ue, kind="stable")  # by slot, then by UE
         rank = np.empty_like(order)  # UEs before k on k's slot
         rank[order] = np.arange(order.size) - np.searchsorted(self.slot_of_ue[order], self.slot_of_ue[order])
-        rounds = [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
-        self.reuse_rounds = [(index_run(ues), index_run(self.slot_of_ue[ues])) for ues in rounds]
+        self.round_ue = np.full((rank.max() + 1, self.slot_of_ue.max() + 1), -1)
+        self.round_ue[rank, self.slot_of_ue] = np.arange(rank.size)
+
+
+def _rounds(pilots: PilotConfig, slots: np.ndarray):
+    """Per reuse round, the positions in ``slots`` whose slot has a UE in that round, and that UE."""
+    for members in pilots.round_ue:
+        ue = members[slots]
+        at = np.flatnonzero(ue >= 0)
+        yield at, ue[at]
+
+
+def _pairs(needed: np.ndarray | None, l_num: int, k_num: int):
+    """The (O-RU, UE) pairs of an (L, K) ``needed`` map in ``np.nonzero`` order; every pair without one."""
+    return np.nonzero(np.ones((l_num, k_num), dtype=bool) if needed is None else needed)
 
 
 def observe_pilots(
-    channels: np.ndarray, pilots: PilotConfig, sigma2_mw: float, rng: np.random.Generator
+    channels: np.ndarray,
+    pilots: PilotConfig,
+    sigma2_mw: float,
+    rng: np.random.Generator,
+    needed: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Decorrelated pilot observations for every (O-RU, UE) pair.
+    """Decorrelated pilot observations of the ``needed`` (O-RU, UE) pairs.
 
-    ``channels`` has shape (..., L, K, N); the result matches it. UEs sharing a
-    pilot see the same superposed signal and the same projected noise vector,
-    drawn once per (O-RU, pilot slot) with covariance sigma2 * I: the slot
-    signals of `slot_observations`, gathered per UE.
-    """
-    return slot_observations(channels, pilots, sigma2_mw, rng)[..., pilots.slot_of_ue, :]
-
-
-def slot_observations(
-    channels: np.ndarray, pilots: PilotConfig, sigma2_mw: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Received pilot signal per (O-RU, pilot slot).
-
-    ``channels`` has shape (..., L, K, N); the signals are (..., L, slots, N):
-    noise with covariance sigma2 * I drawn once per (O-RU, slot), plus
-    sqrt(tau_p p_k) h_k of every UE k on the slot, added into the noise buffer
-    one reuse round at a time, in blocks of O-RUs whose (..., O-RUs, UEs, N)
-    temporaries fit in _ADD_BYTES (one O-RU's at the reference scenario).
-    The adds are elementwise, so the blocks leave no trace in the bits. UE k
-    observes ``signals[..., pilots.slot_of_ue[k], :]``.
+    ``channels`` has shape (..., L, K, N). Noise with covariance sigma2 * I is
+    drawn for every (O-RU, pilot slot), so UEs sharing a pilot see the same
+    noise vector and the random stream does not depend on ``needed``. The
+    needed pairs' noise is gathered once, and each reuse round adds
+    sqrt(tau_p p_i) h_{l,i} of its UE i on the pair's slot into the pair's
+    observation, in blocks of pairs whose (..., pairs, N) temporaries fit in
+    _ADD_BYTES; a block whose channels form one run is read as a view. The adds
+    are elementwise, so neither the blocks nor the other needed pairs leave a
+    trace in a pair's bits. With an (L, K) bool map ``needed`` the result is
+    (..., P, N) in the order of ``np.nonzero(needed)``; without, (..., L, K, N).
     """
     channels = np.asarray(channels)
+    lead, (l_num, k_num, n) = channels.shape[:-3], channels.shape[-3:]
+    orus, ues = _pairs(needed, l_num, k_num)
+    slots = pilots.slot_of_ue[ues]
+    n_slots = pilots.round_ue.shape[1]
+    noise = complex_normal_draws(lead + (l_num * n_slots, n), rng, np.sqrt(sigma2_mw / 2.0))
+    received = noise[..., index_run(orus * n_slots + slots), :]
+    flat = channels.reshape(lead + (l_num * k_num, n))
     scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # (K,), cast once, not per add
-    received = complex_normal_draws(
-        channels.shape[:-2] + (pilots.slot_of_ue.max() + 1, channels.shape[-1]), rng, np.sqrt(sigma2_mw / 2.0)
-    )
-    pair_bytes = channels[..., 0, 0, :].nbytes  # the draws of one (O-RU, UE) pair
-    for ues, dest in pilots.reuse_rounds:
-        amplitude = scale[ues, None]
-        block = max(1, _ADD_BYTES // (pair_bytes * amplitude.shape[0]))  # O-RUs per add
-        for start in range(0, channels.shape[-3], block):
-            orus = slice(start, start + block)
-            received[..., orus, dest, :] += amplitude * channels[..., orus, ues, :]
-    return received
+    block = max(1, _ADD_BYTES // flat[..., 0, :].nbytes)  # pairs per add
+    for at, sharer in _rounds(pilots, slots):
+        for start in range(0, at.size, block):
+            pairs, ue = at[start : start + block], sharer[start : start + block]
+            received[..., index_run(pairs), :] += scale[ue, None] * flat[..., index_run(orus[pairs] * k_num + ue), :]
+    return received if needed is not None else received.reshape(channels.shape)
 
 
 def index_run(index: np.ndarray):
@@ -107,21 +125,28 @@ def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float, needed:
     with an (L, K) bool map ``needed`` only its pairs are solved, and both are
     (P, N, N) stacks in the order of ``np.nonzero(needed)``. The regularized
     pilot Gram matrix is shared by all UEs on one pilot slot, so it is built
-    per slot, one reuse round at a time; each pair is then solved alone, so
-    its bits do not depend on which other pairs are solved.
+    for the E (O-RU, slot) entries the pairs observe, as one (E, N, N) stack:
+    each entry adds its slot's UEs one reuse round at a time, in ascending
+    order, then sigma2 I. Each pair is then solved alone, so its bits do not
+    depend on which other pairs are solved.
 
     The estimate is sqrt(tau_p p_k) R Psi^{-1} y with
     Psi = sum_i tau_p p_i R_i + sigma2 I over the UEs sharing k's pilot, and
     the error covariance is R - tau_p p_k R Psi^{-1} R.
     """
     l_num, k_num, n, _ = cov.shape
-    gram = np.zeros((l_num, pilots.slot_of_ue.max() + 1, n, n), dtype=complex)
-    for ues, dest in pilots.reuse_rounds:
-        gram[:, dest] += (pilots.tau_p * pilots.power_mw[ues])[:, None, None] * cov[:, ues]
+    orus, ues = _pairs(needed, l_num, k_num)
+    n_slots = pilots.round_ue.shape[1]
+    entries, entry_of_pair = np.unique(orus * n_slots + pilots.slot_of_ue[ues], return_inverse=True)
+    entry_orus, entry_slots = np.divmod(entries, n_slots)
+    flat_cov = cov.reshape(l_num * k_num, n, n)
+    gram = np.zeros((entries.size, n, n), dtype=complex)
+    for at, ue in _rounds(pilots, entry_slots):
+        sharer_cov = flat_cov[index_run(entry_orus[at] * k_num + ue)]
+        gram[index_run(at)] += (pilots.tau_p * pilots.power_mw[ue])[:, None, None] * sharer_cov
     gram += sigma2_mw * np.eye(n)
-    orus, ues = np.nonzero(np.ones((l_num, k_num), dtype=bool) if needed is None else needed)
     pair_cov = cov[orus, ues]
-    solved = np.linalg.solve(gram[orus, pilots.slot_of_ue[ues]], pair_cov)  # Psi^{-1} R per pair
+    solved = np.linalg.solve(gram[entry_of_pair], pair_cov)  # Psi^{-1} R per pair
     amplitude = np.sqrt(pilots.tau_p * pilots.power_mw[ues])[:, None, None]
     filters = amplitude * solved.conj().swapaxes(-1, -2)
     error_covs = pair_cov - amplitude * filters @ pair_cov

@@ -447,7 +447,7 @@ class TestSupportMoments:
         assert peak < 35e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_peak_memory_follows_served_pairs(self):
-        # At 4 UEs per O-RU only the channels and the pilot slot signals are
+        # At 4 UEs per O-RU only the channels and the pilot slot noise are
         # draw-sized; observations, estimates and combiners cover 144 of 1440 pairs.
         peak = self._traced_reference_call(100, "opportunistic")
         assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"

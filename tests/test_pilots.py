@@ -1,5 +1,7 @@
 """Pilot assignment, observation, and MMSE estimation against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from cfmimo import pilots
 from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (
-    PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots, slot_observations,
+    PilotConfig, apply_filters, assign_pilots, mmse_filters, observe_pilots,
 )
 import oracles
 from oracles import mmse_estimate
@@ -61,10 +63,11 @@ class TestAssignment:
             for pilot_index in (assign_pilots(k_num, tau_p), rng.integers(0, tau_p, size=k_num)):
                 cfg = PilotConfig(tau_p, pilot_index, np.ones(k_num))
                 rank = np.tril(cfg.slot_of_ue[:, None] == cfg.slot_of_ue, -1).sum(axis=1)
-                assert len(cfg.reuse_rounds) == rank.max() + 1
-                for r, (ues, slots) in enumerate(cfg.reuse_rounds):
-                    assert np.array_equal(np.arange(k_num)[ues], np.flatnonzero(rank == r))
-                    assert np.array_equal(np.arange(cfg.slot_of_ue.max() + 1)[slots], cfg.slot_of_ue[rank == r])
+                assert cfg.round_ue.shape == (rank.max() + 1, cfg.slot_of_ue.max() + 1)
+                for r, members in enumerate(cfg.round_ue):
+                    filled = np.flatnonzero(members >= 0)
+                    assert np.array_equal(np.sort(members[filled]), np.flatnonzero(rank == r))
+                    assert np.array_equal(cfg.slot_of_ue[members[filled]], filled)
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -110,31 +113,38 @@ class TestObservation:
 
     @pytest.mark.parametrize("tau_p,permuted", REUSE_CASES)
     def test_slot_signals_match_loop_oracle_bitwise(self, tau_p, permuted):
+        # Every pair, and needed maps of one pair, one O-RU row and about half the pairs: each
+        # observation is its slot's signal, and the stream ends where the oracle's does.
         rng = np.random.default_rng(tau_p + 10 * permuted)
         h = rng.standard_normal((4, 5, 7, 3)) + 1j * rng.standard_normal((4, 5, 7, 3))
         cfg = reuse_case(tau_p, permuted, rng)
-        draws, reference = np.random.default_rng(13), np.random.default_rng(13)
+        one_pair, one_row = np.zeros((5, 7), dtype=bool), np.zeros((5, 7), dtype=bool)
+        one_pair[3, 4] = one_row[2] = True
         h_before = h.copy()
-        received = slot_observations(h, cfg, 0.3, draws)
-        expected, expected_slots = oracles.slot_observations(h, cfg, 0.3, reference)
-        assert np.array_equal(received.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(cfg.slot_of_ue, expected_slots)
-        assert draws.bit_generator.state == reference.bit_generator.state
+        for needed in (None, one_pair, one_row, rng.permutation(35).reshape(5, 7) < 17):
+            draws, reference = np.random.default_rng(13), np.random.default_rng(13)
+            received = observe_pilots(h, cfg, 0.3, draws, needed)
+            expected, expected_slots = oracles.slot_observations(h, cfg, 0.3, reference)
+            expected = expected[..., expected_slots, :]  # (4, 5, 7, 3), per UE
+            if needed is not None:
+                expected = expected[:, needed]
+            assert np.array_equal(bits(received), bits(expected))
+            assert np.array_equal(cfg.slot_of_ue, expected_slots)
+            assert draws.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(h.view(np.uint64), h_before.view(np.uint64))
 
-    @pytest.mark.parametrize("orus_per_add", [1, 7, None])
+    @pytest.mark.parametrize("pairs_per_add", [1, 7, None])
     @pytest.mark.parametrize("tau_p,permuted", [(8, False), (3, False), (3, True)])
-    def test_add_blocks_leave_no_trace_in_bits(self, monkeypatch, orus_per_add, tau_p, permuted):
-        # 15 O-RUs: blocks of 7 leave one over. The largest reuse round adds
-        # ``orus_per_add`` O-RUs at a time, a smaller one more; None adds all at once.
+    def test_add_blocks_leave_no_trace_in_bits(self, monkeypatch, pairs_per_add, tau_p, permuted):
+        # 15 O-RUs x 7 UEs: blocks of 7 pairs leave some over in the reuse rounds that not
+        # every slot takes part in; None adds each round's 105 or fewer pairs at once.
         rng = np.random.default_rng(40 + tau_p + permuted)
         h = rng.standard_normal((3, 15, 7, 2)) + 1j * rng.standard_normal((3, 15, 7, 2))
         cfg = reuse_case(tau_p, permuted, rng)
-        largest = max(np.arange(7)[ues].size for ues, _ in cfg.reuse_rounds)
-        monkeypatch.setattr(pilots, "_ADD_BYTES", (orus_per_add or 15) * largest * h[:, 0, 0].nbytes)
-        received = slot_observations(h, cfg, 0.3, np.random.default_rng(13))
-        expected, _ = oracles.slot_observations(h, cfg, 0.3, np.random.default_rng(13))
-        assert np.array_equal(bits(received), bits(expected))
+        monkeypatch.setattr(pilots, "_ADD_BYTES", (pairs_per_add or 105) * h[:, 0, 0].nbytes)
+        received = observe_pilots(h, cfg, 0.3, np.random.default_rng(13))
+        expected, slots = oracles.slot_observations(h, cfg, 0.3, np.random.default_rng(13))
+        assert np.array_equal(bits(received), bits(expected[..., slots, :]))
 
     def test_full_matrix_identity(self):
         # Building the tau_p-symbol received block and decorrelating it is
@@ -294,6 +304,26 @@ class TestMmseConsistency:
             assert filters.shape == errors.shape == (orus.size, 3, 3)
             assert np.array_equal(bits(filters), bits(all_filters[orus, ues]))
             assert np.array_equal(bits(errors), bits(all_errors[orus, ues]))
+
+    def test_one_needed_pair_forms_one_gram(self):
+        # L=144, K=160, tau_p=100: the Gram stack over every (O-RU, slot) entry alone would take
+        # 144 * 100 * 16 * 16 B = 3.7 MB (the peak read 7.6 MB when it was formed). One needed pair
+        # observes one entry, so the (E, N, N) Gram stack and the pair's stacks hold 256 B each and
+        # the index work is over one pair: the peak reads ~9 kB.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((144, 160, 4, 4)) + 1j * rng.standard_normal((144, 160, 4, 4))
+        cov = a @ a.conj().swapaxes(-1, -2)
+        cfg = PilotConfig.uniform(160, 100, 1.0)
+        needed = np.zeros((144, 160), dtype=bool)
+        needed[70, 130] = True
+        tracemalloc.start()
+        try:
+            filters, error_covs = mmse_filters(cov, cfg, 0.3, needed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert filters.shape == error_covs.shape == (1, 4, 4)
+        assert peak < 64 * 1024
 
     def test_filters_match_single_pair_op(self):
         rng = np.random.default_rng(7)
