@@ -26,11 +26,12 @@ formed.
 `simulate_gain_moments` is the composition for one map.
 
 Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
-channels and the per-(O-RU, pilot slot) pilot noise, until the needed pairs'
-noise is gathered; the observations, estimates and combiners hold d N entries
-per needed or served pair, and the pilot Grams, filters and error covariances
-N^2 per observed (O-RU, slot) entry or needed pair, (E, N, N) and (P, N, N)
-stacks; there are at most L K such pairs. Every other temporary is a fraction
+channels and the per-(O-RU, pilot slot) pilot noise, until the observed
+entries' noise is gathered; the slot signals hold d N entries per observed
+(O-RU, slot) entry, the observations, estimates and combiners d N per needed
+or served pair, and the pilot Grams, filters and error covariances N^2 per
+observed entry or needed pair, (E, N, N) and (P, N, N) stacks; there are at
+most L K such pairs. Every other temporary is a fraction
 of a draw-sized array: `served_combiners` solves in blocks of draws of about
 _SOLVE_BYTES (1 MiB), and `gain_moments` in batches of _BATCH_BYTES, except
 that its Gram buffer holds one UE's (K, s, s) Grams even when they alone pass
@@ -253,9 +254,10 @@ def draw_estimates(
     the needed pairs and on the (O-RU, slot) entries they observe only: the
     MMSE filters and error covariances are solved from an (E, N, N) stack of
     pilot Grams (`pilots.mmse_filters`) and kept as (P, N, N) stacks, and only
-    the needed pairs' noise is kept, with their slots' signals added
-    (`pilots.observe_pilots`). Each pair is filtered alone, so an estimate and
-    its error covariance have the same bits whichever other pairs are needed.
+    the observed entries' noise is kept, each entry's slot signal added once
+    and read by its needed pairs (`pilots.observe_pilots`). Each pair is
+    filtered alone, so an estimate and its error covariance have the same bits
+    whichever other pairs are needed.
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")

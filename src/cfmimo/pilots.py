@@ -6,25 +6,26 @@ statistic for the tau_p-symbol pilot block; the full received pilot matrix is
 only ever built in test oracles, as are per-UE loops over the pilot slots.
 
 Estimation works on the (O-RU, UE) pairs a step reads and on the (O-RU, pilot
-slot) entries those pairs observe: `mmse_filters` sums the pilot Gram Psi of
-those entries only, as an (E, N, N) stack, and `observe_pilots` adds the slot
-signals into those pairs' observations only. Both add one reuse round at a
-time (round r = the r-th UE of every slot), so each entry's and each pair's
-bits are those of the all-pairs result. The pilot noise is still drawn for
-every (O-RU, slot), so the random stream does not depend on the pairs.
+slot) entries those pairs observe: `mmse_filters` sums the pilot Gram Psi and
+`observe_pilots` the slot signal of those entries only, each once per entry,
+and every pair then reads its entry's. Both add one reuse round at a time
+(round r = the r-th UE of every slot), so each entry's and each pair's bits
+are those of the all-pairs result. The pilot noise is still drawn for every
+(O-RU, slot), so the random stream does not depend on the pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import complex_normal_draws
 from .errors import ConfigurationError
 
-# Bytes of the temporaries of one add in `observe_pilots`; larger ones are mapped afresh on every
-# call in the forked workers of a desk-scale campaign.
+# Bytes of the temporaries of one gather or add of the pilot stage (`_add_sharers`); larger ones
+# are mapped afresh on every call in the forked workers of a desk-scale campaign.
 _ADD_BYTES = 1 << 18
 
 
@@ -60,19 +61,87 @@ class PilotConfig:
         rank[order] = np.arange(order.size) - np.searchsorted(self.slot_of_ue[order], self.slot_of_ue[order])
         self.round_ue = np.full((rank.max() + 1, self.slot_of_ue.max() + 1), -1)
         self.round_ue[rank, self.slot_of_ue] = np.arange(rank.size)
+        self._last_entries = None  # the _Entries `_entries` formed last
 
 
-def _rounds(pilots: PilotConfig, slots: np.ndarray):
-    """Per reuse round, the positions in ``slots`` whose slot has a UE in that round, and that UE."""
-    for members in pilots.round_ue:
-        ue = members[slots]
-        at = np.flatnonzero(ue >= 0)
-        yield at, ue[at]
+class _Entries(NamedTuple):
+    """The (O-RU, UE) pairs a step reads, the (O-RU, pilot slot) entries they observe and the
+    adds that form those entries.
+
+    Entries are ordered by how many UEs share their slot, most first, then by key
+    O-RU * slots + slot, so the entries taking part in reuse round r are a prefix of them. The
+    adds run round by round: round r's are ``offsets[r]:offsets[r + 1]``, and its i-th add goes
+    into entry i.
+    """
+
+    shape: tuple  # (L, K)
+    orus: np.ndarray  # (P,) the pairs in np.nonzero order
+    ues: np.ndarray  # (P,)
+    keys: np.ndarray  # (E,) O-RU * slots + slot of each entry
+    add_ue: np.ndarray  # (S,) the UE each add takes: the r-th UE on the entry's slot
+    add_row: np.ndarray  # (S,) O-RU * K + that UE, its row of an (..., L * K, M) stack
+    offsets: list  # rounds + 1 positions in the adds
+    of_pair: np.ndarray  # (P,) each pair's entry
 
 
-def _pairs(needed: np.ndarray | None, l_num: int, k_num: int):
-    """The (O-RU, UE) pairs of an (L, K) ``needed`` map in ``np.nonzero`` order; every pair without one."""
-    return np.nonzero(np.ones((l_num, k_num), dtype=bool) if needed is None else needed)
+def _entries(pilots: PilotConfig, needed: np.ndarray | None, l_num: int, k_num: int) -> _Entries:
+    """The entries of an (L, K) ``needed`` map, or of every pair without one.
+
+    A step forms the filters and then the observations of one map, so the
+    entries of the last map are kept on ``pilots`` and used again for the
+    same pairs.
+    """
+    orus, ues = np.nonzero(np.ones((l_num, k_num), dtype=bool) if needed is None else needed)
+    last = pilots._last_entries
+    same_shape = last is not None and last.shape == (l_num, k_num)
+    if same_shape and np.array_equal(last.orus, orus) and np.array_equal(last.ues, ues):
+        return last
+    n_slots = pilots.round_ue.shape[1]
+    slots, span = pilots.slot_of_ue[ues], l_num * n_slots
+    ues_on_slot = np.bincount(pilots.slot_of_ue)
+    ranks = (ues_on_slot.max() - ues_on_slot[slots]) * span + orus * n_slots + slots  # most sharers first
+    ranked, of_pair = np.unique(ranks, return_inverse=True)
+    keys = ranked % span
+    sharers = pilots.round_ue[:, keys % n_slots]  # (rounds, E), -1 past a slot's last UE
+    taking_part = sharers >= 0
+    add_ue = sharers[taking_part]
+    add_row = (keys // n_slots * k_num + sharers)[taking_part]
+    offsets = [0] + np.cumsum(np.count_nonzero(taking_part, axis=1)).tolist()
+    pilots._last_entries = _Entries((l_num, k_num), orus, ues, keys, add_ue, add_row, offsets, of_pair)
+    return pilots._last_entries
+
+
+def _rows(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``stack[..., index, :]``: a view when ``index`` is one ascending run, else a gathered copy
+    (by ``np.take`` where each row is contiguous, which is faster there; fancy indexing where not,
+    as in a batch-last covariance stack)."""
+    if index.size and (index[1:] - index[:-1] == 1).all():
+        return stack[..., index[0] : index[-1] + 1, :]
+    return np.take(stack, index, axis=-2) if stack.strides[-1] == stack.itemsize else stack[..., index, :]
+
+
+def _add_sharers(total: np.ndarray, stack: np.ndarray, weight: np.ndarray, e: _Entries) -> None:
+    """Run the adds of ``e``: add weight[s] * stack[..., e.add_row[s], :] into its entry's row of
+    ``total``, each entry's adds in ascending rounds.
+
+    ``total`` is (..., E, M), ``stack`` (..., L * K, M) and ``weight`` (S, 1), one per add. The
+    adds are gathered in windows whose (..., adds, M) temporaries fit in _ADD_BYTES, read as a
+    view where their rows form one run; each round's part of a window is one slice add. The
+    adds are elementwise, so neither the windows nor the other entries leave a trace in an
+    entry's bits, and each (O-RU, UE) row is read at most once.
+    """
+    offsets, size = e.offsets, e.offsets[-1]
+    width = max(1, _ADD_BYTES // stack[..., 0, :].nbytes)  # adds per window
+    r = 0
+    for start in range(0, size, width):
+        stop = min(size, start + width)
+        terms = weight[start:stop] * _rows(stack, e.add_row[start:stop])
+        while offsets[r] < stop:  # the rounds in this window
+            lo, hi = max(start, offsets[r]), min(stop, offsets[r + 1])
+            total[..., lo - offsets[r] : hi - offsets[r], :] += terms[..., lo - start : hi - start, :]
+            if hi < offsets[r + 1]:
+                break  # round r goes on in the next window
+            r += 1
 
 
 def observe_pilots(
@@ -87,34 +156,22 @@ def observe_pilots(
     ``channels`` has shape (..., L, K, N). Noise with covariance sigma2 * I is
     drawn for every (O-RU, pilot slot), so UEs sharing a pilot see the same
     noise vector and the random stream does not depend on ``needed``. The
-    needed pairs' noise is gathered once, and each reuse round adds
-    sqrt(tau_p p_i) h_{l,i} of its UE i on the pair's slot into the pair's
-    observation, in blocks of pairs whose (..., pairs, N) temporaries fit in
-    _ADD_BYTES; a block whose channels form one run is read as a view. The adds
-    are elementwise, so neither the blocks nor the other needed pairs leave a
-    trace in a pair's bits. With an (L, K) bool map ``needed`` the result is
-    (..., P, N) in the order of ``np.nonzero(needed)``; without, (..., L, K, N).
+    signal is formed once per (O-RU, slot) entry the needed pairs observe:
+    the entry's noise is gathered, and each reuse round adds sqrt(tau_p p_i)
+    h_{l,i} of its UE i on the slot (`_add_sharers`), so no entry's signal
+    depends on the other entries. Each pair then reads its entry. With an
+    (L, K) bool map ``needed`` the result is (..., P, N) in the order of
+    ``np.nonzero(needed)``; without, (..., L, K, N).
     """
     channels = np.asarray(channels)
     lead, (l_num, k_num, n) = channels.shape[:-3], channels.shape[-3:]
-    orus, ues = _pairs(needed, l_num, k_num)
-    slots = pilots.slot_of_ue[ues]
-    n_slots = pilots.round_ue.shape[1]
-    noise = complex_normal_draws(lead + (l_num * n_slots, n), rng, np.sqrt(sigma2_mw / 2.0))
-    received = noise[..., index_run(orus * n_slots + slots), :]
-    flat = channels.reshape(lead + (l_num * k_num, n))
-    scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # (K,), cast once, not per add
-    block = max(1, _ADD_BYTES // flat[..., 0, :].nbytes)  # pairs per add
-    for at, sharer in _rounds(pilots, slots):
-        for start in range(0, at.size, block):
-            pairs, ue = at[start : start + block], sharer[start : start + block]
-            received[..., index_run(pairs), :] += scale[ue, None] * flat[..., index_run(orus[pairs] * k_num + ue), :]
+    e = _entries(pilots, needed, l_num, k_num)
+    noise = complex_normal_draws(lead + (l_num * pilots.round_ue.shape[1], n), rng, np.sqrt(sigma2_mw / 2.0))
+    received = _rows(noise, e.keys)
+    scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # cast once, not per add
+    _add_sharers(received, channels.reshape(lead + (l_num * k_num, n)), scale[e.add_ue, None], e)
+    received = _rows(received, e.of_pair)
     return received if needed is not None else received.reshape(channels.shape)
-
-
-def index_run(index: np.ndarray):
-    """``index``, or the slice it spans when it is one ascending run: indexing with that takes a view."""
-    return slice(index[0], index[-1] + 1) if index.size and (index[1:] - index[:-1] == 1).all() else index
 
 
 def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float, needed: np.ndarray | None = None):
@@ -135,19 +192,14 @@ def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float, needed:
     the error covariance is R - tau_p p_k R Psi^{-1} R.
     """
     l_num, k_num, n, _ = cov.shape
-    orus, ues = _pairs(needed, l_num, k_num)
-    n_slots = pilots.round_ue.shape[1]
-    entries, entry_of_pair = np.unique(orus * n_slots + pilots.slot_of_ue[ues], return_inverse=True)
-    entry_orus, entry_slots = np.divmod(entries, n_slots)
-    flat_cov = cov.reshape(l_num * k_num, n, n)
-    gram = np.zeros((entries.size, n, n), dtype=complex)
-    for at, ue in _rounds(pilots, entry_slots):
-        sharer_cov = flat_cov[index_run(entry_orus[at] * k_num + ue)]
-        gram[index_run(at)] += (pilots.tau_p * pilots.power_mw[ue])[:, None, None] * sharer_cov
+    e = _entries(pilots, needed, l_num, k_num)
+    gram = np.zeros((e.keys.size, n, n), dtype=complex)
+    weight = (pilots.tau_p * pilots.power_mw)[e.add_ue, None]
+    _add_sharers(gram.reshape(-1, n * n), cov.reshape(l_num * k_num, n * n), weight, e)
     gram += sigma2_mw * np.eye(n)
-    pair_cov = cov[orus, ues]
-    solved = np.linalg.solve(gram[entry_of_pair], pair_cov)  # Psi^{-1} R per pair
-    amplitude = np.sqrt(pilots.tau_p * pilots.power_mw[ues])[:, None, None]
+    pair_cov = cov[e.orus, e.ues]
+    solved = np.linalg.solve(gram[e.of_pair], pair_cov)  # Psi^{-1} R per pair
+    amplitude = np.sqrt(pilots.tau_p * pilots.power_mw[e.ues])[:, None, None]
     filters = amplitude * solved.conj().swapaxes(-1, -2)
     error_covs = pair_cov - amplitude * filters @ pair_cov
     error_covs = 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))

@@ -133,18 +133,51 @@ class TestObservation:
             assert draws.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(h.view(np.uint64), h_before.view(np.uint64))
 
-    @pytest.mark.parametrize("pairs_per_add", [1, 7, None])
+    @pytest.mark.parametrize("adds_per_window", [1, 7, None])
     @pytest.mark.parametrize("tau_p,permuted", [(8, False), (3, False), (3, True)])
-    def test_add_blocks_leave_no_trace_in_bits(self, monkeypatch, pairs_per_add, tau_p, permuted):
-        # 15 O-RUs x 7 UEs: blocks of 7 pairs leave some over in the reuse rounds that not
-        # every slot takes part in; None adds each round's 105 or fewer pairs at once.
+    def test_add_blocks_leave_no_trace_in_bits(self, monkeypatch, adds_per_window, tau_p, permuted):
+        # 15 O-RUs x 7 UEs: 105 adds into 105 or 45 (O-RU, slot) entries. Windows of 7 adds end
+        # inside reuse rounds, and with 3 slots the last round takes only the slot with 3 UEs;
+        # None gathers all 105 adds at once.
         rng = np.random.default_rng(40 + tau_p + permuted)
         h = rng.standard_normal((3, 15, 7, 2)) + 1j * rng.standard_normal((3, 15, 7, 2))
         cfg = reuse_case(tau_p, permuted, rng)
-        monkeypatch.setattr(pilots, "_ADD_BYTES", (pairs_per_add or 105) * h[:, 0, 0].nbytes)
+        monkeypatch.setattr(pilots, "_ADD_BYTES", (adds_per_window or 105) * h[:, 0, 0].nbytes)
         received = observe_pilots(h, cfg, 0.3, np.random.default_rng(13))
         expected, slots = oracles.slot_observations(h, cfg, 0.3, np.random.default_rng(13))
         assert np.array_equal(bits(received), bits(expected[..., slots, :]))
+
+    @pytest.mark.parametrize("tau_p,permuted", REUSE_CASES)
+    def test_slot_signals_read_each_channel_once(self, monkeypatch, tau_p, permuted):
+        # Each observed (O-RU, slot) entry is formed once, from each of its slot's UEs once,
+        # however many of those UEs are needed: the channel rows read are the UEs on the
+        # observed slots, and every pair's reads come to L K.
+        rng = np.random.default_rng(60 + tau_p + 10 * permuted)
+        h = rng.standard_normal((2, 5, 7, 3)) + 1j * rng.standard_normal((2, 5, 7, 3))
+        cov = np.einsum("...i,...j->...ij", h[0], h[0].conj()) + np.eye(3)
+        cfg = reuse_case(tau_p, permuted, rng)
+        read = {"channels": 0, "cov": 0}
+        rows = pilots._rows
+
+        def counted(stack, index):
+            for name, source in (("channels", h), ("cov", cov)):
+                if np.shares_memory(stack, source):
+                    read[name] += index.size
+            return rows(stack, index)
+
+        monkeypatch.setattr(pilots, "_rows", counted)
+        one_pair, one_row = np.zeros((5, 7), dtype=bool), np.zeros((5, 7), dtype=bool)
+        one_pair[3, 4] = one_row[2] = True
+        ues_on_slot = np.bincount(cfg.slot_of_ue)
+        for needed in (None, one_pair, one_row, rng.permutation(35).reshape(5, 7) < 17):
+            orus, ues = np.nonzero(np.ones((5, 7), dtype=bool) if needed is None else needed)
+            observed = {(l, s) for l, s in zip(orus, cfg.slot_of_ue[ues])}
+            expected = sum(ues_on_slot[s] for _, s in observed)
+            read.update(channels=0, cov=0)
+            observe_pilots(h, cfg, 0.3, np.random.default_rng(13), needed)
+            mmse_filters(cov, cfg, 0.3, needed)
+            assert read == {"channels": expected, "cov": expected}
+            assert expected <= 35
 
     def test_full_matrix_identity(self):
         # Building the tau_p-symbol received block and decorrelating it is
@@ -293,17 +326,30 @@ class TestMmseConsistency:
         cov = a @ a.conj().swapaxes(-1, -2)
         cfg = reuse_case(tau_p, permuted, rng)
         all_filters, all_errors = mmse_filters(cov, cfg, 0.3)
-        one_pair = np.zeros((5, 7), dtype=bool)
-        one_pair[3, 4] = True
+        one_pair, next_ue = np.zeros((5, 7), dtype=bool), np.zeros((5, 7), dtype=bool)
+        one_pair[3, 4] = next_ue[3, 5] = True  # the same O-RU, one after the other
         one_row = np.zeros((5, 7), dtype=bool)
         one_row[2] = True
         half = rng.permutation(35).reshape(5, 7) < 17
-        for needed in (one_pair, one_row, half, np.ones((5, 7), dtype=bool)):
+        for needed in (one_pair, next_ue, one_row, half, np.ones((5, 7), dtype=bool)):
             filters, errors = mmse_filters(cov, cfg, 0.3, needed)
             orus, ues = np.nonzero(needed)
             assert filters.shape == errors.shape == (orus.size, 3, 3)
             assert np.array_equal(bits(filters), bits(all_filters[orus, ues]))
             assert np.array_equal(bits(errors), bits(all_errors[orus, ues]))
+
+    @pytest.mark.parametrize("adds_per_window", [1, 7])
+    @pytest.mark.parametrize("tau_p,permuted", [(3, False), (3, True), (1, False)])
+    def test_gram_windows_leave_no_trace_in_bits(self, monkeypatch, adds_per_window, tau_p, permuted):
+        # 15 O-RUs x 7 UEs: windows of one or seven adds split the reuse rounds of the Gram sums.
+        rng = np.random.default_rng(50 + tau_p + 10 * permuted)
+        a = rng.standard_normal((15, 7, 3, 3)) + 1j * rng.standard_normal((15, 7, 3, 3))
+        cov = a @ a.conj().swapaxes(-1, -2)
+        cfg = reuse_case(tau_p, permuted, rng)
+        expected = oracles.mmse_filters(cov, cfg, 0.3)
+        monkeypatch.setattr(pilots, "_ADD_BYTES", adds_per_window * cov[0, 0].nbytes)
+        for got, want in zip(mmse_filters(cov, cfg, 0.3), expected):
+            assert np.array_equal(bits(got), bits(want))
 
     def test_one_needed_pair_forms_one_gram(self):
         # L=144, K=160, tau_p=100: the Gram stack over every (O-RU, slot) entry alone would take
