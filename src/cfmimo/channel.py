@@ -160,7 +160,7 @@ def _toeplitz_from_lags(coeff: np.ndarray) -> np.ndarray:
     n = coeff.shape[-1]
     full = np.concatenate([coeff[..., :0:-1].conj(), coeff], axis=-1)  # lags -(N-1)..(N-1)
     idx = np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)  # [m, n] -> n - m
-    return full[..., idx]
+    return np.take(full, idx, axis=-1)  # C-ordered, where full[..., idx] puts the batch axes last
 
 
 @lru_cache(maxsize=256)

@@ -20,9 +20,10 @@ serving clusters, so several serving maps can score their combiners
 (`served_combiners`) and gains (`gain_moments`) on one realization; the MMSE
 filters and estimates are formed only for the (O-RU, UE) pairs some of these
 maps serve, and each map solves its combiners and noise terms only for the
-pairs it serves. The caller owns the lifetimes: it drops the estimates once
-the last map has its combiners, and a map's combiners once its gains are
-formed.
+pairs it serves. A map's combiners carry its served pairs and the draws'
+channels, which `gain_moments` reads from them. The caller owns the
+lifetimes: it drops the estimates once the last map has its combiners, and a
+map's combiners once its gains are formed.
 `simulate_gain_moments` is the composition for one map.
 
 Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
@@ -71,11 +72,13 @@ class ServedCombiners:
     """Local combiners of the served (O-RU, UE) pairs of one serving map.
 
     ``values[:, column[l, k]]`` is the (d, N) combiner of UE k at O-RU l;
-    ``column`` is -1 where l does not serve k, whose combiner is zero.
+    ``column`` is -1 where l does not serve k, whose combiner is zero, so
+    ``column >= 0`` is the serving map.
     """
 
     values: np.ndarray  # (d, S, N) complex, S served pairs, stored antenna-major
     column: np.ndarray  # (L, K) int
+    channels: np.ndarray  # (d, L, K, N) the draws' true channels, not a copy
 
 
 def served_combiners(
@@ -104,17 +107,14 @@ def served_combiners(
     draw. The combiners are stored antenna-major.
     """
     serving = np.asarray(serving, dtype=bool)
-    loads = serving.sum(axis=1)
     n_mc, _, n_ant = draws.estimates.shape
     if np.any(draws.column[serving] < 0):
         raise ValueError("the serving map serves (O-RU, UE) pairs that were not estimated")
 
     served_column = np.full(serving.shape, -1)
-    values = np.empty((n_mc, n_ant, int(loads.sum())), dtype=complex)  # antenna-major
+    values = np.empty((n_mc, n_ant, np.count_nonzero(serving)), dtype=complex)  # antenna-major
     start = 0
-    for load in np.unique(loads[loads > 0]).tolist():
-        group = np.flatnonzero(loads == load)
-        group_ues = np.nonzero(serving[group])[1].reshape(group.size, load)  # (G, load), ascending
+    for load, group, group_ues in _equal_rows(serving):  # group_ues: (G, load)
         stop = start + group_ues.size
         served_column[group[:, None], group_ues] = np.arange(start, stop).reshape(group_ues.shape)
         pairs = draws.column[group[:, None], group_ues].T  # (load, G)
@@ -135,7 +135,17 @@ def served_combiners(
             _hpd_solve(gram, solved, group, first)
             out[..., block] = solved
         start = stop
-    return ServedCombiners(values.swapaxes(1, 2), served_column)
+    return ServedCombiners(values.swapaxes(1, 2), served_column, draws.channels)
+
+
+def _equal_rows(mask: np.ndarray):
+    """(count, rows, members) for each nonzero count of True entries in the rows of a 2-D bool
+    ``mask``, ascending: the ascending rows with that count, and their (rows, count) columns of
+    the True entries, ascending along each row."""
+    counts = mask.sum(axis=1)
+    for count in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == count)
+        yield count, rows, np.nonzero(mask[rows])[1].reshape(rows.size, count)
 
 
 def _gram(scaled, conj_est, fixed):
@@ -271,11 +281,9 @@ def draw_estimates(
     return EstimationDraws(h, h_hat, column, error_covs)
 
 
-def gain_moments(
-    channels: np.ndarray, combiners: ServedCombiners, serving: np.ndarray, sigma2_mw: float, powers_mw: np.ndarray
-) -> GainMoments:
-    """Effective-gain moments of one serving map from the true (d, L, K, N)
-    ``channels``, the map's served combiners and the UEs' transmit powers.
+def gain_moments(combiners: ServedCombiners, sigma2_mw: float, powers_mw: np.ndarray) -> GainMoments:
+    """Effective-gain moments of the pairs ``combiners`` serve, on the true (d, L, K, N)
+    channels they carry, with the UEs' transmit powers.
 
     Nothing is written into the arrays passed, and the channels are not copied.
     The UEs of one support size s are formed in batches of at most _BATCH_BYTES
@@ -286,11 +294,10 @@ def gain_moments(
     (2, K) power rows with its Grams viewed as (K, 2 s^2) reals; the noise goes
     onto the diagonal. Every product is per UE, so no bit depends on the batch.
     """
-    serving = np.asarray(serving, dtype=bool)
+    channels = combiners.channels
+    serving = combiners.column >= 0
     l_num, k_num = serving.shape
     n_mc = channels.shape[0]
-    sizes = serving.sum(axis=0)
-    s_max = sizes.max()
     share = _sharers(serving)
     # Row 0 weighs every UE; row 1 the UEs sharing a serving O-RU, the others with power 0.
     powers = np.stack((np.broadcast_to(powers_mw, share.shape), np.where(share, powers_mw, 0.0)), axis=1)
@@ -298,18 +305,18 @@ def gain_moments(
     power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
     power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
     noise = sigma2_mw * power / n_mc  # the diagonal of F_k, per served pair
+    groups = list(_equal_rows(serving.T))  # per support size s, its UEs and their (G, s) supports
+    s_max = groups[-1][0] if groups else 0
     mean_gain = np.zeros((k_num, l_num), dtype=complex)
     second_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
     sharer_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
-    support_sizes, counts = np.unique(sizes[sizes > 0], return_counts=True)
-    steps = np.maximum(1, _BATCH_BYTES // (k_num * support_sizes * (n_mc + support_sizes) * 16))  # UEs per batch
+    step = {s: max(1, _BATCH_BYTES // (k_num * s * (n_mc + s) * 16)) for s, _, _ in groups}  # UEs per batch
     # One buffer holds every batch's Grams: a ubiquitous UE's alone pass glibc's mmap threshold
     # at K=160, and mapped afresh per batch they cost system time.
-    grams = np.empty(k_num * (np.minimum(counts, steps) * support_sizes**2).max(initial=0), dtype=complex)
-    for s, step in zip(support_sizes.tolist(), steps.tolist()):
-        same = np.flatnonzero(sizes == s)
-        for ues in (same[start : start + step] for start in range(0, same.size, step)):
-            supports = np.nonzero(serving[:, ues].T)[1].reshape(ues.size, s)
+    grams = np.empty(k_num * max((min(ues.size, step[s]) * s * s for s, ues, _ in groups), default=0), dtype=complex)
+    for s, same, same_supports in groups:
+        for start in range(0, same.size, step[s]):
+            ues, supports = same[start : start + step[s]], same_supports[start : start + step[s]]
             columns = combiners.column[supports, ues[:, None]]
             v = combiners.values[:, columns, :, None].conj().transpose(1, 2, 0, 3, 4)  # (n, s, d, N, 1)
             gains = np.empty((ues.size, s, k_num, n_mc), dtype=complex)  # [b, j, i, d]: g_ki at O-RU S_k[j]
@@ -352,13 +359,13 @@ def simulate_gain_moments(
 
     Each draw regenerates the estimation chain for the served pairs
     (`draw_estimates`), then the per-O-RU local combiners over the served sets
-    (`served_combiners`) and the effective-gain moments (`gain_moments`), with
-    the pilot powers as the transmit powers.
+    (`served_combiners`) and the effective-gain moments of those combiners
+    (`gain_moments`), with the pilot powers as the transmit powers.
     """
     draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng, serving)
     combiners = served_combiners(serving, draws, pilots.power_mw, sigma2_mw)
-    draws.estimates = None  # the gains need only the true channels and the combiners
-    return gain_moments(draws.channels, combiners, serving, sigma2_mw, pilots.power_mw)
+    draws.estimates = None  # the gains need only the combiners and the channels they carry
+    return gain_moments(combiners, sigma2_mw, pilots.power_mw)
 
 
 def second_stage(moments: GainMoments, powers_mw: np.ndarray):
@@ -378,10 +385,7 @@ def second_stage(moments: GainMoments, powers_mw: np.ndarray):
     k_num, l_num = moments.mean_gain.shape
     weights = np.zeros((k_num, l_num), dtype=complex)
     se = np.full(k_num, np.nan)
-    sizes = moments.serving.sum(axis=0)
-    for s in np.unique(sizes[sizes > 0]):
-        ues = np.flatnonzero(sizes == s)
-        supports = np.nonzero(moments.serving[:, ues].T)[1].reshape(ues.size, s)
+    for s, ues, supports in _equal_rows(moments.serving.T):
         mean = moments.mean_gain[ues[:, None], supports]
         p_self = powers_mw[ues]
         a = _solve_weights(moments.sharer_moment[ues, :s, :s], mean, p_self, ues, supports)
@@ -397,18 +401,12 @@ def _solve_weights(denom, mean, p_self, ues, supports) -> np.ndarray:
         solution = np.linalg.solve(denom, mean[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         for ue, support, matrix in zip(ues, supports, denom):
-            if _singular(matrix):
+            try:
+                np.linalg.solve(matrix, matrix[:, 0])
+            except np.linalg.LinAlgError:
                 raise NumericalError(f"singular weight system of UE {ue} on O-RU support {support.tolist()}") from exc
         raise
     return p_self[:, None] * solution
-
-
-def _singular(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.solve(matrix, matrix[:, 0])
-    except np.linalg.LinAlgError:
-        return True
-    return False
 
 
 def _sinr(a, moment, mean, p_self):

@@ -112,36 +112,29 @@ def _entries(pilots: PilotConfig, needed: np.ndarray | None, l_num: int, k_num: 
 
 
 def _rows(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``stack[..., index, :]``: a view when ``index`` is one ascending run, else a gathered copy
-    (by ``np.take`` where each row is contiguous, which is faster there; fancy indexing where not,
-    as in a batch-last covariance stack)."""
-    if index.size and (index[1:] - index[:-1] == 1).all():
+    """``stack[..., index, :]``: a view when ``index`` is one ascending run, else a copy gathered by
+    ``np.take``. The span of the ends is tested first: it rules out most gathers of a reuse round
+    without the elementwise test."""
+    if index.size and index[-1] - index[0] == index.size - 1 and (index[1:] - index[:-1] == 1).all():
         return stack[..., index[0] : index[-1] + 1, :]
-    return np.take(stack, index, axis=-2) if stack.strides[-1] == stack.itemsize else stack[..., index, :]
+    return np.take(stack, index, axis=-2)
 
 
 def _add_sharers(total: np.ndarray, stack: np.ndarray, weight: np.ndarray, e: _Entries) -> None:
     """Run the adds of ``e``: add weight[s] * stack[..., e.add_row[s], :] into its entry's row of
     ``total``, each entry's adds in ascending rounds.
 
-    ``total`` is (..., E, M), ``stack`` (..., L * K, M) and ``weight`` (S, 1), one per add. The
-    adds are gathered in windows whose (..., adds, M) temporaries fit in _ADD_BYTES, read as a
-    view where their rows form one run; each round's part of a window is one slice add. The
-    adds are elementwise, so neither the windows nor the other entries leave a trace in an
-    entry's bits, and each (O-RU, UE) row is read at most once.
+    ``total`` is (..., E, M), ``stack`` (..., L * K, M) and ``weight`` (S, 1), one per add. Each
+    round's adds are gathered in windows whose (..., adds, M) temporaries fit in _ADD_BYTES, read
+    as a view where their rows form one run, and each window is one slice add. The adds are
+    elementwise, so neither the windows nor the other entries leave a trace in an entry's bits,
+    and each (O-RU, UE) row is read at most once.
     """
-    offsets, size = e.offsets, e.offsets[-1]
     width = max(1, _ADD_BYTES // stack[..., 0, :].nbytes)  # adds per window
-    r = 0
-    for start in range(0, size, width):
-        stop = min(size, start + width)
-        terms = weight[start:stop] * _rows(stack, e.add_row[start:stop])
-        while offsets[r] < stop:  # the rounds in this window
-            lo, hi = max(start, offsets[r]), min(stop, offsets[r + 1])
-            total[..., lo - offsets[r] : hi - offsets[r], :] += terms[..., lo - start : hi - start, :]
-            if hi < offsets[r + 1]:
-                break  # round r goes on in the next window
-            r += 1
+    for first, end in zip(e.offsets, e.offsets[1:]):  # round r's adds go into entries 0, 1, ...
+        for start in range(first, end, width):
+            stop = min(end, start + width)
+            total[..., start - first : stop - first, :] += weight[start:stop] * _rows(stack, e.add_row[start:stop])
 
 
 def observe_pilots(

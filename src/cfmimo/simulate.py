@@ -224,11 +224,10 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
         updated.sort(key=lambda item: int(item[0].state.serving.sum()))
         for index, (lane, step_events) in enumerate(updated):
             try:
-                serving = lane.state.serving
-                combiners = served_combiners(serving, draws, pilot_cfg.power_mw, sigma2)
+                combiners = served_combiners(lane.state.serving, draws, pilot_cfg.power_mw, sigma2)
                 if index == len(updated) - 1:
                     draws.estimates = None
-                moments = gain_moments(draws.channels, combiners, serving, sigma2, pilot_cfg.power_mw)
+                moments = gain_moments(combiners, sigma2, pilot_cfg.power_mw)
                 del combiners  # not kept into the second stage
                 # Weights use the statistics a primary O-DU can collect (UEs
                 # sharing a serving O-RU); the achievable SE is charged with

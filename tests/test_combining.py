@@ -167,7 +167,7 @@ class TestServedCombiners:
             # With every power 0, each UE's moment holds its noise terms F_k alone.
             power = np.einsum("dsn,dsn->s", served.values.real, served.values.real)
             power += np.einsum("dsn,dsn->s", served.values.imag, served.values.imag)
-            moments = gain_moments(draws.channels, served, serving, sigma2, np.zeros(k_num))
+            moments = gain_moments(served, sigma2, np.zeros(k_num))
             for k in range(k_num):
                 support = np.flatnonzero(serving[:, k])
                 noise = np.diag(sigma2 * power[served.column[support, k]] / n_mc).astype(complex)
@@ -249,12 +249,12 @@ class TestEffectiveGainStats:
         pilots = PilotConfig.uniform(2, 4, 1.0)
         draws = draw_estimates(stats, pilots, 0.3, 50, rng, serving)
         combiners = served_combiners(serving, draws, pilots.power_mw, 0.3)
-        moments = gain_moments(draws.channels, combiners, serving, 0.3, pilots.power_mw)
+        moments = gain_moments(combiners, 0.3, pilots.power_mw)
         ue = stats_for_ue(moments, 0)
         assert ue.second_moment.shape == (1, 1)
         assert np.array_equal(ue.support, [0])
         # The weight system leaves UE 1 out, exactly as if it sent at power 0 ...
-        alone = gain_moments(draws.channels, combiners, serving, 0.3, np.array([1.0, 0.0]))
+        alone = gain_moments(combiners, 0.3, np.array([1.0, 0.0]))
         assert_same_bits(ue.second_moment, alone.second_moment[0])
         # ... and the SE is charged with its interference.
         assert stats_for_ue(moments, 0, all_interferers=True).second_moment[0, 0].real > ue.second_moment[0, 0].real
@@ -319,7 +319,7 @@ class TestExactChain:
         pilots = PilotConfig(tau_p, np.arange(3), powers)
         draws = draw_estimates(stats, pilots, sigma2, self.N_MC, np.random.default_rng(2), serving)
         combiners = served_combiners(serving, draws, powers, sigma2)
-        moments = gain_moments(draws.channels, combiners, serving, sigma2, powers)
+        moments = gain_moments(combiners, sigma2, powers)
         se = second_stage(moments, powers)[1][0]
 
         mean, power, second, sharer = one_ue_lp_mmse_moments(beta, interferers, powers, tau_p, sigma2, n_ant)
@@ -489,13 +489,32 @@ class TestGainKernel:
     def test_matches_gather_oracle_bitwise(self, serving, n_mc):
         channels, combiners, powers = self._served(serving, n_mc, seed=n_mc)
         before = channels.copy(), combiners.values.copy()
-        moments = gain_moments(channels, combiners, serving, 0.2, powers)
+        moments = gain_moments(combiners, 0.2, powers)
         mean_gain, second_moment, sharer_moment = gathered_gain_moments(channels, combiners, serving, 0.2, powers)
         assert_same_bits(moments.mean_gain, mean_gain)
         assert_same_bits(moments.second_moment, second_moment)
         assert_same_bits(moments.sharer_moment, sharer_moment)
         assert_same_bits(channels, before[0])
         assert_same_bits(combiners.values.copy(), before[1])
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("estimated", ["union", "every"])
+    def test_lockstep_draws_match_gather_oracle_bitwise(self, which, estimated):
+        # A lockstep step estimates the pairs any of its maps serves; each map's moments come from
+        # its own served pairs alone, as if the draws had been estimated for that map.
+        serving, other = SERVING_MAPS[which], SERVING_MAPS[1 - which]
+        needed = serving | other if estimated == "union" else np.ones_like(serving)
+        rng = np.random.default_rng(50 + which)
+        stats = make_stats(ring_stack(rng, *serving.shape, 2))
+        pilots = PilotConfig(2, np.arange(serving.shape[1]) % 2, rng.uniform(0.5, 2.0, size=serving.shape[1]))
+        draws = draw_estimates(stats, pilots, 0.2, 7, rng, needed)
+        combiners = served_combiners(serving, draws, pilots.power_mw, 0.2)
+        assert combiners.channels is draws.channels
+        moments = gain_moments(combiners, 0.2, pilots.power_mw)
+        assert np.array_equal(moments.serving, serving)
+        expected = gathered_gain_moments(draws.channels, combiners, serving, 0.2, pilots.power_mw)
+        for name, value in zip(("mean_gain", "second_moment", "sharer_moment"), expected):
+            assert_same_bits(getattr(moments, name), value)
 
     @MAPS
     @pytest.mark.parametrize("n_mc", [1, 7, 100])
@@ -505,9 +524,27 @@ class TestGainKernel:
         results = []
         for bound in (1, 1 << 62):
             monkeypatch.setattr(combining, "_BATCH_BYTES", bound)
-            results.append(gain_moments(channels, combiners, serving, 0.2, powers))
+            results.append(gain_moments(combiners, 0.2, powers))
         for name in ("mean_gain", "second_moment", "sharer_moment"):
             assert_same_bits(getattr(results[0], name), getattr(results[1], name))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_rows_partition_the_nonzero_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        masks = [rng.random((9, 7)) < density for density in (0.2, 0.5, 0.8)]
+        masks[1][[2, 5]] = False  # empty rows
+        masks += [np.zeros((4, 6), dtype=bool), np.ones((5, 3), dtype=bool)]
+        for mask in masks:
+            counts, grouped = [], []
+            for count, rows, members in combining._equal_rows(mask):
+                assert members.shape == (rows.size, count)
+                assert np.all(np.diff(rows) > 0)
+                for row, columns in zip(rows, members):
+                    assert np.array_equal(columns, np.flatnonzero(mask[row]))  # ascending
+                counts.append(count)
+                grouped += rows.tolist()
+            assert counts == sorted(set(counts)) and 0 not in counts
+            assert sorted(grouped) == np.flatnonzero(mask.any(axis=1)).tolist()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sharer_mask_matches_integer_product(self, seed):
@@ -528,7 +565,7 @@ class TestGainKernel:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            moments = gain_moments(channels, combiners, serving, 0.2, powers)
+            moments = gain_moments(combiners, 0.2, powers)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

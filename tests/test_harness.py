@@ -317,9 +317,9 @@ class TestLockstep:
             served.append([])
             return draw_estimates(*args)
 
-        def record_served(channels, combiners, serving, sigma2, powers):
-            served[-1].append(serving.copy())
-            return gain_moments(channels, combiners, serving, sigma2, powers)
+        def record_served(combiners, sigma2, powers):
+            served[-1].append(combiners.column >= 0)
+            return gain_moments(combiners, sigma2, powers)
 
         monkeypatch.setattr(simulate, "draw_estimates", record_needed)
         monkeypatch.setattr(simulate, "gain_moments", record_served)
@@ -346,9 +346,9 @@ class TestLockstep:
             calls.append([])
             return draws[-1]
 
-        def record_release(channels, combiners, serving, sigma2, powers):
-            calls[-1].append((int(serving.sum()), draws[-1].estimates is None))
-            return gain_moments(channels, combiners, serving, sigma2, powers)
+        def record_release(combiners, sigma2, powers):
+            calls[-1].append((int((combiners.column >= 0).sum()), draws[-1].estimates is None))
+            return gain_moments(combiners, sigma2, powers)
 
         monkeypatch.setattr(simulate, "draw_estimates", record_draws)
         monkeypatch.setattr(simulate, "gain_moments", record_release)

@@ -134,11 +134,12 @@ class TestObservation:
         assert np.array_equal(h.view(np.uint64), h_before.view(np.uint64))
 
     @pytest.mark.parametrize("adds_per_window", [1, 7, None])
-    @pytest.mark.parametrize("tau_p,permuted", [(8, False), (3, False), (3, True)])
+    @pytest.mark.parametrize("tau_p,permuted", [(8, False), (3, False), (3, True), (1, False)])
     def test_add_blocks_leave_no_trace_in_bits(self, monkeypatch, adds_per_window, tau_p, permuted):
-        # 15 O-RUs x 7 UEs: 105 adds into 105 or 45 (O-RU, slot) entries. Windows of 7 adds end
-        # inside reuse rounds, and with 3 slots the last round takes only the slot with 3 UEs;
-        # None gathers all 105 adds at once.
+        # 15 O-RUs x 7 UEs: 105 adds into 105, 45 or 15 (O-RU, slot) entries. Windows of 7 adds
+        # split the reuse rounds of 45 or 15 adds, with 3 slots the last round takes only the slot
+        # with 3 UEs, and with one slot each of the 7 rounds adds one UE to all 15 entries; None
+        # gathers each round's adds at once.
         rng = np.random.default_rng(40 + tau_p + permuted)
         h = rng.standard_normal((3, 15, 7, 2)) + 1j * rng.standard_normal((3, 15, 7, 2))
         cfg = reuse_case(tau_p, permuted, rng)
