@@ -42,9 +42,11 @@ PSD_CLIP_REL_TOL = 1e-9
 # call to call; whole (L, K, nodes) arrays were unmapped and page-faulted in
 # again on every refresh. At 11 nodes a block is 727 angles.
 _RING_BYTES = 128_000
-# Bytes of one chunk of real normal draws in `complex_normal_draws`, below the
-# mmap threshold for the same reason; whole draw-sized float temporaries took
-# 4.6 MB at the reference scenario.
+# Bytes of one chunk of real normal draws in `complex_normal_draws` and of one
+# block of draws `sample_channels` mixes, below the mmap threshold for the same
+# reason; whole draw-sized temporaries took 4.6 MB (float draws) and 9.2 MB
+# (mixed channels) at the reference scenario. A chunk or block holds one draw
+# at least.
 _DRAW_BYTES = 128_000
 
 
@@ -320,30 +322,54 @@ def sample_channels(factor: np.ndarray, n_draws: int, rng: np.random.Generator) 
     """Stacked draws h = A z for factors (L, K, N, N) -> realizations (n_draws, L, K, N).
 
     z ~ CN(0, I) is drawn already scaled by 1/sqrt(2), the reciprocal numpy's
-    complex division by sqrt(2) multiplies with, so it has the bits of z / sqrt(2);
-    the draws hold one complex array of z's shape at a time besides the result.
+    complex division by sqrt(2) multiplies with, so it has the bits of z / sqrt(2).
+    It is then mixed into h in place, one block of whole draws of about
+    _DRAW_BYTES at a time: each (L, K) product A z reads its own z only, so the
+    draws hold one array of the result's shape and one block besides.
     """
-    z = complex_normal_draws((n_draws,) + factor.shape[:-1], rng, 1.0 / np.sqrt(2.0))
-    return (factor @ z[..., None])[..., 0]
+    h = complex_normal_draws((n_draws,) + factor.shape[:-1], rng, 1.0 / np.sqrt(2.0))
+    per_block = max(1, _DRAW_BYTES // max(1, h[:1].nbytes))
+    mixed = np.empty((min(per_block, n_draws),) + h.shape[1:] + (1,), dtype=complex)
+    for start in range(0, n_draws, per_block):
+        block = h[start : start + per_block, ..., None]
+        out = mixed[: block.shape[0]]
+        np.matmul(factor, block, out=out)
+        block[...] = out
+    return h
 
 
-def complex_normal_draws(shape: tuple, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """scale (x + j y) with x and then y standard normal draws of ``shape`` from ``rng``.
+def _rows(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``stack[..., index, :]``: a view when ``index`` is one ascending run, else a copy gathered by
+    ``np.take``; the kept rows of `complex_normal_draws` and the pilot stage's gathers. The span of
+    the ends is tested first: it rules out most gathers of a reuse round without the elementwise
+    test."""
+    if index.size and index[-1] - index[0] == index.size - 1 and (index[1:] - index[:-1] == 1).all():
+        return stack[..., index[0] : index[-1] + 1, :]
+    return np.take(stack, index, axis=-2)
+
+
+def complex_normal_draws(shape: tuple, rng: np.random.Generator, scale: float, rows=None) -> np.ndarray:
+    """scale (x + j y) with x and then y standard normal draws of ``shape`` from ``rng``, keeping
+    the ``rows`` (an index array) of the second-last axis, or every row by default.
 
     The values and the stream position equal those of
-    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale``,
-    but only one complex array of ``shape`` is allocated: each part is drawn in
-    chunks of _DRAW_BYTES (chunked draws continue the stream as one draw does)
-    and scaled straight into the real or imaginary entries.
+    ``((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale)[..., rows, :]``,
+    but only the kept complex array is allocated: each part is drawn in chunks
+    of whole (rows, columns) matrices of about _DRAW_BYTES (chunked draws
+    continue the stream as one draw does), and each chunk's kept rows are
+    scaled straight into the real or imaginary entries.
     """
-    z = np.empty(shape, dtype=complex)
-    flat = z.reshape(-1)
-    step = _DRAW_BYTES // 8
-    for part in (flat.real, flat.imag):
-        for start in range(0, part.size, step):
-            chunk = part[start : start + step]
-            np.multiply(rng.standard_normal(chunk.size), scale, out=chunk)
-    return z
+    *lead, n_rows, n_cols = shape
+    count = int(np.prod(lead))
+    z = np.empty((count, n_rows if rows is None else len(rows), n_cols), dtype=complex)
+    per_chunk = max(1, _DRAW_BYTES // max(1, 8 * n_rows * n_cols))
+    for part in (z.real, z.imag):
+        for start in range(0, count, per_chunk):
+            chunk = part[start : start + per_chunk]
+            draws = rng.standard_normal((chunk.shape[0], n_rows, n_cols))
+            np.multiply(draws if rows is None else _rows(draws, rows), scale, out=chunk)
+            del draws  # before the next chunk is drawn
+    return z.reshape(tuple(lead) + z.shape[1:])
 
 
 @dataclass

@@ -26,19 +26,20 @@ lifetimes: it drops the estimates once the last map has its combiners, and a
 map's combiners once its gains are formed.
 `simulate_gain_moments` is the composition for one map.
 
-Memory bound: two draw-sized (d, L, K, N) complex arrays are live at once, the
-channels and the per-(O-RU, pilot slot) pilot noise, until the observed
-entries' noise is gathered; the slot signals hold d N entries per observed
-(O-RU, slot) entry, the observations, estimates and combiners d N per needed
+Memory bound: one draw-sized (d, L, K, N) complex array is live, the
+channels, which are drawn and mixed in place; the slot signals hold d N
+entries per observed (O-RU, pilot slot) entry (only those rows of the slot
+noise are kept), the observations, estimates and combiners d N per needed
 or served pair, and the pilot Grams, filters and error covariances N^2 per
 observed entry or needed pair, (E, N, N) and (P, N, N) stacks; there are at
 most L K such pairs. Every other temporary is a fraction
-of a draw-sized array: `served_combiners` solves in blocks of draws of about
-_SOLVE_BYTES (1 MiB), and `gain_moments` in batches of _BATCH_BYTES, except
-that its Gram buffer holds one UE's (K, s, s) Grams even when they alone pass
-the batch bound; it outgrows a draw only when S_max^2 > d L N (ubiquitous
-serving at small n_mc). Draws are filled and scaled in place, and no stage
-writes into an array it was passed.
+of a draw-sized array: the draws are made in chunks and mixed in blocks of
+about 128 kB (one draw at least), `served_combiners` solves in blocks of draws
+of about _SOLVE_BYTES (1 MiB), and `gain_moments` in batches of _BATCH_BYTES,
+except that its Gram buffer holds one UE's (K, s, s) Grams even when they
+alone pass the batch bound; it outgrows a draw only when S_max^2 > d L N
+(ubiquitous serving at small n_mc). Draws are filled and scaled in place, and
+no stage writes into an array it was passed.
 
 The second stage (`second_stage`) solves the weights and scores the SINR of all
 UEs of one support size in one batch, straight from their (G, s, s) moments.
@@ -260,14 +261,15 @@ def draw_estimates(
     (L, K) pairs, for ``n_mc`` draws.
 
     Every channel and every (O-RU, pilot slot) noise vector is drawn, so the
-    random stream does not depend on ``needed``. The pilot stage is formed on
-    the needed pairs and on the (O-RU, slot) entries they observe only: the
-    MMSE filters and error covariances are solved from an (E, N, N) stack of
-    pilot Grams (`pilots.mmse_filters`) and kept as (P, N, N) stacks, and only
-    the observed entries' noise is kept, each entry's slot signal added once
-    and read by its needed pairs (`pilots.observe_pilots`). Each pair is
-    filtered alone, so an estimate and its error covariance have the same bits
-    whichever other pairs are needed.
+    random stream does not depend on ``needed``; the channels are the one
+    draw-sized array (`sample_channels` mixes them in place). The pilot stage
+    is formed on the needed pairs and on the (O-RU, slot) entries they observe
+    only: the MMSE filters and error covariances are solved from an (E, N, N)
+    stack of pilot Grams (`pilots.mmse_filters`) and kept as (P, N, N) stacks,
+    and only the observed entries' noise rows are kept as they are drawn, each
+    entry's slot signal added once and read by its needed pairs
+    (`pilots.observe_pilots`). Each pair is filtered alone, so an estimate and
+    its error covariance have the same bits whichever other pairs are needed.
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")

@@ -11,7 +11,9 @@ slot) entries those pairs observe: `mmse_filters` sums the pilot Gram Psi and
 and every pair then reads its entry's. Both add one reuse round at a time
 (round r = the r-th UE of every slot), so each entry's and each pair's bits
 are those of the all-pairs result. The pilot noise is still drawn for every
-(O-RU, slot), so the random stream does not depend on the pairs.
+(O-RU, slot), so the random stream does not depend on the pairs, but only the
+observed entries' rows are kept: it is drawn in chunks of whole draws, and the
+kept rows are the buffer the reuse rounds add onto.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import complex_normal_draws
+from .channel import _rows, complex_normal_draws
 from .errors import ConfigurationError
 
 # Bytes of the temporaries of one gather or add of the pilot stage (`_add_sharers`); larger ones
@@ -111,15 +113,6 @@ def _entries(pilots: PilotConfig, needed: np.ndarray | None, l_num: int, k_num: 
     return pilots._last_entries
 
 
-def _rows(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``stack[..., index, :]``: a view when ``index`` is one ascending run, else a copy gathered by
-    ``np.take``. The span of the ends is tested first: it rules out most gathers of a reuse round
-    without the elementwise test."""
-    if index.size and index[-1] - index[0] == index.size - 1 and (index[1:] - index[:-1] == 1).all():
-        return stack[..., index[0] : index[-1] + 1, :]
-    return np.take(stack, index, axis=-2)
-
-
 def _add_sharers(total: np.ndarray, stack: np.ndarray, weight: np.ndarray, e: _Entries) -> None:
     """Run the adds of ``e``: add weight[s] * stack[..., e.add_row[s], :] into its entry's row of
     ``total``, each entry's adds in ascending rounds.
@@ -147,20 +140,21 @@ def observe_pilots(
     """Decorrelated pilot observations of the ``needed`` (O-RU, UE) pairs.
 
     ``channels`` has shape (..., L, K, N). Noise with covariance sigma2 * I is
-    drawn for every (O-RU, pilot slot), so UEs sharing a pilot see the same
-    noise vector and the random stream does not depend on ``needed``. The
-    signal is formed once per (O-RU, slot) entry the needed pairs observe:
-    the entry's noise is gathered, and each reuse round adds sqrt(tau_p p_i)
-    h_{l,i} of its UE i on the slot (`_add_sharers`), so no entry's signal
-    depends on the other entries. Each pair then reads its entry. With an
-    (L, K) bool map ``needed`` the result is (..., P, N) in the order of
-    ``np.nonzero(needed)``; without, (..., L, K, N).
+    drawn for every (O-RU, pilot slot), all real parts and then all imaginary
+    parts, so UEs sharing a pilot see the same noise vector and the random
+    stream does not depend on ``needed``. Only the rows of the (O-RU, slot)
+    entries the needed pairs observe are kept (`complex_normal_draws`), and the
+    signal is formed on them: each reuse round adds sqrt(tau_p p_i) h_{l,i} of
+    its UE i on the slot (`_add_sharers`), so no entry's signal depends on the
+    other entries. Each pair then reads its entry. With an (L, K) bool map
+    ``needed`` the result is (..., P, N) in the order of ``np.nonzero(needed)``;
+    without, (..., L, K, N).
     """
     channels = np.asarray(channels)
     lead, (l_num, k_num, n) = channels.shape[:-3], channels.shape[-3:]
     e = _entries(pilots, needed, l_num, k_num)
-    noise = complex_normal_draws(lead + (l_num * pilots.round_ue.shape[1], n), rng, np.sqrt(sigma2_mw / 2.0))
-    received = _rows(noise, e.keys)
+    slot_rows = (l_num * pilots.round_ue.shape[1], n)
+    received = complex_normal_draws(lead + slot_rows, rng, np.sqrt(sigma2_mw / 2.0), e.keys)
     scale = np.sqrt(pilots.tau_p * pilots.power_mw).astype(complex)  # cast once, not per add
     _add_sharers(received, channels.reshape(lead + (l_num * k_num, n)), scale[e.add_ue, None], e)
     received = _rows(received, e.of_pair)

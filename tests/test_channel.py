@@ -355,9 +355,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("chunk_doubles", [1, 13, 420])
     def test_chunked_draws_match_oracle_bit_for_bit(self, monkeypatch, chunk_doubles):
-        # Chunks of 1 and 13 real draws, and one chunk for each part of the 7 x 3 x 5 x 4 draws:
-        # chunked draws continue the stream as one draw does, and the 1/sqrt(2) scale has the bits
-        # of the oracle's complex division.
+        # Budgets of 1, 13 and 420 real draws over the 7 x 3 x 5 x 4 draws: chunks of one (5, 4)
+        # matrix, the least a chunk holds, and one chunk for each part. Chunked draws continue the
+        # stream as one draw does, and the 1/sqrt(2) scale has the bits of the oracle's complex
+        # division.
         monkeypatch.setattr(channel, "_DRAW_BYTES", 8 * chunk_doubles)
         rng = np.random.default_rng(4)
         beta = rng.uniform(0.2, 2.0, size=(3, 5))
@@ -369,6 +370,34 @@ class TestSampling:
         scaled = channel.complex_normal_draws((2, 9), draws, 0.3)
         x, y = reference.standard_normal((2, 9)), reference.standard_normal((2, 9))
         assert np.array_equal(scaled.view(np.uint64), ((x + 1j * y) * 0.3).view(np.uint64))
+
+    @pytest.mark.parametrize("draws_per_block", [1, 3, 7])
+    def test_in_place_mixing_matches_oracle_bit_for_bit(self, monkeypatch, draws_per_block):
+        # One draw of 3 x 5 x 4 complex entries takes 960 B: blocks of one, three (the last one
+        # short) or all seven draws are mixed in place, and each has the bits of the oracle's one
+        # product over every draw; the stream ends where the oracle's does.
+        monkeypatch.setattr(channel, "_DRAW_BYTES", draws_per_block * 960)
+        rng = np.random.default_rng(4)
+        beta = rng.uniform(0.2, 2.0, size=(3, 5))
+        factor = covariance_factor(one_ring_covariance(beta, rng.uniform(-np.pi, np.pi, beta.shape), 0.2, 4, 0.5))
+        draws, reference = np.random.default_rng(12), np.random.default_rng(12)
+        h = sample_channels(factor, 7, draws)
+        assert np.array_equal(h.view(np.uint64), oracles.sample_channels(factor, 7, reference).view(np.uint64))
+        assert draws.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("matrices_per_chunk", [1, 3, 20])
+    def test_kept_rows_match_full_draw_bit_for_bit(self, monkeypatch, matrices_per_chunk):
+        # (4, 5) draws of (6, 3) matrices in chunks of one, three or all 20 matrices: every kept
+        # row, in any order, has the bits of the full draw's, and the stream ends where the full
+        # draw leaves it, for no row, one row, a permuted subset and every row.
+        monkeypatch.setattr(channel, "_DRAW_BYTES", matrices_per_chunk * 6 * 3 * 8)
+        for rows in (np.array([], dtype=int), np.array([4]), np.array([5, 0, 2]), np.arange(6), None):
+            draws, reference = np.random.default_rng(21), np.random.default_rng(21)
+            kept = channel.complex_normal_draws((4, 5, 6, 3), draws, 0.7, rows)
+            x, y = reference.standard_normal((4, 5, 6, 3)), reference.standard_normal((4, 5, 6, 3))
+            full = (x + 1j * y) * 0.7
+            assert np.array_equal(kept.view(np.uint64), (full if rows is None else full[..., rows, :]).view(np.uint64))
+            assert draws.bit_generator.state == reference.bit_generator.state
 
     def test_sample_covariance_consistency(self):
         cov = one_ring_covariance(1.0, 0.6, np.deg2rad(10.0), 4, 0.5)

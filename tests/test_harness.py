@@ -113,11 +113,10 @@ class TestEpisode:
         assert np.all(np.isfinite(result.se))
         assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_fixed_step_memory_follows_served_pairs(self):
-        # One fixed step at K=160, L=144 (the reference density on 2 x 2 km), n_mc=8,
-        # peaks at ~38 MB. A dense (L, K, N, N) copy of the error covariances, or an
-        # L K power-weighted sum over it per cell, would take it to ~44 MB.
-        deployment = DeploymentConfig(grid_side_m=2000.0, num_orus=144, num_odus=16, antennas_per_oru=4, num_ues=160)
+    @staticmethod
+    def _traced_fixed_step(num_ues, num_orus, num_odus, grid_side_m):
+        """Traced peak of one fixed step at n_mc=8, N=4."""
+        deployment = DeploymentConfig(grid_side_m, num_orus, num_odus, antennas_per_oru=4, num_ues=num_ues)
         cfg = SimConfig(deployment=deployment, n_mc=8, sim_time_s=0.5)
         tracemalloc.start()
         try:
@@ -126,7 +125,28 @@ class TestEpisode:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(result.se))
-        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+        return peak
+
+    def test_fixed_step_memory_follows_served_pairs(self):
+        # One fixed step at K=160, L=144 (the reference density on 2 x 2 km), n_mc=8. The
+        # covariance and factor stacks take 144 * 160 * 4 * 4 * 16 B = 5.9 MB each and the
+        # channels, the one draw-sized array, 8 * 144 * 160 * 4 * 16 B = 11.8 MB: 23.6 MB. The
+        # 2,560 served pairs' combiners and (K, S_max, S_max) moments (1.3 MB each), error
+        # covariances (0.7 MB) and the (L, K) gains, angles and cluster maps take the peak to
+        # ~30.7 MB. It read ~37.9 MB with the unmixed draws beside the channels, and ~44 MB
+        # with a dense (L, K, N, N) copy of the error covariances.
+        peak = self._traced_fixed_step(160, 144, 16, 2000.0)
+        assert peak < 34e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_fixed_step_memory_at_k360(self):
+        # One fixed step at K=360, L=324 (the reference density on 3 x 3 km), n_mc=8. The
+        # covariance and factor stacks take 324 * 360 * 4 * 4 * 16 B = 29.9 MB each and the
+        # channels 8 * 324 * 360 * 4 * 16 B = 59.7 MB: 119.4 MB. The 5,760 served pairs'
+        # combiners and moments (2.9 MB each) and error covariances (1.5 MB), the (L, K) gains,
+        # angles and cluster maps (~6 MB) and the gain batches take the peak to ~141.5 MB. With
+        # the unmixed draws beside the channels, another 59.7 MB, it read ~187.7 MB.
+        peak = self._traced_fixed_step(360, 324, 36, 3000.0)
+        assert peak < 150e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_episodes_csv(self):
         cfg = tiny_config(sim_time_s=1.0)

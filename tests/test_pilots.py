@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmimo import pilots
+from cfmimo import channel, pilots
 from cfmimo.channel import covariance_factor, one_ring_covariance, sample_channels
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (
@@ -132,6 +132,54 @@ class TestObservation:
             assert np.array_equal(cfg.slot_of_ue, expected_slots)
             assert draws.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(h.view(np.uint64), h_before.view(np.uint64))
+
+    @pytest.mark.parametrize("draws_per_chunk", [1, 3, None])
+    @pytest.mark.parametrize("tau_p,permuted", [(8, False), (8, True), (3, False), (3, True), (1, False)])
+    def test_kept_noise_rows_match_full_draw_bitwise(self, monkeypatch, draws_per_chunk, tau_p, permuted):
+        # The slot noise is drawn in chunks of one, three or all seven draws, and only the rows of
+        # the observed (O-RU, slot) entries are kept. For the empty map, one pair, one O-RU row,
+        # about half the pairs and every pair (as a map and without one), each observation has
+        # the bits of the oracles' dense draw, and the stream ends where theirs does.
+        rng = np.random.default_rng(80 + tau_p + 10 * permuted)
+        h = rng.standard_normal((7, 5, 7, 3)) + 1j * rng.standard_normal((7, 5, 7, 3))
+        cfg = reuse_case(tau_p, permuted, rng)
+        draw_bytes = 5 * cfg.round_ue.shape[1] * 3 * 8  # one draw of a part of the slot noise
+        monkeypatch.setattr(channel, "_DRAW_BYTES", (draws_per_chunk or 7) * draw_bytes)
+        empty, one_pair, one_row = (np.zeros((5, 7), dtype=bool) for _ in range(3))
+        one_pair[3, 4] = one_row[2] = True
+        half = rng.permutation(35).reshape(5, 7) < 17
+        for needed in (empty, one_pair, one_row, half, np.ones((5, 7), dtype=bool), None):
+            draws, reference = np.random.default_rng(13), np.random.default_rng(13)
+            received = observe_pilots(h, cfg, 0.3, draws, needed)
+            expected, slots = oracles.slot_observations(h, cfg, 0.3, reference)
+            expected = expected[..., slots, :]  # (7, 5, 7, 3), per UE
+            assert draws.bit_generator.state == reference.bit_generator.state
+            if tau_p >= 7:  # one UE per slot: the one-hot oracle adds in the same order
+                dense = oracles.observe_pilots(h, cfg, 0.3, np.random.default_rng(13))
+                assert np.array_equal(bits(dense), bits(expected))
+            if needed is not None:
+                expected = expected[:, needed]
+            assert np.array_equal(bits(received), bits(expected))
+
+    def test_one_needed_pair_keeps_one_noise_row(self):
+        # d=8 draws at L=36, K=40, tau_p=100 (40 slots in use): the slot noise of every
+        # (O-RU, slot) would take 8 * 36 * 40 * 4 * 16 B = 737 kB (the peak read 867 kB when it was
+        # kept). One needed pair observes one entry, whose noise takes 8 * 4 * 16 B = 512 B; the
+        # real draws pass through chunks of two 36 * 40 * 4 * 8 B = 46 kB draws, so the peak
+        # reads ~98 kB.
+        rng = np.random.default_rng(6)
+        h = rng.standard_normal((8, 36, 40, 4)) + 1j * rng.standard_normal((8, 36, 40, 4))
+        cfg = PilotConfig.uniform(40, 100, 1.0)
+        needed = np.zeros((36, 40), dtype=bool)
+        needed[20, 30] = True
+        tracemalloc.start()
+        try:
+            received = observe_pilots(h, cfg, 0.3, np.random.default_rng(1), needed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert received.shape == (8, 1, 4)
+        assert peak < 150e3, f"peak {peak / 1e3:.0f} kB"
 
     @pytest.mark.parametrize("adds_per_window", [1, 7, None])
     @pytest.mark.parametrize("tau_p,permuted", [(8, False), (3, False), (3, True), (1, False)])
