@@ -192,6 +192,7 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
             if step:
                 positions = geometry.advance_positions(positions, speeds, headings, cfg.ts_s, dep.grid_side_m)
                 shadow = shadow.evolve(speeds, cfg.ts_s, rng)
+            stats = None  # the previous step's stacks are freed before the next ones are built
             stats = refresh_statistics(topology, positions, shadow, *channel_args)
         except _STEP_FAILURES as exc:
             _abort(live, step, replay, exc)

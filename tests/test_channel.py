@@ -47,6 +47,45 @@ class TestJakes:
             rho = jakes_autocorrelation(3.5e9, 2.0, ts)
             assert abs(rho) < 0.2
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0,
+            5e-324,  # x / 2 underflows to 0
+            2.404825557695773,  # the first zero
+            np.pi * 2 * 3.5e9 * 0.8333 / 299_792_458.0 * 0.5,  # the reference point
+            np.pi * 2 * 3.5e9 * (30.0 / 3.6) / 299_792_458.0 * 0.5,  # demos/channel_evolution.py
+            *np.logspace(-3.0, 6.0, 37),
+        ],
+    )
+    def test_bessel_j0_matches_scipy(self, x):
+        # Rounding of the phases x sin t, ~eps x each, sets the error for large x:
+        # ~2e-13 at x = 1e6 against scipy, which reduces its argument with the same rounding.
+        assert channel._bessel_j0(x) == pytest.approx(float(j0(x)), abs=1e-12)
+        assert channel._bessel_j0(-x) == channel._bessel_j0(x)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_bessel_j0_non_finite_as_scipy(self, x):
+        np.testing.assert_equal(channel._bessel_j0(x), float(j0(x)))
+
+    def test_bessel_j0_rejects_arguments_beyond_its_limit(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            channel._bessel_j0(2 * channel._J0_MAX_ARGUMENT)
+
+    def test_bessel_j0_memory_does_not_grow_with_the_argument(self):
+        # x = 1e6 takes 679,587 nodes: 5.4 MB of float64 phases if held at once.
+        nodes = channel._j0_node_count(1e6)
+        assert 8 * nodes > 5e6
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            channel._bessel_j0(1e6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * channel._DRAW_BYTES, f"peak {peak / 1e3:.0f} kB"
+
 
 class TestShadowFading:
     def test_zero_speed_freezes_exactly(self):

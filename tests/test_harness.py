@@ -1,8 +1,12 @@
 """Episode/campaign drivers, configuration handling, seed derivation."""
 
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import astuple, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,26 @@ class TestEpisode:
         peak = self._traced_fixed_step(360, 324, 36, 3000.0)
         assert peak < 150e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_refresh_does_not_hold_the_previous_statistics(self):
+        # Two cellular steps at K=160, L=144, n_mc=4, N=4. A step keeps three arrays of one
+        # stack's size, 144 * 160 * 4 * 4 * 16 B = 5.9 MB: the covariance and factor stacks and
+        # the channels. The refresh builds the next two stacks with their temporaries, and the
+        # estimates, combiners, gains and maps add the rest: the peak read 24.6 MB. With the
+        # previous step's stacks still held while the refresh ran, it read 28.2 MB.
+        num_ues, num_orus, n_ant, n_mc = 160, 144, 4, 4
+        deployment = DeploymentConfig(2000.0, num_orus, 16, antennas_per_oru=n_ant, num_ues=num_ues)
+        cfg = SimConfig(deployment=deployment, n_mc=n_mc, sim_time_s=1.0)
+        stack = num_orus * num_ues * n_ant * n_ant * 16
+        assert n_mc * num_orus * num_ues * n_ant * 16 == stack
+        tracemalloc.start()
+        try:
+            result = run_episode(cfg, 0, strategy=clustering.CELLULAR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.se.shape == (2, num_ues) and np.all(np.isfinite(result.se))
+        assert peak < 4.5 * stack, f"peak {peak / 1e6:.1f} MB"
+
     def test_episodes_csv(self):
         cfg = tiny_config(sim_time_s=1.0)
         results = [run_episode(cfg, s) for s in range(2)]
@@ -184,6 +208,35 @@ def test_episode_properties(strategy, speed_kmh, tau_p, threshold_db, seed):
         assert all(np.all(record >= 0) for record in records)
         assert getattr(ledger, f"total_{counter}") == sum(int(record.sum()) for record in records)
     assert all(1 <= event.t <= n_steps for event in result.events)
+
+
+def test_runs_without_scipy():
+    """`import cfmimo` loads no scipy, and an episode, a serial campaign and the
+    Jakes reference run with every scipy import blocked."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import cfmimo
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded
+        sys.modules["scipy"] = None  # any later scipy import raises ImportError
+        from cfmimo.channel import jakes_autocorrelation
+        from cfmimo.clustering import HandoverConfig
+        from cfmimo.geometry import DeploymentConfig
+        cfg = cfmimo.SimConfig(
+            deployment=DeploymentConfig(500.0, 8, 4, 2, 4), handover=HandoverConfig("fixed", 2.0, 4, 6),
+            sim_time_s=1.0, speeds_kmh=(30.0,), n_setups=1, n_mc=4, seed=5,
+        )
+        assert cfmimo.run_episode(cfg, 0).se.shape == (2, 4)
+        assert len(cfmimo.run_campaign(cfg, parallelism=1).rows) == 1
+        assert abs(jakes_autocorrelation(3.5e9, 0.8333, 0.5)) < 0.15
+        print("ok")
+        """
+    )
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stdout.strip() == "ok", run.stderr
 
 
 class TestCampaign:
