@@ -142,9 +142,10 @@ def served_combiners(
 def _equal_rows(mask: np.ndarray):
     """(count, rows, members) for each nonzero count of True entries in the rows of a 2-D bool
     ``mask``, ascending: the ascending rows with that count, and their (rows, count) columns of
-    the True entries, ascending along each row."""
+    the True entries, ascending along each row. The distinct counts come from ``np.bincount``:
+    ``np.unique`` would import numpy.ma into every process on its first episode."""
     counts = mask.sum(axis=1)
-    for count in np.unique(counts[counts > 0]).tolist():
+    for count in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
         rows = np.flatnonzero(counts == count)
         yield count, rows, np.nonzero(mask[rows])[1].reshape(rows.size, count)
 

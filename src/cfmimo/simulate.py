@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -311,9 +310,10 @@ def campaign_cells(config: SimConfig, strategies, thresholds, speeds):
 
 
 def pool_size(parallelism: int, num_jobs: int) -> int:
-    """Worker processes for a campaign: at most one per job and one per core this process may run on."""
-    if parallelism < 1:
-        raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
+    """Worker processes for a campaign: at most one per job and one per core this process may run on.
+    ``parallelism`` must be an int (not a bool) of at least 1."""
+    if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
+        raise ConfigurationError(f"parallelism must be >= 1 and an int, got {parallelism!r}")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(parallelism, num_jobs, cores)
 
@@ -391,10 +391,13 @@ def run_campaign(
     job_args = [(cfg, speed, setup, [cells[i] for i in members]) for speed, setup, members in jobs]
     workers = min(workers, len(jobs))
     if workers > 1:
-        # numpy loads numpy.random and numpy.ma (which np.unique consults) on first use; loaded
-        # before the fork, they are inherited instead of imported (~29 ms) by every worker of
-        # every campaign.
-        import numpy.ma, numpy.random  # noqa: E401, F401
+        # The pool's modules (multiprocessing, concurrent.futures and what they pull in) load
+        # only here, so episodes and serial campaigns never import them. numpy loads
+        # numpy.random on first use; loaded before the fork, it is inherited instead of
+        # imported by every worker of every campaign.
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy.random  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_lockstep_job, job_args, chunksize=1))

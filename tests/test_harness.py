@@ -239,6 +239,47 @@ def test_runs_without_scipy():
     assert run.returncode == 0 and run.stdout.strip() == "ok", run.stderr
 
 
+def test_episode_processes_load_no_pool_or_masked_arrays():
+    """`import cfmimo`, an episode and a serial campaign load none of numpy.ma,
+    multiprocessing or concurrent.futures, and the latter two run with every
+    multiprocessing import blocked; only a campaign with workers loads the pool."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import cfmimo
+        from cfmimo.clustering import HandoverConfig
+        from cfmimo.geometry import DeploymentConfig
+
+        def check(stage):
+            loaded = sorted(
+                name for name in sys.modules
+                if name.split(".")[0] in ("multiprocessing", "concurrent")
+                or name == "numpy.ma" or name.startswith("numpy.ma.")
+            )
+            assert not loaded, (stage, loaded)
+
+        check("import")
+        cfg = cfmimo.SimConfig(
+            deployment=DeploymentConfig(500.0, 8, 4, 2, 4), handover=HandoverConfig("opportunistic", 2.0, 4, 6),
+            sim_time_s=1.0, speeds_kmh=(30.0,), n_setups=1, n_mc=4, seed=5,
+        )
+        assert cfmimo.run_episode(cfg, 0).se.shape == (2, 4)
+        check("episode")
+        strategies = ["fixed", "opportunistic", "ubiquitous", "cellular"]
+        assert len(cfmimo.run_campaign(cfg, strategies=strategies, parallelism=1).rows) == 4
+        check("serial campaign")
+        sys.modules["multiprocessing"] = None  # any later multiprocessing import raises ImportError
+        assert cfmimo.run_episode(cfg, 1).se.shape == (2, 4)
+        assert len(cfmimo.run_campaign(cfg, strategies=strategies, parallelism=1).rows) == 4
+        print("ok")
+        """
+    )
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stdout.strip() == "ok", run.stderr
+
+
 class TestCampaign:
     def test_cell_grid_and_baseline_dedup(self):
         cfg = tiny_config()
@@ -305,8 +346,8 @@ class TestCampaign:
         assert pool_size(2, 0) == 0
         monkeypatch.delattr(os, "sched_getaffinity")
         assert pool_size(10**6, 10**6) == 8
-        for bad in (0, -3):
-            with pytest.raises(ConfigurationError, match="parallelism"):
+        for bad in (0, -3, 2.5, True, "2"):
+            with pytest.raises(ConfigurationError, match=f"parallelism.*{bad!r}"):
                 pool_size(bad, 5)
 
     def test_csv_bit_identical_across_parallelism(self):
