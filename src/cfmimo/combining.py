@@ -21,25 +21,27 @@ serving clusters, so several serving maps can score their combiners
 filters and estimates are formed only for the (O-RU, UE) pairs some of these
 maps serve, and each map solves its combiners and noise terms only for the
 pairs it serves. A map's combiners carry its served pairs and the draws'
-channels, which `gain_moments` reads from them. The caller owns the
-lifetimes: it drops the estimates once the last map has its combiners, and a
-map's combiners once its gains are formed.
+channels, which `gain_moments` reads from them. The last map of a step solves
+its combiners into the estimates' buffer, and the draws then drop their
+estimates; the caller drops a map's combiners once its gains are formed.
 `simulate_gain_moments` is the composition for one map.
 
 Memory bound: one draw-sized (d, L, K, N) complex array is live, the
-channels, which are drawn and mixed in place; the slot signals hold d N
-entries per observed (O-RU, pilot slot) entry (only those rows of the slot
-noise are kept), the observations, estimates and combiners d N per needed
-or served pair, and the pilot Grams, filters and error covariances N^2 per
-observed entry or needed pair, (E, N, N) and (P, N, N) stacks; there are at
-most L K such pairs. Every other temporary is a fraction
-of a draw-sized array: the draws are made in chunks and mixed in blocks of
-about 128 kB (one draw at least), `served_combiners` solves in blocks of draws
-of about _SOLVE_BYTES (1 MiB), and `gain_moments` in batches of _BATCH_BYTES,
-except that its Gram buffer holds one UE's (K, s, s) Grams even when they
-alone pass the batch bound; it outgrows a draw only when S_max^2 > d L N
-(ubiquitous serving at small n_mc). Draws are filled and scaled in place, and
-no stage writes into an array it was passed.
+channels, which are drawn and mixed in place, and one (d, P, N) pair buffer
+for the P <= L K needed pairs: the observations (the slot signals of the
+observed (O-RU, pilot slot) entries, whose rows alone of the slot noise are
+kept, gathered per pair where pairs share an entry), into which the estimates
+are filtered and the last map's combiners solved; other maps' combiners take
+a fresh (d, S, N) buffer. The pilot Grams, filters and error covariances take
+N^2 per observed entry or needed pair. Every other temporary is a fraction of
+a draw-sized array: the draws are made in chunks, and mixed and filtered in
+blocks, of about 128 kB (one draw at least), `served_combiners` solves in
+blocks of draws of about _SOLVE_BYTES (1 MiB), and `gain_moments` in batches
+of _BATCH_BYTES, except that its Gram buffer holds one UE's (K, s, s) Grams
+even when they alone pass the batch bound; it outgrows a draw only when
+S_max^2 > d L N (ubiquitous serving at small n_mc). Draws are filled and
+scaled in place; only the last map's combiners are written into an array a
+stage was passed.
 
 The second stage (`second_stage`) solves the weights and scores the SINR of all
 UEs of one support size in one batch, straight from their (G, s, s) moments.
@@ -74,16 +76,18 @@ class ServedCombiners:
 
     ``values[:, column[l, k]]`` is the (d, N) combiner of UE k at O-RU l;
     ``column`` is -1 where l does not serve k, whose combiner is zero, so
-    ``column >= 0`` is the serving map.
+    ``column >= 0`` is the serving map. ``values`` is pair-major: a fresh
+    buffer of the served pairs in ``np.nonzero`` order, or the draws'
+    estimates buffer, which the last map of a step owns.
     """
 
-    values: np.ndarray  # (d, S, N) complex, S served pairs, stored antenna-major
+    values: np.ndarray  # (d, S, N) or (d, P, N) complex, pair-major
     column: np.ndarray  # (L, K) int
     channels: np.ndarray  # (d, L, K, N) the draws' true channels, not a copy
 
 
 def served_combiners(
-    serving: np.ndarray, draws: EstimationDraws, powers_mw: np.ndarray, sigma2_mw: float
+    serving: np.ndarray, draws: EstimationDraws, powers_mw: np.ndarray, sigma2_mw: float, into_estimates: bool = False
 ) -> ServedCombiners:
     """Local MMSE combiners of the (O-RU, UE) pairs a serving map serves, per draw.
 
@@ -92,8 +96,8 @@ def served_combiners(
     with D_l the UEs O-RU l serves; only l's served columns are solved.
 
     ``draws`` supplies the estimates and error covariances of the estimated
-    pairs (`EstimationDraws`); every served pair must be among them, and
-    nothing is written into them. Each O-RU's error term
+    pairs (`EstimationDraws`); every served pair must be among them, and only
+    ``into_estimates`` writes into them. Each O-RU's error term
     sum_{i in D_l} p_i C_li is summed over its served UEs in ascending order.
 
     The O-RUs of equal load |D_l| form one group, whose systems are laid out
@@ -105,25 +109,26 @@ def served_combiners(
     block nor on the other O-RUs of its group. Blocks of draws hold at most
     about _SOLVE_BYTES of Grams, right-hand sides and temporaries (at least
     one draw). A singular system raises NumericalError naming its O-RU and
-    draw. The combiners are stored antenna-major.
+    draw. The combiners go into a fresh buffer, or with ``into_estimates`` (the
+    last map of a step) into the estimates' columns of the served pairs, after
+    which the draws drop their estimates: a pair's estimate is read only by its
+    own O-RU's systems, so each block overwrites exactly the columns it gathered.
     """
     serving = np.asarray(serving, dtype=bool)
     n_mc, _, n_ant = draws.estimates.shape
     if np.any(draws.column[serving] < 0):
         raise ValueError("the serving map serves (O-RU, UE) pairs that were not estimated")
 
-    served_column = np.full(serving.shape, -1)
-    values = np.empty((n_mc, n_ant, np.count_nonzero(serving)), dtype=complex)  # antenna-major
-    start = 0
+    values = draws.estimates if into_estimates else np.empty((n_mc, np.count_nonzero(serving), n_ant), dtype=complex)
+    ranks = serving.cumsum().reshape(serving.shape) - 1  # np.nonzero order
+    served_column = np.where(serving, draws.column if into_estimates else ranks, -1)
     for load, group, group_ues in _equal_rows(serving):  # group_ues: (G, load)
-        stop = start + group_ues.size
-        served_column[group[:, None], group_ues] = np.arange(start, stop).reshape(group_ues.shape)
         pairs = draws.column[group[:, None], group_ues].T  # (load, G)
+        targets = served_column[group[:, None], group_ues].T
         powers = powers_mw[group_ues].T[..., None]  # (load, G, 1)
         # sum_{i in D_l} p_i C_li + sigma2 I as (N, N, G, 1); accumulate adds in ascending i.
         error = np.add.accumulate(powers[..., None] * draws.error_covs[pairs], axis=0)[-1]
         fixed = (error + sigma2_mw * np.eye(n_ant)).transpose(1, 2, 0)[..., None]
-        out = values[:, :, start:stop].reshape(n_mc, n_ant, *group_ues.shape).transpose(1, 3, 2, 0)
         step = max(1, _SOLVE_BYTES // (group.size * (2 * n_ant + 3 * load) * n_ant * 16))  # draws per block
         for first in range(0, n_mc, step):
             block = slice(first, first + step)
@@ -134,9 +139,10 @@ def served_combiners(
             gram = _gram(solved, conj_est, fixed)
             del conj_est
             _hpd_solve(gram, solved, group, first)
-            out[..., block] = solved
-        start = stop
-    return ServedCombiners(values.swapaxes(1, 2), served_column, draws.channels)
+            values[block, targets] = solved.transpose(3, 1, 2, 0)
+    if into_estimates:
+        draws.estimates = None
+    return ServedCombiners(values, served_column, draws.channels)
 
 
 def _equal_rows(mask: np.ndarray):
@@ -238,9 +244,9 @@ class EstimationDraws:
     ``estimates[:, column[l, k]]`` is the (d, N) estimate of UE k at O-RU l
     and ``error_covs[column[l, k]]`` its (N, N) error covariance; ``column``
     is -1 for a pair not estimated. Both stacks hold the P needed pairs in
-    ``np.nonzero(needed)`` order, so only the channels span every pair. No
-    stage writes into the draws; a driver may set ``estimates`` to None once
-    the last serving map has its combiners.
+    ``np.nonzero(needed)`` order, so only the channels span every pair. The
+    estimates take the observations' buffer, and the last serving map solves its
+    combiners into it (`served_combiners` with ``into_estimates``), dropping them.
     """
 
     channels: np.ndarray  # (d, L, K, N) true channels
@@ -271,6 +277,7 @@ def draw_estimates(
     entry's slot signal added once and read by its needed pairs
     (`pilots.observe_pilots`). Each pair is filtered alone, so an estimate and
     its error covariance have the same bits whichever other pairs are needed.
+    The estimates are filtered into the observations' (d, P, N) buffer in place.
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
@@ -278,7 +285,7 @@ def draw_estimates(
     filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw, needed)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
     observations = pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng, needed)  # (d, P, N)
-    h_hat = pilots_mod.apply_filters(filters, observations)
+    h_hat = pilots_mod.apply_filters(filters, observations, out=observations)  # the estimates replace them
     column = np.full(np.shape(needed), -1)
     column[orus, ues] = np.arange(orus.size)
     return EstimationDraws(h, h_hat, column, error_covs)
@@ -304,9 +311,10 @@ def gain_moments(combiners: ServedCombiners, sigma2_mw: float, powers_mw: np.nda
     share = _sharers(serving)
     # Row 0 weighs every UE; row 1 the UEs sharing a serving O-RU, the others with power 0.
     powers = np.stack((np.broadcast_to(powers_mw, share.shape), np.where(share, powers_mw, 0.0)), axis=1)
-    # Summed over draws, then antennas, per served pair (the values are antenna-major).
-    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
-    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
+    # Per column, summed in order over draws, then antennas: order="F" with the draw label after the
+    # antenna label runs the columns innermost, so no bit depends on the buffer's width or the column.
+    power = np.einsum("xsa,xsa->s", combiners.values.real, combiners.values.real, order="F")
+    power += np.einsum("xsa,xsa->s", combiners.values.imag, combiners.values.imag, order="F")
     noise = sigma2_mw * power / n_mc  # the diagonal of F_k, per served pair
     groups = list(_equal_rows(serving.T))  # per support size s, its UEs and their (G, s) supports
     s_max = groups[-1][0] if groups else 0
@@ -362,12 +370,11 @@ def simulate_gain_moments(
 
     Each draw regenerates the estimation chain for the served pairs
     (`draw_estimates`), then the per-O-RU local combiners over the served sets
-    (`served_combiners`) and the effective-gain moments of those combiners
-    (`gain_moments`), with the pilot powers as the transmit powers.
+    (`served_combiners`, into the estimates) and the effective-gain moments of
+    those combiners (`gain_moments`), with the pilot powers as the transmit powers.
     """
     draws = draw_estimates(stats, pilots, sigma2_mw, n_mc, rng, serving)
-    combiners = served_combiners(serving, draws, pilots.power_mw, sigma2_mw)
-    draws.estimates = None  # the gains need only the combiners and the channels they carry
+    combiners = served_combiners(serving, draws, pilots.power_mw, sigma2_mw, into_estimates=True)
     return gain_moments(combiners, sigma2_mw, pilots.power_mw)
 
 

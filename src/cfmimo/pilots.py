@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _rows, complex_normal_draws
+from .channel import _DRAW_BYTES, _rows, complex_normal_draws
 from .errors import ConfigurationError
 
 # Bytes of the temporaries of one gather or add of the pilot stage (`_add_sharers`); larger ones
@@ -195,7 +195,20 @@ def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float, needed:
     return filters, error_covs
 
 
-def apply_filters(filters: np.ndarray, observations: np.ndarray) -> np.ndarray:
-    """Batched h_hat = W y over leading draw axes: (L,K,N,N) x (...,L,K,N), or
-    (P,N,N) x (...,P,N) for P gathered pairs; each pair is one matrix-vector product."""
-    return (filters @ observations[..., None])[..., 0]
+def apply_filters(filters: np.ndarray, observations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched h_hat = W y over the leading draw axis: (L,K,N,N) x (d,L,K,N), or
+    (P,N,N) x (d,P,N) for P gathered pairs; each pair is one matrix-vector product.
+
+    The draws are filtered a block of about _DRAW_BYTES at a time through one
+    block-sized buffer into ``out`` (a fresh array by default), which may be
+    ``observations`` itself: each block is read whole before it is written. A
+    product reads its own pair and draw only, so no bit depends on the block.
+    """
+    out = np.empty(observations.shape, dtype=complex) if out is None else out
+    per_block = max(1, _DRAW_BYTES // max(1, observations[:1].nbytes))
+    buffer = np.empty((min(per_block, len(observations)),) + observations.shape[1:] + (1,), dtype=complex)
+    for start in range(0, len(observations), per_block):
+        block = observations[start : start + per_block, ..., None]
+        np.matmul(filters, block, out=buffer[: len(block)])
+        out[start : start + per_block] = buffer[: len(block), ..., 0]
+    return out

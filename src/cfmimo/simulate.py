@@ -219,14 +219,13 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
         except _STEP_FAILURES as exc:
             _abort([lane for lane, _ in updated], step, replay, exc)
             break
-        # The cell serving the most pairs runs last: it frees the shared
-        # estimates before its gain loop, beside the largest combiners.
+        # The cell serving the most pairs runs last and solves its combiners
+        # into the shared estimates, which no other cell reads after it.
         updated.sort(key=lambda item: int(item[0].state.serving.sum()))
         for index, (lane, step_events) in enumerate(updated):
             try:
-                combiners = served_combiners(lane.state.serving, draws, pilot_cfg.power_mw, sigma2)
-                if index == len(updated) - 1:
-                    draws.estimates = None
+                last = index == len(updated) - 1
+                combiners = served_combiners(lane.state.serving, draws, pilot_cfg.power_mw, sigma2, into_estimates=last)
                 moments = gain_moments(combiners, sigma2, pilot_cfg.power_mw)
                 del combiners  # not kept into the second stage
                 # Weights use the statistics a primary O-DU can collect (UEs

@@ -233,6 +233,17 @@ def full_gain_moments(combiners, h):
     return mean_gain, second_moment, combiner_power
 
 
+def combiner_power(values):
+    """sum over draws and antennas of |v|^2 per column of a (d, W, N) combiner buffer, the reals and
+    then the imaginary parts, each summed one entry at a time in draw-major, antenna-minor order:
+    what numpy's einsum does over a copy laid out antenna-major, (d, N, W), whose columns are the
+    inner loop."""
+    antenna_major = np.ascontiguousarray(values.swapaxes(1, 2)).swapaxes(1, 2)
+    power = np.einsum("dsn,dsn->s", antenna_major.real, antenna_major.real)
+    power += np.einsum("dsn,dsn->s", antenna_major.imag, antenna_major.imag)
+    return power
+
+
 def gathered_gain_moments(channels, combiners, serving, sigma2_mw: float, powers_mw):
     """Effective-gain moments on the serving supports, one UE at a time from a
     copy of the channels at its serving O-RUs.
@@ -253,8 +264,7 @@ def gathered_gain_moments(channels, combiners, serving, sigma2_mw: float, powers
     n_mc = channels.shape[0]
     supports = [np.flatnonzero(serving[:, k]) for k in range(k_num)]
     s_max = max(support.size for support in supports)
-    power = np.einsum("dsn,dsn->s", combiners.values.real, combiners.values.real)
-    power += np.einsum("dsn,dsn->s", combiners.values.imag, combiners.values.imag)
+    power = combiner_power(combiners.values)
     mean_gain = np.zeros((k_num, l_num), dtype=complex)
     second_moment = np.zeros((k_num, s_max, s_max), dtype=complex)
     sharer_moment = np.zeros((k_num, s_max, s_max), dtype=complex)

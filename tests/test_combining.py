@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cfmimo import combining
+from cfmimo import pilots as pilots_mod
 from cfmimo.channel import (
     ChannelStatistics,
     covariance_factor,
@@ -30,6 +31,7 @@ from cfmimo.combining import (
 from cfmimo.errors import NumericalError
 from cfmimo.pilots import PilotConfig, apply_filters, mmse_filters, observe_pilots
 from oracles import (
+    combiner_power,
     full_gain_moments,
     gathered_gain_moments,
     local_mmse_combiners,
@@ -165,8 +167,7 @@ class TestServedCombiners:
             assert np.all(deviation <= self.RTOL * np.abs(dense[:, orus, ues]).max(axis=-1))
 
             # With every power 0, each UE's moment holds its noise terms F_k alone.
-            power = np.einsum("dsn,dsn->s", served.values.real, served.values.real)
-            power += np.einsum("dsn,dsn->s", served.values.imag, served.values.imag)
+            power = combiner_power(served.values)
             moments = gain_moments(served, sigma2, np.zeros(k_num))
             for k in range(k_num):
                 support = np.flatnonzero(serving[:, k])
@@ -187,7 +188,7 @@ class TestServedCombiners:
         for bound in (1, 1 << 62):
             monkeypatch.setattr(combining, "_SOLVE_BYTES", bound)
             results.append(served_combiners(serving, draws, pilots.power_mw, 0.2))
-        assert_same_bits(results[0].values.copy(), results[1].values.copy())
+        assert_same_bits(results[0].values, results[1].values)
         whole = results[0]
         for l in np.flatnonzero(serving.any(axis=1)):
             alone = np.zeros_like(serving)
@@ -195,6 +196,70 @@ class TestServedCombiners:
             solo = served_combiners(alone, draws, pilots.power_mw, 0.2)
             ues = np.flatnonzero(serving[l])
             assert_same_bits(solo.values[:, solo.column[l, ues]], whole.values[:, whole.column[l, ues]])
+
+    @pytest.mark.parametrize("tau_p", [5, 2])  # the observations a view of the slot signals; a gathered copy
+    @pytest.mark.parametrize("block", [1, 3, None])  # draws per filter block; None: all draws in one
+    def test_estimates_filtered_in_place(self, monkeypatch, tau_p, block):
+        # The estimates replace the observations block by block, with the bits of the one-shot product.
+        needed = SERVING_MAPS[0] | SERVING_MAPS[1]
+        l_num, k_num = needed.shape
+        n_ant, n_mc, sigma2 = 4, 10, 0.2
+        rng = np.random.default_rng(40 + tau_p)
+        stats = make_stats(ring_stack(rng, l_num, k_num, n_ant))
+        pilots = PilotConfig(tau_p, np.arange(k_num) % tau_p, rng.uniform(0.5, 2.0, size=k_num))
+        filters, _ = mmse_filters(stats.covariance, pilots, sigma2, needed)
+        replay = np.random.default_rng(9)
+        observations = observe_pilots(sample_channels(stats.factor, n_mc, replay), pilots, sigma2, replay, needed)
+        expected = apply_filters(filters, observations)
+        assert_same_bits(expected, (filters @ observations[..., None])[..., 0])
+
+        calls = []
+
+        def record(filters, observations, out=None):
+            calls.append((observations.base is not None, out is observations))
+            return apply_filters(filters, observations, out)
+
+        monkeypatch.setattr(pilots_mod, "apply_filters", record)
+        draw_bytes = needed.sum() * n_ant * np.dtype(complex).itemsize
+        monkeypatch.setattr(pilots_mod, "_DRAW_BYTES", 1 << 62 if block is None else block * draw_bytes)
+        draws = draw_estimates(stats, pilots, sigma2, n_mc, np.random.default_rng(9), needed)
+        assert calls == [(tau_p >= k_num, True)]
+        assert_same_bits(draws.estimates, expected)
+
+    @pytest.mark.parametrize("n_mc", [7, 100])
+    @pytest.mark.parametrize("case", ["needed-is-serving", "needed-wider", "one-pair", "random"])
+    def test_combiners_solved_into_estimates(self, case, n_mc):
+        # The last map solves its combiners into the estimates' columns of its served pairs. They, its
+        # gain moments and its noise terms alone (every power 0) have the bits of a fresh buffer's,
+        # whatever the buffer's width and the pairs' columns; the other columns keep their estimates.
+        rng = np.random.default_rng(60 + n_mc)
+        serving, other = SERVING_MAPS
+        if case == "one-pair":
+            serving = served_sets(5, [[], [], [3], [], [], []])
+        elif case == "random":  # ~60 served pairs: the noise sum spans more than one einsum buffer
+            serving, other = rng.random((2, 12, 10)) < 0.45
+        needed = serving if case == "needed-is-serving" else serving | other
+        l_num, k_num = serving.shape
+        stats = make_stats(ring_stack(rng, l_num, k_num, 4))
+        pilots = PilotConfig(2, np.arange(k_num) % 2, rng.uniform(0.5, 2.0, size=k_num))
+        draws = draw_estimates(stats, pilots, 0.2, n_mc, rng, needed)
+        estimates = draws.estimates
+        before = estimates.copy()
+        fresh = served_combiners(serving, draws, pilots.power_mw, 0.2)
+        assert draws.estimates is estimates
+        owned = served_combiners(serving, draws, pilots.power_mw, 0.2, into_estimates=True)
+        assert draws.estimates is None
+        assert owned.values is estimates and owned.channels is draws.channels
+        assert np.array_equal(owned.column, np.where(serving, draws.column, -1))
+        orus, ues = np.nonzero(serving)
+        assert np.array_equal(fresh.column[orus, ues], np.arange(orus.size))  # np.nonzero order
+        assert_same_bits(owned.values[:, owned.column[orus, ues]], fresh.values)
+        kept = draws.column[needed & ~serving]
+        assert_same_bits(owned.values[:, kept], before[:, kept])
+        for powers in (pilots.power_mw, np.zeros(k_num)):
+            expected, moments = gain_moments(fresh, 0.2, powers), gain_moments(owned, 0.2, powers)
+            for name in ("mean_gain", "second_moment", "sharer_moment"):
+                assert_same_bits(getattr(moments, name), getattr(expected, name))
 
     def test_singular_system_names_oru_and_draw(self):
         # One O-RU, two antennas, no estimation error and no noise: the Gram of two
@@ -442,18 +507,21 @@ class TestSupportMoments:
 
     def test_peak_memory_at_reference_deployment(self):
         # At n_mc=100 the channels are the one draw-sized (d, L, K, N) array, 100 * 36 * 40 * 4 *
-        # 16 B = 9.2 MB, and each (d, P, N) array of the 640 served pairs takes 4.1 MB: the
-        # channels, estimates and combiners make 17.4 MB, and the combiner solve's blocks of
-        # about 1 MiB take the peak to 18.8 MB. A second draw-sized array (the unmixed draws
-        # beside the channels, or the slot noise of every (O-RU, slot)) read 23.6 MB.
+        # 16 B = 9.2 MB, and the one (d, P, N) pair buffer of the 640 served pairs takes 4.1 MB
+        # (the observations, then the estimates in place, then the combiners solved into them):
+        # 13.3 MB. The combiner solve's blocks of about 1 MiB add 1.2 MB, and the peak, 16.3 MB,
+        # falls in `gain_moments`, whose per-UE gains and Grams add 2.8 MB. With separate
+        # estimates and combiners beside the channels it read 18.8 MB; with a second
+        # draw-sized array as well (the unmixed draws, or the slot noise of every (O-RU, slot)),
+        # 23.6 MB.
         peak = self._traced_reference_call(100)
-        assert peak < 21e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 17.5e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_peak_memory_follows_served_pairs(self):
-        # At 4 UEs per O-RU only the channels are draw-sized, 9.2 MB; the estimates and the
-        # combiners of the 144 served pairs take 0.9 MB each and the combiner solve's blocks
-        # about 1 MiB: the peak reads 12.4 MB. With the slot noise of every (O-RU, slot), another
-        # 9.2 MB, it read 20.1 MB.
+        # At 4 UEs per O-RU only the channels are draw-sized, 9.2 MB; the pair buffer of the 144
+        # served pairs takes 0.9 MB and the combiner solve's blocks about 1 MiB: the peak reads
+        # 11.5 MB (12.4 MB with separate estimates and combiners). With the slot noise of every
+        # (O-RU, slot), another 9.2 MB, it read 20.1 MB.
         peak = self._traced_reference_call(100, "opportunistic")
         assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -500,7 +568,7 @@ class TestGainKernel:
         assert_same_bits(moments.second_moment, second_moment)
         assert_same_bits(moments.sharer_moment, sharer_moment)
         assert_same_bits(channels, before[0])
-        assert_same_bits(combiners.values.copy(), before[1])
+        assert_same_bits(combiners.values, before[1])
 
     @pytest.mark.parametrize("which", [0, 1])
     @pytest.mark.parametrize("estimated", ["union", "every"])
