@@ -187,9 +187,12 @@ def mmse_filters(cov: np.ndarray, pilots: PilotConfig, sigma2_mw: float, needed:
     pair_cov = cov[e.orus, e.ues]
     solved = np.linalg.solve(gram[e.of_pair], pair_cov)  # Psi^{-1} R per pair
     amplitude = np.sqrt(pilots.tau_p * pilots.power_mw[e.ues])[:, None, None]
-    filters = amplitude * solved.conj().swapaxes(-1, -2)
-    error_covs = pair_cov - amplitude * filters @ pair_cov
-    error_covs = 0.5 * (error_covs + error_covs.conj().swapaxes(-1, -2))
+    filters = amplitude * np.conjugate(solved, out=solved).swapaxes(-1, -2)
+    # `solved` is scratch from here: it holds amplitude * filters, then the conjugate transpose.
+    error_covs = np.matmul(np.multiply(amplitude, filters, out=solved), pair_cov)
+    np.subtract(pair_cov, error_covs, out=error_covs)
+    error_covs += np.conjugate(error_covs.swapaxes(-1, -2), out=solved)
+    error_covs *= 0.5
     if needed is None:
         return filters.reshape(cov.shape), error_covs.reshape(cov.shape)
     return filters, error_covs

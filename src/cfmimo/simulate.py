@@ -219,6 +219,7 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
         except _STEP_FAILURES as exc:
             _abort([lane for lane, _ in updated], step, replay, exc)
             break
+        stats = None  # the cells read only the draws: the covariance and factor stacks are freed
         # The cell serving the most pairs runs last and solves its combiners
         # into the shared estimates, which no other cell reads after it.
         updated.sort(key=lambda item: int(item[0].state.serving.sum()))

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import oracles
+from numpy.polynomial.legendre import leggauss
 from oracles import ring_lag_oracle
 from scipy.linalg import toeplitz
 from scipy.special import j0
@@ -236,6 +237,33 @@ def counting_lag_evaluations(monkeypatch):
 CERTIFICATE_GRID = list(
     itertools.product((1.0, 10.0, 40.0, 80.0), (2, 4, 16), (0.25, 0.5, 2.0, 10.0), (4, 16, 64))
 )
+
+
+class TestGaussLegendreNodes:
+    # Nodes and weights come from Newton's method in numpy; numpy's eigenvalue-based
+    # `leggauss` is the reference, itself ~1.4e-11 off a 40-digit reference at n = 128.
+    COUNTS = range(1, 129)
+
+    def test_matches_leggauss(self):
+        for n in self.COUNTS:
+            x, w = channel._gauss_legendre(n)
+            x_ref, w_ref = leggauss(n)
+            assert x.shape == w.shape == (n,)
+            assert np.abs(x - x_ref).max() <= 2.3e-16, n
+            assert (np.abs(w - w_ref) / w_ref).max() <= 5e-11, n
+
+    def test_integrates_polynomials_to_degree_2n_minus_1(self):
+        for n in self.COUNTS:
+            x, w = channel._gauss_legendre(n)
+            for k in range(2 * n):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert abs(w @ x**k - exact) <= 1e-14, (n, k)
+
+    def test_arrays_are_read_only(self):
+        x, w = channel._gauss_legendre(11)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestDoublingCertificate:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -136,9 +137,10 @@ class TestEpisode:
         # covariance and factor stacks take 144 * 160 * 4 * 4 * 16 B = 5.9 MB each and the
         # channels, the one draw-sized array, 8 * 144 * 160 * 4 * 16 B = 11.8 MB: 23.6 MB. The
         # 2,560 served pairs' combiners and (K, S_max, S_max) moments (1.3 MB each), error
-        # covariances (0.7 MB) and the (L, K) gains, angles and cluster maps take the peak to
-        # ~30.7 MB. It read ~37.9 MB with the unmixed draws beside the channels, and ~44 MB
-        # with a dense (L, K, N, N) copy of the error covariances.
+        # covariances (0.7 MB) and the (L, K) gains, angles and cluster maps took the peak to
+        # ~31.4 MB while the stacks were held through the cells; freed once the draws are
+        # taken, it reads ~29.4 MB. It read ~37.9 MB with the unmixed draws beside the
+        # channels, and ~44 MB with a dense (L, K, N, N) copy of the error covariances.
         peak = self._traced_fixed_step(160, 144, 16, 2000.0)
         assert peak < 34e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -147,8 +149,10 @@ class TestEpisode:
         # covariance and factor stacks take 324 * 360 * 4 * 4 * 16 B = 29.9 MB each and the
         # channels 8 * 324 * 360 * 4 * 16 B = 59.7 MB: 119.4 MB. The 5,760 served pairs'
         # combiners and moments (2.9 MB each) and error covariances (1.5 MB), the (L, K) gains,
-        # angles and cluster maps (~6 MB) and the gain batches take the peak to ~141.5 MB. With
-        # the unmixed draws beside the channels, another 59.7 MB, it read ~187.7 MB.
+        # angles and cluster maps (~6 MB) and the gain batches took the peak to ~141.5 MB while
+        # the stacks were held through the cells, and ~135.4 MB now that they are freed once
+        # the draws are taken. With the unmixed draws beside the channels, another 59.7 MB, it
+        # read ~187.7 MB.
         peak = self._traced_fixed_step(360, 324, 36, 3000.0)
         assert peak < 150e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -241,8 +245,9 @@ def test_runs_without_scipy():
 
 def test_episode_processes_load_no_pool_or_masked_arrays():
     """`import cfmimo`, an episode and a serial campaign load none of numpy.ma,
-    multiprocessing or concurrent.futures, and the latter two run with every
-    multiprocessing import blocked; only a campaign with workers loads the pool."""
+    numpy.polynomial, multiprocessing or concurrent.futures, and the latter two
+    run with every multiprocessing import blocked; only a campaign with workers
+    loads the pool."""
     code = textwrap.dedent(
         """
         import sys
@@ -254,7 +259,7 @@ def test_episode_processes_load_no_pool_or_masked_arrays():
             loaded = sorted(
                 name for name in sys.modules
                 if name.split(".")[0] in ("multiprocessing", "concurrent")
-                or name == "numpy.ma" or name.startswith("numpy.ma.")
+                or ".".join(name.split(".")[:2]) in ("numpy.ma", "numpy.polynomial")
             )
             assert not loaded, (stage, loaded)
 
@@ -473,6 +478,28 @@ class TestLockstep:
             assert len(step) == len(STRATEGIES)
             assert [released for _, released in step] == [False] * (len(step) - 1) + [True]
             assert step[-1][0] == max(pairs for pairs, _ in step)
+
+    def test_statistics_released_before_the_cells_run(self, monkeypatch):
+        # Once the draws are taken, no step holds its covariance and factor stacks.
+        cfg = tiny_config(sim_time_s=1.0, n_setups=1, tau_p=2, n_mc=10).resolve()
+        refs, alive = [], []
+        refresh_statistics, served_combiners = simulate.refresh_statistics, simulate.served_combiners
+
+        def record_stats(*args):
+            stats = refresh_statistics(*args)
+            refs.append(weakref.ref(stats))
+            return stats
+
+        def record_alive(*args, **kwargs):
+            alive.append(refs[-1]() is not None)
+            return served_combiners(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "refresh_statistics", record_stats)
+        monkeypatch.setattr(simulate, "served_combiners", record_alive)
+        cells = [simulate.resolve_cell(cfg, strategy, 2.0, 3.0)[:2] for strategy in STRATEGIES]
+        simulate._run_lockstep(cfg, cells, 3.0, 0)
+        assert len(refs) == cfg.n_steps + 1  # the set-up refreshes too
+        assert alive == [False] * (cfg.n_steps * len(STRATEGIES))
 
     def test_job_plan(self):
         # Pure arithmetic: no pool is started.
