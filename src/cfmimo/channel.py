@@ -46,8 +46,8 @@ PSD_CLIP_REL_TOL = 1e-9
 # again on every refresh. At 11 nodes a block is 727 angles.
 _RING_BYTES = 128_000
 # Bytes of one chunk of real normal draws in `complex_normal_draws` and of one
-# block of draws `sample_channels` mixes, below the mmap threshold for the same
-# reason; whole draw-sized temporaries took 4.6 MB (float draws) and 9.2 MB
+# block of draws `_blockwise_matvec` mixes or filters, below the mmap threshold for
+# the same reason; whole draw-sized temporaries took 4.6 MB (float draws) and 9.2 MB
 # (mixed channels) at the reference scenario. A chunk or block holds one draw
 # at least. `_bessel_j0` sums its cosines in chunks of the same size.
 _DRAW_BYTES = 128_000
@@ -57,42 +57,30 @@ _J0_MAX_ARGUMENT = 1e8
 
 
 def _j0_node_count(x: float) -> int:
-    """Fewest midpoint nodes M whose a-priori error bound for J0(x), x >= 0, is at most eps / 8.
+    """Midpoint nodes M = ceil(e x / 4) + 20 for J0(x), x >= 0: an a-priori error bound below eps / 8.
 
     The M-node midpoint rule for (1/pi) * integral_0^pi cos(x sin t) dt
     integrates every term of cos(x sin t) = J0(x) + 2 sum_k J_2k(x) cos(2 k t)
     exactly except those with k a multiple of M, each of which it takes as
     (-1)^(k/M): it misses J0(x) by 2 sum_{j>=1} (-1)^j J_2jM(x). With
     |J_n(x)| <= t_n = (x/2)^n / n! and 2M >= x, t_(n+1) / t_n < 1/2, so the
-    tail is at most 2 t_2M / (1 - 4^-M) <= (8/3) t_2M. That bound falls as M
-    grows from ceil(x / 2); the smallest M meeting it is found by bisection,
-    in logs so that nothing overflows. At x = 0 one node is exact.
+    tail is at most 2 t_2M / (1 - 4^-M) <= (8/3) t_2M; 2M >= e x / 2 >= 1.36 x. By
+    (2M)! >= (2M/e)^(2M) and ln z >= 1 - 1/z at z = 4M / (e x) >= 1, ln t_2M <= 2M ln(e x / (4M))
+    <= -2 (M - e x / 4) <= -40, and (8/3) e^-40 = 1.1e-17 < eps / 8 = 2.8e-17.
     """
-    target = math.log(np.finfo(float).eps / 8)
-
-    def certified(m: int) -> bool:
-        return x == 0.0 or math.log(8 / 3) + 2 * m * (math.log(x) - math.log(2.0)) - math.lgamma(2 * m + 1) <= target
-
-    low = max(1, math.ceil(x / 2))
-    high = low
-    while not certified(high):
-        low, high = high + 1, 2 * high
-    while low < high:
-        mid = (low + high) // 2
-        low, high = (low, mid) if certified(mid) else (mid + 1, high)
-    return low
+    return math.ceil(math.e * x / 4) + 20
 
 
 def _bessel_j0(x: float) -> float:
     """J0(x) by the midpoint rule for (1/pi) * integral_0^pi cos(x sin t) dt.
 
-    The node count is the fewest whose a-priori error bound is at most eps / 8
-    (`_j0_node_count`): 11 nodes at the first zero 2.405, ~e |x| / 4 for large
-    |x|. Rounding of the phases x sin t, ~eps |x| each, sets the error beyond
-    that: within 2.2e-13 of `scipy.special.j0` up to |x| = 1e6. The cosines are
-    summed in chunks of _DRAW_BYTES, so memory does not grow with |x|. As in
-    scipy, NaN and +-inf give NaN. Finite |x| above _J0_MAX_ARGUMENT raises
-    ValueError, since the node count grows with |x|.
+    The node count ceil(e |x| / 4) + 20 (`_j0_node_count`, 22 nodes at the
+    first zero 2.405) has an a-priori error bound below eps / 8. Rounding of
+    the phases x sin t, ~eps |x| each, sets the error beyond that: within
+    2.2e-13 of `scipy.special.j0` up to |x| = 1e6. The cosines are summed in
+    chunks of _DRAW_BYTES, so memory does not grow with |x|. As in scipy, NaN
+    and +-inf give NaN. Finite |x| above _J0_MAX_ARGUMENT raises ValueError,
+    since the node count grows with |x|.
     """
     x = abs(float(x))
     if not math.isfinite(x):
@@ -419,19 +407,26 @@ def sample_channels(factor: np.ndarray, n_draws: int, rng: np.random.Generator) 
 
     z ~ CN(0, I) is drawn already scaled by 1/sqrt(2), the reciprocal numpy's
     complex division by sqrt(2) multiplies with, so it has the bits of z / sqrt(2).
-    It is then mixed into h in place, one block of whole draws of about
-    _DRAW_BYTES at a time: each (L, K) product A z reads its own z only, so the
+    It is then mixed into h in place a block of draws at a time (`_blockwise_matvec`), so the
     draws hold one array of the result's shape and one block besides.
     """
     h = complex_normal_draws((n_draws,) + factor.shape[:-1], rng, 1.0 / np.sqrt(2.0))
-    per_block = max(1, _DRAW_BYTES // max(1, h[:1].nbytes))
-    mixed = np.empty((min(per_block, n_draws),) + h.shape[1:] + (1,), dtype=complex)
-    for start in range(0, n_draws, per_block):
-        block = h[start : start + per_block, ..., None]
-        out = mixed[: block.shape[0]]
-        np.matmul(factor, block, out=out)
-        block[...] = out
-    return h
+    return _blockwise_matvec(factor, h, out=h)
+
+
+def _blockwise_matvec(matrices: np.ndarray, vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched A v over the leading draw axis, (..., N, N) x (d, ..., N): the channel mixing and
+    `pilots.apply_filters`. Blocks of about _DRAW_BYTES of draws go through one block-sized buffer
+    into ``out`` (a fresh array by default), which may be ``vectors``: each block is read whole
+    before it is written, and a product reads its own pair and draw only, so no bit depends on it."""
+    out = np.empty(vectors.shape, dtype=complex) if out is None else out
+    per_block = max(1, _DRAW_BYTES // max(1, vectors[:1].nbytes))
+    buffer = np.empty((min(per_block, len(vectors)),) + vectors.shape[1:] + (1,), dtype=complex)
+    for start in range(0, len(vectors), per_block):
+        block = vectors[start : start + per_block, ..., None]
+        np.matmul(matrices, block, out=buffer[: len(block)])
+        out[start : start + per_block] = buffer[: len(block), ..., 0]
+    return out
 
 
 def _rows(stack: np.ndarray, index: np.ndarray) -> np.ndarray:

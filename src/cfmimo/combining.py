@@ -120,8 +120,7 @@ def served_combiners(
         raise ValueError("the serving map serves (O-RU, UE) pairs that were not estimated")
 
     values = draws.estimates if into_estimates else np.empty((n_mc, np.count_nonzero(serving), n_ant), dtype=complex)
-    ranks = serving.cumsum().reshape(serving.shape) - 1  # np.nonzero order
-    served_column = np.where(serving, draws.column if into_estimates else ranks, -1)
+    served_column = np.where(serving, draws.column, -1) if into_estimates else _pair_columns(serving)
     for load, group, group_ues in _equal_rows(serving):  # group_ues: (G, load)
         pairs = draws.column[group[:, None], group_ues].T  # (load, G)
         targets = served_column[group[:, None], group_ues].T
@@ -143,6 +142,11 @@ def served_combiners(
     if into_estimates:
         draws.estimates = None
     return ServedCombiners(values, served_column, draws.channels)
+
+
+def _pair_columns(mask: np.ndarray) -> np.ndarray:
+    """Each True entry's index in ``np.nonzero(mask)`` order, and -1 elsewhere."""
+    return np.where(mask, np.cumsum(mask).reshape(np.shape(mask)) - 1, -1)
 
 
 def _equal_rows(mask: np.ndarray):
@@ -281,14 +285,11 @@ def draw_estimates(
     """
     if n_mc < 1:
         raise NumericalError("n_mc must be >= 1")
-    orus, ues = np.nonzero(needed)
     filters, error_covs = pilots_mod.mmse_filters(stats.covariance, pilots, sigma2_mw, needed)
     h = sample_channels(stats.factor, n_mc, rng)  # (d, L, K, N)
     observations = pilots_mod.observe_pilots(h, pilots, sigma2_mw, rng, needed)  # (d, P, N)
     h_hat = pilots_mod.apply_filters(filters, observations, out=observations)  # the estimates replace them
-    column = np.full(np.shape(needed), -1)
-    column[orus, ues] = np.arange(orus.size)
-    return EstimationDraws(h, h_hat, column, error_covs)
+    return EstimationDraws(h, h_hat, _pair_columns(needed), error_covs)
 
 
 def gain_moments(combiners: ServedCombiners, sigma2_mw: float, powers_mw: np.ndarray) -> GainMoments:

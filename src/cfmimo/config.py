@@ -12,6 +12,7 @@ rules of the keys they override, a margin of inf never hands over, sim_time_s is
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import re
@@ -73,17 +74,22 @@ class SimConfig:
         return self.frame.tau_u / (self.tau_p + self.frame.tau_u)
 
     def resolve(self) -> "SimConfig":
-        """Validate and normalize; clamps the measurement size to the O-RU count."""
+        """Validate each key's type, then its bounds, and normalize; clamps the measurement size to the O-RU count."""
         for key, (section, attr, parser) in _FIELDS.items():
             value = _field_value(self, section, attr)
             values = value if parser is _parse_speeds else (value,)
+            if parser is _parse_speeds and not (isinstance(value, tuple) and value):
+                raise ConfigurationError(f"{key} must be a non-empty tuple of real numbers, got {value!r}")
+            kind, name = _TYPES[parser]
+            if not all(isinstance(v, kind) and (kind is bool or not isinstance(v, bool)) for v in values):
+                raise ConfigurationError(f"{key} must be {name}, got {value!r}")
             margin = attr in HandoverConfig.MARGINS  # +inf is a margin that never triggers
             if parser in (float, _parse_speeds) and not all(
                 math.isfinite(v) or (margin and v == math.inf) for v in values
             ):
                 raise ConfigurationError(f"{key} must be finite{' or +inf' if margin else ''}, got {value!r}")
             op, bound = _LOWER_BOUNDS.get(key, (None, None))
-            if op and not (values and all(_COMPARE[op](v, bound) for v in values)):
+            if op and not all(_COMPARE[op](v, bound) for v in values):
                 raise ConfigurationError(f"{key} must be {op} {bound}, got {value!r}")
         if not self.sim_time_s / self.ts_s <= MAX_STEPS:  # an overflow to inf included
             raise ConfigurationError(
@@ -153,6 +159,11 @@ _FIELDS = {
     for section, cls in [*_SECTIONS.items(), (None, SimConfig)]
     for f in fields(cls)
     if f.name not in _SECTIONS
+}
+# The value type each parser's keys take (speeds_kmh: per entry), checked before the bounds; a bool is no number.
+_TYPES = {
+    int: (numbers.Integral, "an int"), float: (numbers.Real, "a real number"), _parse_bool: (bool, "a bool"),
+    str: (str, "a str"), _parse_speeds: (numbers.Real, "a non-empty tuple of real numbers"),
 }
 
 

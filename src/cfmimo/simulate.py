@@ -15,16 +15,18 @@ stream, so one driver, ``_run_lockstep``, runs all cells of a (setup, speed) in
 lockstep: motion, shadowing, channel statistics, the Monte-Carlo channel draws
 and the estimates of every (O-RU, UE) pair some cell serves are computed once
 per step, and each cell runs only its cluster update, combiners, second stage
-and signaling on them. ``run_episode`` is its one-cell case, and a campaign
-runs one lockstep job per (speed, setup) group, so each cell's numbers are
-bit-identical to its own ``run_episode``.
+and signaling on them, into the EpisodeResult it holds from the set-up on.
+``run_episode`` is its one-cell case, and a campaign runs one lockstep job per
+(speed, setup) group, so each cell's numbers are bit-identical to its own
+``run_episode``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -110,7 +112,9 @@ def run_episode(
     threshold_db: float | None = None,
     speed_kmh: float | None = None,
 ) -> EpisodeResult:
-    """Run one episode; cell parameters default to the configuration's values."""
+    """Run one episode; cell parameters default to the configuration's values. ``setup`` must be an int."""
+    if isinstance(setup, bool) or not isinstance(setup, numbers.Integral):
+        raise ConfigurationError(f"setup must be an int, got {setup!r}")
     handover_cfg, threshold, speed = resolve_cell(config, strategy, threshold_db, speed_kmh)
     (outcome,) = _run_lockstep(config, [(handover_cfg, threshold)], speed, setup)
     if isinstance(outcome, SimulationError):
@@ -120,14 +124,10 @@ def run_episode(
 
 @dataclass
 class _Lane:
-    """What one cell of a lockstep episode carries from step to step."""
+    """One cell of a lockstep episode: the EpisodeResult it fills, its cluster state, and its error."""
 
     handover: clustering.HandoverConfig
-    threshold_db: float
-    se: np.ndarray | None = None
-    ledger: signaling.SignalingLedger | None = None
-    events: list = field(default_factory=list)
-    invalid: int = 0
+    result: EpisodeResult
     state: clustering.ClusterState | None = None
     error: SimulationError | None = None
 
@@ -140,7 +140,7 @@ def _abort(lanes, step: int, replay: str, exc: Exception) -> None:
     for lane in lanes:
         lane.error = SimulationError(
             f"episode aborted at step {step} "
-            f"(strategy={lane.handover.strategy}, threshold={lane.threshold_db:g} dB, {replay}): {exc}"
+            f"(strategy={lane.handover.strategy}, threshold={lane.result.threshold_db:g} dB, {replay}): {exc}"
         )
         lane.error.__cause__ = exc
 
@@ -152,8 +152,8 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
     deployment, motion, shadowing, channel statistics and Monte-Carlo draws.
     Each step does that work once, after every cell's cluster update, and
     estimates the pairs any cell serves; each cell then runs its own combiners
-    and gain moments, second stage and signaling, and writes only into its own
-    arrays. Returns an EpisodeResult or a SimulationError per cell, in order:
+    and gain moments, second stage and signaling, and fills only its own
+    EpisodeResult. Returns an EpisodeResult or a SimulationError per cell, in order:
     a NumericalError or MemoryError in a cell's own stage ends that cell, one
     in the set-up or a shared stage ends every live cell. The cells and the
     speed come resolved from ``resolve_cell``; ``cfg`` supplies only settings
@@ -167,7 +167,7 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
     channel_args = (
         cfg.angle_spread_rad, n_antennas, cfg.antenna_spacing_wl, cfg.min_distance_m, cfg.check_quadrature
     )
-    lanes = [_Lane(handover, threshold) for handover, threshold in cells]
+    lanes = [_Lane(h, EpisodeResult(h.strategy, t, speed_kmh, cfg.sim_time_s, None, [], None)) for h, t in cells]
     try:
         topology = geometry.generate_deployment(dep, rng)
         neighbors = clustering.NeighborTable(topology)
@@ -177,8 +177,8 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
         shadow = ShadowFading.initial(dep.num_orus, dep.num_ues, cfg.sigma_sf_db, cfg.shadow_alpha_per_m, rng)
         pilot_cfg = PilotConfig.uniform(dep.num_ues, cfg.tau_p, cfg.power_mw)
         for lane in lanes:
-            lane.se = np.zeros((cfg.n_steps, dep.num_ues))
-            lane.ledger = signaling.SignalingLedger(dep.num_orus, dep.num_odus)
+            lane.result.se = np.zeros((cfg.n_steps, dep.num_ues))
+            lane.result.ledger = signaling.SignalingLedger(dep.num_orus, dep.num_odus)
     except _STEP_FAILURES as exc:
         _abort(lanes, 0, replay, exc)
         return [lane.error for lane in lanes]
@@ -233,26 +233,19 @@ def _run_lockstep(cfg: SimConfig, cells: list, speed_kmh: float, setup: int) -> 
                 # sharing a serving O-RU); the achievable SE is charged with
                 # interference from every UE.
                 _, se = second_stage(moments, pilot_cfg.power_mw)
-                lane.se[step - 1] = cfg.prelog * se
-                lane.invalid += int(np.isnan(se).sum())
+                lane.result.se[step - 1] = cfg.prelog * se
+                lane.result.invalid_samples += int(np.isnan(se).sum())
                 delta = (
                     signaling.account_data_plane(lane.state, cfg.frame, topology.odu_of_oru)
                     + signaling.account_control_plane(step_events, lane.state, topology.odu_of_oru)
                     + signaling.account_statistics_exchange(lane.state, topology.odu_of_oru)
                 )
-                lane.ledger.record(step, delta)
-                lane.events.extend(step_events)
+                lane.result.ledger.record(step, delta)
+                lane.result.events.extend(step_events)
             except _STEP_FAILURES as exc:
                 _abort([lane], step, replay, exc)
         del draws  # the true channels are not kept into the next step
-    return [
-        lane.error
-        or EpisodeResult(
-            lane.handover.strategy, lane.threshold_db, speed_kmh, cfg.sim_time_s,
-            lane.se, lane.events, lane.ledger, lane.invalid,
-        )
-        for lane in lanes
-    ]
+    return [lane.error or lane.result for lane in lanes]
 
 
 @dataclass
@@ -364,6 +357,19 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def _sweep_axis(name: str, values) -> list:
+    """``values`` as a list; an empty, str or non-iterable axis raises ConfigurationError naming it."""
+    try:
+        axis = None if isinstance(values, str) else list(values)
+    except TypeError:
+        axis = None
+    if axis is None:
+        raise ConfigurationError(f"the {name} axis of the sweep must be a non-str iterable of values, got {values!r}")
+    if not axis:
+        raise ConfigurationError(f"the {name} axis of the sweep is empty")
+    return axis
+
+
 def run_campaign(
     config: SimConfig,
     strategies=None,
@@ -375,16 +381,13 @@ def run_campaign(
 
     Episodes are fully determined by their derived seed, so results are
     bit-identical for any parallelism level; aggregation always reduces setups
-    in ascending order. An empty strategies, thresholds or speeds axis raises
-    ConfigurationError before any episode runs.
+    in ascending order. A strategies, thresholds or speeds axis that is empty, a
+    str or not iterable raises ConfigurationError before any episode runs.
     """
     cfg = config.resolve()
-    strategies = list(strategies) if strategies is not None else [cfg.handover.strategy]
-    thresholds = list(thresholds) if thresholds is not None else [cfg.handover.threshold_db]
-    speeds = list(speeds) if speeds is not None else list(cfg.speeds_kmh)
-    for name, axis in (("strategies", strategies), ("thresholds", thresholds), ("speeds", speeds)):
-        if not axis:
-            raise ConfigurationError(f"the {name} axis of the sweep is empty")
+    strategies = _sweep_axis("strategies", [cfg.handover.strategy] if strategies is None else strategies)
+    thresholds = _sweep_axis("thresholds", [cfg.handover.threshold_db] if thresholds is None else thresholds)
+    speeds = _sweep_axis("speeds", cfg.speeds_kmh if speeds is None else speeds)
     cells = campaign_cells(cfg, strategies, thresholds, speeds)
     workers = pool_size(parallelism, len(cells) * cfg.n_setups)
     jobs = plan_jobs(cells, cfg.n_setups, workers)

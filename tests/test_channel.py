@@ -1,6 +1,7 @@
 """Shadow fading, path loss, one-ring covariances, and channel sampling."""
 
 import itertools
+import math
 import time
 import tracemalloc
 from dataclasses import fields
@@ -72,6 +73,27 @@ class TestJakes:
     def test_bessel_j0_rejects_arguments_beyond_its_limit(self):
         with pytest.raises(ValueError, match="exceeds"):
             channel._bessel_j0(2 * channel._J0_MAX_ARGUMENT)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0,
+            5e-324,
+            2.404825557695773,
+            np.pi * 2 * 3.5e9 * 0.8333 / 299_792_458.0 * 0.5,
+            np.pi * 2 * 3.5e9 * (30.0 / 3.6) / 299_792_458.0 * 0.5,
+            *np.logspace(-3.0, 6.0, 37),
+            *np.logspace(-3.0, 8.0),
+        ],
+    )
+    def test_j0_node_count_is_certified(self, x):
+        # The premise 2M >= x and the tail bound (8/3) (x/2)^(2M) / (2M)! <= eps / 8, in logs; and
+        # no more nodes than the closed form ceil(e x / 4) + 20.
+        m = channel._j0_node_count(x)
+        assert 2 * m >= x
+        log_power = 2 * m * (math.log(x) - math.log(2.0)) if x else -math.inf
+        assert math.log(8 / 3) + log_power - math.lgamma(2 * m + 1) <= math.log(np.finfo(float).eps / 8)
+        assert m <= math.ceil(math.e * x / 4) + 20
 
     def test_bessel_j0_memory_does_not_grow_with_the_argument(self):
         # x = 1e6 takes 679,587 nodes: 5.4 MB of float64 phases if held at once.

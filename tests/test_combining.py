@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfmimo import combining
+from cfmimo import channel, combining
 from cfmimo import pilots as pilots_mod
 from cfmimo.channel import (
     ChannelStatistics,
@@ -221,7 +221,7 @@ class TestServedCombiners:
 
         monkeypatch.setattr(pilots_mod, "apply_filters", record)
         draw_bytes = needed.sum() * n_ant * np.dtype(complex).itemsize
-        monkeypatch.setattr(pilots_mod, "_DRAW_BYTES", 1 << 62 if block is None else block * draw_bytes)
+        monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 62 if block is None else block * draw_bytes)
         draws = draw_estimates(stats, pilots, sigma2, n_mc, np.random.default_rng(9), needed)
         assert calls == [(tau_p >= k_num, True)]
         assert_same_bits(draws.estimates, expected)

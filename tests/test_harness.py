@@ -65,6 +65,11 @@ class TestEpisode:
         finite = result.se[np.isfinite(result.se)]
         assert np.all(finite >= 0)
 
+    @pytest.mark.parametrize("setup", [1.5, True, "1"])
+    def test_setup_must_be_an_int(self, setup):
+        with pytest.raises(ConfigurationError, match=f"^setup must be an int, got {setup!r}$"):
+            run_episode(tiny_config(), setup)
+
     def test_determinism(self):
         cfg = tiny_config()
         a = run_episode(cfg, 1)
@@ -332,6 +337,17 @@ class TestCampaign:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
             run_campaign(tiny_config(), strategies=["mesh"], thresholds=[1.0], speeds=[3.0])
+
+    @pytest.mark.parametrize(
+        "axis,value", [("strategies", "fixed"), ("thresholds", 2.0), ("speeds", 30), ("speeds", "30")]
+    )
+    def test_str_or_scalar_axis_rejected_before_any_episode(self, monkeypatch, axis, value):
+        def never(*args, **kwargs):
+            raise AssertionError("an episode ran before every sweep axis was checked")
+
+        monkeypatch.setattr(simulate, "_run_lockstep", never)
+        with pytest.raises(ConfigurationError, match=f"^the {axis} axis of the sweep must be a non-str iterable"):
+            run_campaign(tiny_config(), **{axis: value})
 
     def test_bad_threshold_rejected_before_any_episode(self, monkeypatch):
         def never(*args, **kwargs):
@@ -705,6 +721,29 @@ class TestConfig:
         cfg = config_mod.apply_setting(tiny_config(), key, value)
         with pytest.raises(ConfigurationError):
             cfg.resolve()
+
+    @pytest.mark.parametrize(
+        "key,value,kind",
+        [("tau_p", 2.5, "an int"), ("n_mc", 4.5, "an int"), ("n_setups", 1.5, "an int"), ("seed", 1.5, "an int"),
+         ("num_ues", 4.0, "an int"), ("serving_cluster_size", 2.0, "an int"), ("n_mc", True, "an int"),
+         ("power_mw", True, "a real number"), ("se_prelog", "no", "a bool"), ("check_quadrature", 1, "a bool"),
+         ("strategy", 3, "a str"), ("speeds_kmh", (), "a non-empty tuple of real numbers"),
+         ("speeds_kmh", [30.0], "a non-empty tuple of real numbers"),
+         ("speeds_kmh", (30.0, "60"), "a non-empty tuple of real numbers")],
+    )
+    def test_value_types_checked_before_the_bounds(self, key, value, kind):
+        # Through the Python API, where no parser has seen the value: the key and its type are named.
+        if isinstance(value, str):  # apply_setting would parse it: set on its field directly
+            cfg = tiny_config(**{key: value})
+        else:
+            cfg = config_mod.apply_setting(tiny_config(), key, value)
+        with pytest.raises(ConfigurationError) as error:
+            cfg.resolve()
+        assert str(error.value) == f"{key} must be {kind}, got {value!r}"
+
+    def test_numpy_scalars_are_ints_and_reals(self):
+        cfg = tiny_config(n_mc=np.int64(4), power_mw=np.float32(50.0), speeds_kmh=(np.float64(3.0), 30))
+        assert cfg.resolve().n_mc == 4
 
     @pytest.mark.parametrize("sim_time_s,ts_s", [(1.25, 0.5), (0.7, 0.5)])
     def test_partial_last_sample_rejected(self, sim_time_s, ts_s):
